@@ -5,6 +5,12 @@ of a simplicial mesh, with homogeneous Dirichlet conditions imposed by
 eliminating boundary rows and columns.  Gradients of the P1 hat functions are
 constant on each cell, so the local matrix is |K| * G^T D G with G the matrix of
 barycentric-coordinate gradients.
+
+All cells are processed as one batch: stacked edge matrices, one batched
+determinant and inverse, stacked local matrices, and a single COO scatter.
+Every per-cell operation is the same numpy/LAPACK call a one-cell computation
+makes, in the same order, so the matrix does not depend on how cells are
+grouped; local_stiffness is the one-cell case of the same kernel.
 """
 
 from __future__ import annotations
@@ -78,6 +84,29 @@ class SparseSPD:
         return SparseSPD(self.matrix * c)
 
 
+def _local_matrices(pts: np.ndarray, D: DiffusionTensor) -> np.ndarray:
+    """Element stiffness matrices of a stack of simplices.
+
+    pts is (c, d+1, d); returns (c, d+1, d+1), each exactly symmetric.  Raises
+    on the first degenerate simplex.
+    """
+    d = pts.shape[2]
+    edges = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)  # columns are edge vectors from vertex 0
+    det = np.linalg.det(edges)
+    scale = np.prod(np.linalg.norm(edges, axis=1), axis=1)
+    bad = (scale == 0.0) | (np.abs(det) < 1e-14 * scale)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise ValueError(f"degenerate simplex (det {det[c]:.3g} vs edge scale {scale[c]:.3g})")
+    grads = np.empty((pts.shape[0], d, d + 1))
+    grads[:, :, 1:] = np.linalg.inv(edges).transpose(0, 2, 1)
+    grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
+    vol = np.abs(det) / math.factorial(d)
+    k = vol[:, None, None] * grads.transpose(0, 2, 1) @ D.matrix @ grads
+    # exact symmetry so the mirrored assembly is bit-identical
+    return 0.5 * (k + k.transpose(0, 2, 1))
+
+
 def local_stiffness(simplex_vertices: np.ndarray, D: DiffusionTensor) -> np.ndarray:
     """Element stiffness matrix of one simplex.
 
@@ -97,17 +126,7 @@ def local_stiffness(simplex_vertices: np.ndarray, D: DiffusionTensor) -> np.ndar
     d = pts.shape[1]
     if pts.shape != (d + 1, d):
         raise ValueError(f"expected {d + 1} vertices of dimension {d}, got shape {pts.shape}")
-    edges = (pts[1:] - pts[0]).T  # columns are edge vectors from vertex 0
-    det = np.linalg.det(edges)
-    scale = float(np.prod(np.linalg.norm(edges, axis=0)))
-    if scale == 0.0 or abs(det) < 1e-14 * scale:
-        raise ValueError(f"degenerate simplex (det {det:.3g} vs edge scale {scale:.3g})")
-    grads = np.empty((d, d + 1))
-    grads[:, 1:] = np.linalg.inv(edges).T
-    grads[:, 0] = -grads[:, 1:].sum(axis=1)
-    vol = abs(det) / math.factorial(d)
-    k = vol * grads.T @ D.matrix @ grads
-    return 0.5 * (k + k.T)  # exact symmetry so the mirrored assembly is bit-identical
+    return _local_matrices(pts[None], D)[0]
 
 
 def assemble(mesh: SimplicialMesh, D: DiffusionTensor | None = None) -> SparseSPD:
@@ -116,7 +135,8 @@ def assemble(mesh: SimplicialMesh, D: DiffusionTensor | None = None) -> SparseSP
     Boundary rows/columns are eliminated (homogeneous Dirichlet): only pairs of
     free vertices are scattered.  Only upper-triangle entries (by global row)
     are accumulated; the transpose is mirrored afterwards, which makes the
-    matrix exactly symmetric.
+    matrix exactly symmetric.  Entries are scattered in (cell, a, b) order, so
+    duplicates are summed in a fixed order.
 
     Parameters
     ----------
@@ -133,25 +153,13 @@ def assemble(mesh: SimplicialMesh, D: DiffusionTensor | None = None) -> SparseSP
     n = mesh.n_free
     if n == 0:
         raise ValueError("mesh has no free vertices; the Dirichlet system is empty")
-    d = mesh.dim
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for cell in mesh.cells:
-        k = local_stiffness(mesh.vertices[cell], D)
-        gi = mesh.free_index[cell]
-        for a in range(d + 1):
-            ia = gi[a]
-            if ia < 0:
-                continue
-            for b in range(d + 1):
-                ib = gi[b]
-                if ib < ia:  # lower triangle comes from the mirror
-                    continue
-                rows.append(ia)
-                cols.append(ib)
-                vals.append(k[a, b])
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    k = _local_matrices(mesh.vertices[mesh.cells], D)
+    gi = mesh.free_index[mesh.cells]
+    rows = gi[:, :, None]
+    cols = gi[:, None, :]
+    keep = (rows >= 0) & (cols >= rows)  # lower triangle comes from the mirror
+    rows, cols = np.broadcast_arrays(rows, cols)
+    upper = sp.coo_matrix((k[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
     full = upper + sp.triu(upper, k=1).T
     return SparseSPD(full.tocsr())
 

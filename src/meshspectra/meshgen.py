@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -409,27 +408,52 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
     )
 
 
+# face k of a cell drops its vertex k; one row of local vertex indices per face
+_FACE_TABLE = {
+    2: np.array([[1, 2], [0, 2], [0, 1]]),
+    3: np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
+}
+
+
 def check_conforming(mesh: SimplicialMesh) -> None:
     """Raise if any codimension-1 face is shared by more than two cells, or a
-    once-counted face is not a boundary face.  Intended for small meshes."""
-    faces = Counter()
-    for cell in mesh.cells:
-        for drop in range(mesh.dim + 1):
-            face = tuple(sorted(v for k, v in enumerate(cell) if k != drop))
-            faces[face] += 1
-    for face, count in faces.items():
-        if count > 2:
-            raise ValueError(f"face {face} shared by {count} cells")
-        if count == 1 and not all(mesh.boundary_mask[v] for v in face):
-            raise ValueError(f"interior face {face} belongs to only one cell")
+    once-counted face is not a boundary face.
+
+    Faces are checked in order of first appearance (cell by cell, dropping
+    vertex 0, 1, ...), and the error names the first offending face.
+    """
+    nv = mesh.n_vertices
+    if nv**mesh.dim > np.iinfo(np.int64).max:
+        raise ValueError(f"{nv} vertices are too many to encode {mesh.dim}-vertex faces in int64")
+    faces = np.sort(mesh.cells[:, _FACE_TABLE[mesh.dim]], axis=2).reshape(-1, mesh.dim)
+    # mixed radix nv: one int64 per face, ordered like the sorted vertex tuples
+    keys = faces @ (nv ** np.arange(mesh.dim - 1, -1, -1, dtype=np.int64))
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    shared = counts > 2
+    lonely = (counts == 1) & ~mesh.boundary_mask[faces[first]].all(axis=1)
+    bad = np.flatnonzero(shared | lonely)
+    if bad.size == 0:
+        return
+    u = bad[np.argmin(first[bad])]
+    face = tuple(faces[first[u]].tolist())
+    if shared[u]:
+        raise ValueError(f"face {face} shared by {counts[u]} cells")
+    raise ValueError(f"interior face {face} belongs to only one cell")
+
+
+# rows per write in export_mesh_text: bounds the formatted text held at once
+_EXPORT_CHUNK_ROWS = 4096
 
 
 def export_mesh_text(mesh: SimplicialMesh, path) -> None:
-    """Plain-text dump: 'dim n_vertices n_cells' header, vertex lines, 0-based cell lines."""
-    lines = [f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}"]
-    for v in mesh.vertices:
-        lines.append(" ".join(format(c, ".17g") for c in v))
-    for cell in mesh.cells:
-        lines.append(" ".join(str(int(i)) for i in cell))
+    """Plain-text dump: 'dim n_vertices n_cells' header, vertex lines, 0-based cell lines.
+
+    Coordinates are written with %.17g, which round-trips float64.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}\n")
+        for rows, fmt in ((mesh.vertices, "%.17g"), (mesh.cells, "%d")):
+            line = " ".join([fmt] * rows.shape[1]) + "\n"
+            for start in range(0, rows.shape[0], _EXPORT_CHUNK_ROWS):
+                chunk = rows[start : start + _EXPORT_CHUNK_ROWS]
+                fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))

@@ -1,11 +1,16 @@
 """Shared brute-force oracles: slow, independent recomputations of the mesh
-statistics, used to cross-check the vectorized implementations."""
+statistics, the stiffness matrix, the conformity check and the mesh text
+format, used to cross-check the vectorized implementations."""
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from collections import Counter
 
-from meshspectra import SimplicialMesh, cell_volumes
+import numpy as np
+import scipy.sparse as sp
+
+from meshspectra import DiffusionTensor, SimplicialMesh, cell_volumes
 
 
 def brute_patch_volumes(mesh: SimplicialMesh) -> np.ndarray:
@@ -36,3 +41,70 @@ def brute_m_const(mesh: SimplicialMesh) -> int:
         for v in cell:
             counts[int(v)] = counts.get(int(v), 0) + 1
     return max(counts.values())
+
+
+def brute_local_stiffness(simplex_vertices: np.ndarray, D: DiffusionTensor) -> np.ndarray:
+    """One cell's stiffness matrix from its own det/inv/matmul calls."""
+    pts = np.asarray(simplex_vertices, dtype=float)
+    d = pts.shape[1]
+    edges = (pts[1:] - pts[0]).T  # columns are edge vectors from vertex 0
+    det = np.linalg.det(edges)
+    scale = float(np.prod(np.linalg.norm(edges, axis=0)))
+    if scale == 0.0 or abs(det) < 1e-14 * scale:
+        raise ValueError(f"degenerate simplex (det {det:.3g} vs edge scale {scale:.3g})")
+    grads = np.empty((d, d + 1))
+    grads[:, 1:] = np.linalg.inv(edges).T
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    vol = abs(det) / math.factorial(d)
+    k = vol * grads.T @ D.matrix @ grads
+    return 0.5 * (k + k.T)
+
+
+def brute_assemble(mesh: SimplicialMesh, D: DiffusionTensor) -> sp.csr_matrix:
+    """Cell-by-cell assembly: upper-triangle free pairs, then the mirror."""
+    n = mesh.n_free
+    d = mesh.dim
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for cell in mesh.cells:
+        k = brute_local_stiffness(mesh.vertices[cell], D)
+        gi = mesh.free_index[cell]
+        for a in range(d + 1):
+            ia = gi[a]
+            if ia < 0:
+                continue
+            for b in range(d + 1):
+                ib = gi[b]
+                if ib < ia:
+                    continue
+                rows.append(ia)
+                cols.append(ib)
+                vals.append(k[a, b])
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return (upper + sp.triu(upper, k=1).T).tocsr()
+
+
+def brute_check_conforming(mesh: SimplicialMesh) -> None:
+    """Count every face with a Counter, then check counts in first-seen order."""
+    faces = Counter()
+    for cell in mesh.cells:
+        for drop in range(mesh.dim + 1):
+            face = tuple(sorted(int(v) for k, v in enumerate(cell) if k != drop))
+            faces[face] += 1
+    for face, count in faces.items():
+        if count > 2:
+            raise ValueError(f"face {face} shared by {count} cells")
+        if count == 1 and not all(mesh.boundary_mask[v] for v in face):
+            raise ValueError(f"interior face {face} belongs to only one cell")
+
+
+def brute_export_mesh_text(mesh: SimplicialMesh, path) -> None:
+    """Row-by-row writer of the mesh text format."""
+    lines = [f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}"]
+    for v in mesh.vertices:
+        lines.append(" ".join(format(c, ".17g") for c in v))
+    for cell in mesh.cells:
+        lines.append(" ".join(str(int(i)) for i in cell))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from meshspectra import (
     export_matrix_text,
     local_stiffness,
 )
+
+from conftest import brute_assemble
 
 I2 = DiffusionTensor.identity(2)
 I3 = DiffusionTensor.identity(3)
@@ -131,6 +135,38 @@ def test_assemble_scalar_coefficient_scales_matrix():
     for c in (2.0, 3.0):
         Ac = assemble(mesh, DiffusionTensor(c * np.eye(2))).toarray()
         np.testing.assert_allclose(Ac, c * A1, rtol=1e-15)
+
+
+_SPD_2D = np.array([[2.0, 0.7], [0.7, 1.5]])
+_SPD_3D = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.2]])
+
+
+@pytest.mark.parametrize(
+    "dim, p",
+    [
+        (2, GradingParams(MeshFamily.BAKHVALOV, 16, eps=0.01)),
+        (3, GradingParams(MeshFamily.POWER, 4)),
+        (3, GradingParams(MeshFamily.SINGLE_LAYER, 4)),
+    ],
+)
+def test_assemble_matches_cell_loop_bitwise(dim, p):
+    mesh = build_mesh(dim, p)
+    coefficients = (np.eye(dim), np.diag([3.0, 5.0, 7.0][:dim]), _SPD_2D if dim == 2 else _SPD_3D)
+    for m in coefficients:
+        D = DiffusionTensor(m)
+        A = assemble(mesh, D).matrix
+        B = brute_assemble(mesh, D)
+        np.testing.assert_array_equal(A.indptr, B.indptr)
+        np.testing.assert_array_equal(A.indices, B.indices)
+        assert A.data.tobytes() == B.data.tobytes()
+
+
+def test_assemble_rejects_degenerate_cell():
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    cells = mesh.cells.copy()
+    cells[7] = [0, 1, 2]  # three vertices on the edge x = 0
+    with pytest.raises(ValueError, match="degenerate simplex"):
+        assemble(replace(mesh, cells=cells))
 
 
 def test_assemble_exact_symmetry():

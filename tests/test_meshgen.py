@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from meshspectra.meshgen import (
     uniform_nodes,
 )
 
-from conftest import brute_h_const, brute_m_const, brute_patch_volumes
+from conftest import (
+    brute_check_conforming,
+    brute_export_mesh_text,
+    brute_h_const,
+    brute_m_const,
+    brute_patch_volumes,
+)
 
 
 def params(family, n, **kw):
@@ -255,24 +262,59 @@ def test_tensor_3d_orientation_and_partition():
         assert abs(vols.sum() - 1.0) <= 1e-12
 
 
+def _conforming_error(check, mesh):
+    try:
+        check(mesh)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_conforming_all_families():
-    for p in ALL_FAMILIES_2D:
-        check_conforming(build_mesh(2, p))
-    for p in ALL_FAMILIES_3D:
-        check_conforming(build_mesh(3, p))
+    meshes = [build_mesh(2, p) for p in ALL_FAMILIES_2D]
+    meshes += [build_mesh(3, p) for p in ALL_FAMILIES_3D]
+    for mesh in meshes:
+        check_conforming(mesh)
+        brute_check_conforming(mesh)
+        # broken variants: both checks name the same first offending face
+        mid = mesh.n_cells // 2
+        for cells in (
+            np.delete(mesh.cells, mid, axis=0),
+            np.vstack([mesh.cells, mesh.cells[mid : mid + 1]]),
+            np.vstack([mesh.cells[mid:], mesh.cells[:mid], mesh.cells[-1:]]),
+        ):
+            broken = replace(mesh, cells=cells)
+            msg = _conforming_error(check_conforming, broken)
+            assert msg is not None
+            assert msg == _conforming_error(brute_check_conforming, broken)
 
 
 def test_conforming_detects_duplicate_cell():
     mesh = build_mesh(2, params(MeshFamily.UNIFORM, 2))
-    broken = SimplicialMesh(
-        dim=2,
-        vertices=mesh.vertices,
-        cells=np.vstack([mesh.cells, mesh.cells[:1]]),
-        boundary_mask=mesh.boundary_mask,
-        free_index=mesh.free_index,
-    )
-    with pytest.raises(ValueError):
+    broken = replace(mesh, cells=np.vstack([mesh.cells, mesh.cells[:1]]))
+    with pytest.raises(ValueError, match=r"^face \(3, 4\) shared by 3 cells$"):
         check_conforming(broken)
+
+
+def test_conforming_detects_missing_cell():
+    mesh = build_mesh(2, params(MeshFamily.UNIFORM, 2))
+    broken = replace(mesh, cells=mesh.cells[1:])
+    with pytest.raises(ValueError, match=r"^interior face \(0, 4\) belongs to only one cell$"):
+        check_conforming(broken)
+
+
+def test_conforming_rejects_unencodable_vertex_count():
+    # 2.1e6**3 exceeds int64; the broadcast view allocates no coordinates
+    mesh = build_mesh(3, params(MeshFamily.UNIFORM, 2))
+    huge = SimplicialMesh(
+        dim=3,
+        vertices=np.broadcast_to(0.0, (2_100_000, 3)),
+        cells=mesh.cells,
+        boundary_mask=np.ones(2_100_000, dtype=bool),
+        free_index=np.full(2_100_000, -1),
+    )
+    with pytest.raises(ValueError, match="too many to encode"):
+        check_conforming(huge)
 
 
 def test_build_mesh_grading_policy():
@@ -381,3 +423,12 @@ def test_export_mesh_text_roundtrip(tmp_path):
     cells = np.array([[int(t) for t in line.split()] for line in lines[1 + nv :]])
     np.testing.assert_array_equal(verts, mesh.vertices)  # %.17g round-trips
     np.testing.assert_array_equal(cells, mesh.cells)
+
+
+def test_export_mesh_text_matches_row_writer(tmp_path):
+    # 5202 vertex rows and 26112 cell rows: neither is a multiple of the chunk size
+    mesh = build_mesh(3, params(MeshFamily.SINGLE_LAYER, 16, eps=0.05))
+    assert (mesh.n_vertices, mesh.n_cells) == (5202, 26112)
+    export_mesh_text(mesh, tmp_path / "chunked.txt")
+    brute_export_mesh_text(mesh, tmp_path / "rows.txt")
+    assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
