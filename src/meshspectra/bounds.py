@@ -26,7 +26,6 @@ from .meshgen import (
     MeshFamily,
     PatchStats,
     build_mesh,
-    cell_volumes,
     patch_stats,
 )
 
@@ -170,11 +169,10 @@ def calibrate(dim: int, n_ref: int | None = None, exact: float | None = None) ->
         raise ValueError(f"exact must be a positive finite eigenvalue, got {exact!r}")
     mesh = build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref))
     stats = patch_stats(mesh)
-    vols = cell_volumes(mesh)
     return Calibration(
         dim=dim,
         c_new=exact / _kernel_new(stats, dim),
         c_gm=exact / _kernel_gm(stats, dim),
-        c_khx=exact / _kernel_khx(vols, dim),
+        c_khx=exact / _kernel_khx(stats.cell_volumes, dim),
         n_ref=n_ref,
     )

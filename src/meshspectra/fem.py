@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .meshgen import SimplicialMesh
+from .meshgen import EXPORT_CHUNK_ROWS, SimplicialMesh
 
 
 @dataclass(frozen=True)
@@ -165,11 +166,12 @@ def assemble(mesh: SimplicialMesh, D: DiffusionTensor | None = None) -> SparseSP
 
 
 def export_matrix_text(A: SparseSPD, path) -> None:
-    """Coordinate-format dump 'i j value', 0-based, upper triangle only."""
+    """Coordinate-format dump 'i j value', 0-based, upper triangle only, in
+    (i, j) order.  Values are written with %.17g, which round-trips float64."""
     coo = sp.triu(A.matrix, k=0).tocoo()
     order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[t]} {coo.col[t]} {format(coo.data[t], '.17g')}" for t in order
-    ]
+    columns = (coo.row[order], coo.col[order], coo.data[order])
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        for start in range(0, order.size, EXPORT_CHUNK_ROWS):
+            rows = [c[start : start + EXPORT_CHUNK_ROWS].tolist() for c in columns]
+            fh.write(("%d %d %.17g\n" * len(rows[0])) % tuple(chain.from_iterable(zip(*rows))))

@@ -32,7 +32,6 @@ from .meshgen import (
     MeshFamily,
     SimplicialMesh,
     build_mesh,
-    cell_volumes,
     patch_stats,
 )
 from .spectra import ConvergenceError, lambda_min_sparse
@@ -122,14 +121,13 @@ def calibration_for(dim: int, n_ref: int | None = None, tol: float = 1e-8) -> Ca
 def analyze_mesh(mesh: SimplicialMesh, cal: Calibration, tol: float = 1e-8) -> BoundReport:
     """Exact eigenvalue plus all three calibrated estimates for one mesh."""
     stats = patch_stats(mesh)
-    vols = cell_volumes(mesh)
     exact = lambda_min_sparse(assemble(mesh), tol=tol).lambda_min
     return BoundReport(
         n_free=stats.n_free,
         lambda_exact=exact,
         lambda_new=estimate_new(stats, mesh.dim, cal),
         lambda_gm=estimate_gm(stats, mesh.dim, cal),
-        lambda_khx=estimate_khx(vols, mesh.dim, cal),
+        lambda_khx=estimate_khx(stats.cell_volumes, mesh.dim, cal),
         stats=stats,
     )
 

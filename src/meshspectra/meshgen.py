@@ -232,7 +232,8 @@ class PatchStats:
     patch_volumes[i] is the volume of the patch of free vertex i (union of cells
     whose closure contains it), indexed by matrix row.  m_const is the max number
     of cells sharing any single vertex; h_const the max volume ratio between two
-    cells whose closures intersect.
+    cells whose closures intersect.  cell_volumes holds the per-cell volumes the
+    statistics were computed from (None when the stats are built by hand).
     """
 
     patch_volumes: np.ndarray
@@ -243,6 +244,7 @@ class PatchStats:
     n_free: int
     n_cells: int
     domain_volume: float
+    cell_volumes: np.ndarray | None = None
 
 
 def _free_index(boundary_mask: np.ndarray) -> np.ndarray:
@@ -405,6 +407,7 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
         n_free=mesh.n_free,
         n_cells=mesh.n_cells,
         domain_volume=float(vols.sum()),
+        cell_volumes=vols,
     )
 
 
@@ -441,8 +444,8 @@ def check_conforming(mesh: SimplicialMesh) -> None:
     raise ValueError(f"interior face {face} belongs to only one cell")
 
 
-# rows per write in export_mesh_text: bounds the formatted text held at once
-_EXPORT_CHUNK_ROWS = 4096
+# rows per write in the text exporters: bounds the formatted text held at once
+EXPORT_CHUNK_ROWS = 4096
 
 
 def export_mesh_text(mesh: SimplicialMesh, path) -> None:
@@ -454,6 +457,6 @@ def export_mesh_text(mesh: SimplicialMesh, path) -> None:
         fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}\n")
         for rows, fmt in ((mesh.vertices, "%.17g"), (mesh.cells, "%d")):
             line = " ".join([fmt] * rows.shape[1]) + "\n"
-            for start in range(0, rows.shape[0], _EXPORT_CHUNK_ROWS):
-                chunk = rows[start : start + _EXPORT_CHUNK_ROWS]
+            for start in range(0, rows.shape[0], EXPORT_CHUNK_ROWS):
+                chunk = rows[start : start + EXPORT_CHUNK_ROWS]
                 fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))

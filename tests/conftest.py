@@ -1,6 +1,6 @@
 """Shared brute-force oracles: slow, independent recomputations of the mesh
-statistics, the stiffness matrix, the conformity check and the mesh text
-format, used to cross-check the vectorized implementations."""
+statistics, the stiffness matrix, the conformity check and the mesh and
+matrix text formats, used to cross-check the vectorized implementations."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import scipy.sparse as sp
 
-from meshspectra import DiffusionTensor, SimplicialMesh, cell_volumes
+from meshspectra import DiffusionTensor, SimplicialMesh, SparseSPD, cell_volumes
 
 
 def brute_patch_volumes(mesh: SimplicialMesh) -> np.ndarray:
@@ -108,3 +108,12 @@ def brute_export_mesh_text(mesh: SimplicialMesh, path) -> None:
         lines.append(" ".join(str(int(i)) for i in cell))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def brute_export_matrix_text(A: SparseSPD, path) -> None:
+    """Entry-by-entry writer of the matrix text format."""
+    coo = sp.triu(A.matrix, k=0).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    lines = [f"{coo.row[t]} {coo.col[t]} {format(coo.data[t], '.17g')}" for t in order]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + ("\n" if lines else ""))

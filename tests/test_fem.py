@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from meshspectra import (
     DiffusionTensor,
@@ -14,7 +15,7 @@ from meshspectra import (
     local_stiffness,
 )
 
-from conftest import brute_assemble
+from conftest import brute_assemble, brute_export_matrix_text
 
 I2 = DiffusionTensor.identity(2)
 I3 = DiffusionTensor.identity(3)
@@ -208,8 +209,6 @@ def test_assemble_anisotropic_coefficient():
 
 
 def test_sparsespd_validation_and_scaling():
-    import scipy.sparse as sp
-
     with pytest.raises(ValueError):
         SparseSPD(sp.csr_matrix(np.zeros((2, 3))))
     with pytest.raises(ValueError):
@@ -220,6 +219,15 @@ def test_sparsespd_validation_and_scaling():
     np.testing.assert_array_equal(A.scaled(2.0).toarray(), np.diag([2.0, 4.0]))
     np.testing.assert_array_equal(A.diagonal(), [1.0, 2.0])
     assert A.n == 2 and A.nnz == 2
+
+
+def test_export_matrix_text_matches_entry_writer(tmp_path):
+    # 13790 upper-triangle entries: three full 4096-row chunks and a partial one
+    A = assemble(build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 64, eps=0.05)))
+    assert sp.triu(A.matrix).nnz == 13790
+    export_matrix_text(A, tmp_path / "chunked.txt")
+    brute_export_matrix_text(A, tmp_path / "entries.txt")
+    assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "entries.txt").read_bytes()
 
 
 def test_export_matrix_text_roundtrip(tmp_path):

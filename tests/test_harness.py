@@ -309,6 +309,27 @@ def test_analyze_mesh_consistent_with_run_sweep():
     assert report.n_free == row.n_free
 
 
+def test_analyze_mesh_computes_cell_volumes_once(monkeypatch):
+    import meshspectra.bounds as bd
+    import meshspectra.harness as hz
+    import meshspectra.meshgen as mg
+
+    calls = []
+    original = mg.cell_volumes
+
+    def counted(mesh):
+        calls.append(mesh)
+        return original(mesh)
+
+    # every module that could call it by its own imported name
+    for module in (mg, bd, hz):
+        monkeypatch.setattr(module, "cell_volumes", counted, raising=False)
+    cal = calibration_for(2, n_ref=4)
+    assert len(calls) == 1  # calibrate reuses the volumes patch_stats computed
+    analyze_mesh(build_mesh(2, SHISHKIN_SMALL.params_at(8)), cal)
+    assert len(calls) == 2
+
+
 def test_csv_matches_golden_fixture(tmp_path):
     import pathlib
 

@@ -394,6 +394,7 @@ def test_patch_stats_brute_force_equivalence():
         assert st.m_const == brute_m_const(mesh)
         brute_free = brute_patch_volumes(mesh)[~mesh.boundary_mask]
         np.testing.assert_array_equal(st.patch_volumes, brute_free)
+        np.testing.assert_array_equal(st.cell_volumes, cell_volumes(mesh))
 
 
 def test_patch_stats_lower_bounds():

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh
 
 from meshspectra import (
     ConvergenceError,
     GradingParams,
     LayerPosition,
     MeshFamily,
+    NodeSet1D,
     SparseSPD,
     assemble,
     build_mesh,
-    cg_solve,
     lambda_min_dense,
     lambda_min_sparse,
+    tensor_mesh_2d,
+    tensor_mesh_3d,
 )
 
 
@@ -38,51 +43,6 @@ SMALL_MESHES = [
 ]
 
 
-# -------------------------------------------------------------------- solve
-
-
-def test_cg_zero_rhs():
-    A = spd(np.diag([4.0, 2.0]))
-    np.testing.assert_array_equal(cg_solve(A, np.zeros(2)), np.zeros(2))
-
-
-def test_cg_diagonal_exact():
-    A = spd([[4.0]])
-    np.testing.assert_allclose(cg_solve(A, np.array([2.0])), [0.5], rtol=1e-12)
-
-
-def test_cg_random_spd_residual():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((50, 50))
-    A = spd(m @ m.T + 50 * np.eye(50))
-    b = rng.standard_normal(50)
-    x = cg_solve(A, b, tol=1e-12)
-    assert np.linalg.norm(A.matvec(x) - b) <= 1e-12 * np.linalg.norm(b) * 10
-
-
-def test_cg_warm_start_noop():
-    A = spd(np.diag([2.0, 3.0]))
-    b = np.array([4.0, 9.0])
-    exact = np.array([2.0, 3.0])
-    x = cg_solve(A, b, x0=exact)
-    np.testing.assert_allclose(x, exact, rtol=1e-12)
-
-
-def test_cg_rejects_unknown_preconditioner():
-    with pytest.raises(ValueError):
-        cg_solve(spd([[1.0]]), np.array([1.0]), precond="ilu")
-
-
-def test_cg_convergence_error():
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal((40, 40))
-    A = spd(m @ m.T + 0.1 * np.eye(40))
-    with pytest.raises(ConvergenceError) as info:
-        cg_solve(A, rng.standard_normal(40), tol=1e-14, max_iter=2)
-    assert info.value.iterations == 2
-    assert info.value.residual is not None and info.value.residual > 0.0
-
-
 # -------------------------------------------------------------- eigenvalues
 
 
@@ -98,12 +58,15 @@ def test_lambda_min_tiny_matrices():
 
 
 def test_sparse_matches_dense_on_meshes():
+    tol = 1e-10
     for dim, p in SMALL_MESHES:
         A = assemble(build_mesh(dim, p))
         assert A.n <= 400
         lam_dense = lambda_min_dense(A)
-        lam_sparse = lambda_min_sparse(A, tol=1e-10).lambda_min
-        assert abs(lam_sparse - lam_dense) <= 1e-8 * lam_dense
+        r = lambda_min_sparse(A, tol=tol)
+        assert abs(r.lambda_min - lam_dense) <= 1e-8 * lam_dense
+        # the certificate covers the true error and meets the requested tol
+        assert abs(r.lambda_min - lam_dense) <= r.error_bound <= tol * r.lambda_min
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -124,7 +87,7 @@ def test_uniform_2d_decreasing_in_n():
 def test_scale_equivariance():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1)))
     base = lambda_min_sparse(A, tol=1e-10).lambda_min
-    for c in (0.5, 2.0, 10.0):
+    for c in (1e-6, 0.5, 2.0, 10.0, 1e4):
         lam = lambda_min_sparse(A.scaled(c), tol=1e-10).lambda_min
         assert abs(lam - c * base) <= 1e-10 * c * base
 
@@ -146,6 +109,34 @@ def test_outer_convergence_error_carries_state():
     assert err.vector is not None and err.vector.shape == (A.n,)
 
 
+def test_not_positive_definite_raises_at_once():
+    # diagonal positive, eigenvalues -1 and 3: the first Ritz step finds -1
+    with pytest.raises(ConvergenceError, match="not positive definite") as info:
+        lambda_min_sparse(spd([[1.0, 2.0], [2.0, 1.0]]))
+    assert info.value.iterations == 1
+    assert info.value.lambda_estimate < 0.0
+    with pytest.raises(ConvergenceError, match="not positive definite") as info:
+        lambda_min_sparse(spd([[1.0, np.nan], [np.nan, 1.0]]))
+    assert info.value.iterations == 0
+
+
+def test_power_2d_hardest_fixture_point_converges():
+    # beta=3.0, n=128 is the last point of both power-2d-n and power-2d-beta
+    A = assemble(build_mesh(2, GradingParams(MeshFamily.POWER, 128, beta=3.0)))
+    r = lambda_min_sparse(A)
+    ref = float(eigsh(A.matrix.tocsc(), k=1, sigma=0, which="LM")[0][0])
+    assert abs(r.lambda_min - ref) <= 1e-8 * ref
+    assert r.error_bound <= 1e-8 * r.lambda_min
+
+
+def test_power_3d_beta_304_matches_dense():
+    A = assemble(build_mesh(3, GradingParams(MeshFamily.POWER, 6, beta=3.04)))
+    lam_dense = lambda_min_dense(A)
+    r = lambda_min_sparse(A)
+    assert abs(r.lambda_min - lam_dense) <= 1e-10 * lam_dense
+    assert abs(r.lambda_min - lam_dense) <= r.error_bound <= 1e-8 * r.lambda_min
+
+
 def test_dense_guard():
     big = sp.eye(5001, format="csr")
     with pytest.raises(ValueError):
@@ -156,7 +147,8 @@ def test_residual_contract():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.BAKHVALOV, 16, eps=0.05)))
     tol = 1e-9
     r = lambda_min_sparse(A, tol=tol)
-    assert r.residual <= 10.0 * tol
+    assert r.residual <= tol * r.lambda_min
+    assert r.error_bound <= tol * r.lambda_min
 
 
 def test_determinism():
@@ -166,3 +158,40 @@ def test_determinism():
     assert r1.lambda_min == r2.lambda_min
     assert r1.residual == r2.residual
     assert r1.iterations == r2.iterations
+
+
+# ------------------------------------------------------------ random meshes
+
+
+def node_sets(min_intervals=3, max_intervals=8):
+    # step lengths spread over three decades, so the grid can be strongly graded
+    exponents = st.lists(
+        st.floats(min_value=-3.0, max_value=0.0), min_size=min_intervals, max_size=max_intervals
+    )
+
+    def to_nodes(exps):
+        steps = 10.0 ** np.asarray(exps)
+        inner = np.cumsum(steps)[:-1] / steps.sum()
+        return NodeSet1D(np.concatenate(([0.0], inner, [1.0])))
+
+    return exponents.map(to_nodes)
+
+
+def check_against_dense(mesh):
+    A = assemble(mesh)
+    lam_dense = lambda_min_dense(A)
+    r = lambda_min_sparse(A, tol=1e-10)
+    assert abs(r.lambda_min - lam_dense) <= 1e-9 * lam_dense
+    assert r.error_bound <= 1e-10 * r.lambda_min
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(node_sets(), node_sets())
+def test_random_tensor_meshes_2d_match_dense(nx, ny):
+    check_against_dense(tensor_mesh_2d(nx, ny))
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(node_sets(max_intervals=6), node_sets(max_intervals=6), node_sets(max_intervals=6))
+def test_random_tensor_meshes_3d_match_dense(nx, ny, nz):
+    check_against_dense(tensor_mesh_3d(nx, ny, nz))
