@@ -10,8 +10,8 @@ Three families of estimates, all driven by mesh geometry alone:
 
 Each bound carries an unknown multiplicative constant; `calibrate` fixes it
 so that the estimate reproduces the exact eigenvalue on one uniform
-reference mesh per dimension, after which the estimators can be compared
-across families and sizes on equal footing.
+reference mesh per dimension (known in closed form there), after which the
+estimators can be compared across families and sizes on equal footing.
 """
 
 from __future__ import annotations
@@ -153,21 +153,32 @@ def geo_form(stats: PatchStats, dim: int = 3) -> float:
     return mean ** (1.0 - 2.0 / d) * d ** ((d - 2.0) / d) / n
 
 
+def uniform_lambda_min(dim: int, n: int) -> float:
+    """Smallest stiffness eigenvalue of the uniform mesh with n intervals per
+    direction, in closed form: P1 there is h^(d-2) times the (2d+1)-point
+    finite-difference Laplacian, whose smallest eigenvalue is
+    4d sin^2(pi h / 2), so 8 sin^2(pi h/2) in 2D and 12 h sin^2(pi h/2) in 3D."""
+    h = 1.0 / n
+    return 4.0 * dim * h ** (dim - 2) * math.sin(math.pi * h / 2.0) ** 2
+
+
 def calibrate(dim: int, n_ref: int | None = None, exact: float | None = None) -> Calibration:
     """Fix the estimator constants on one uniform reference mesh.
 
     `exact` is the smallest stiffness eigenvalue of the uniform mesh with
-    n_ref intervals per direction (computed by the caller with the spectra
-    module); each constant is set so its estimator returns exactly `exact`
-    on that mesh.
+    n_ref intervals per direction; when it is None the closed form
+    `uniform_lambda_min` supplies it.  Each constant is set so its estimator
+    returns exactly `exact` on that mesh.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if n_ref is None:
         n_ref = DEFAULT_REFERENCE_INTERVALS[dim]
-    if exact is None or not (exact > 0.0 and math.isfinite(exact)):
+    if exact is not None and not (exact > 0.0 and math.isfinite(exact)):
         raise ValueError(f"exact must be a positive finite eigenvalue, got {exact!r}")
     mesh = build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref))
+    if exact is None:
+        exact = uniform_lambda_min(dim, n_ref)
     stats = patch_stats(mesh)
     return Calibration(
         dim=dim,

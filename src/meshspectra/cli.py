@@ -11,14 +11,13 @@ import argparse
 import os
 import sys
 
-from .bounds import DEFAULT_REFERENCE_INTERVALS
+from .bounds import DEFAULT_REFERENCE_INTERVALS, calibrate
 from .harness import (
     PLOT_COLUMNS,
     SweepAxis,
     SweepSpec,
     _row_from_report,
     analyze_mesh,
-    calibration_for,
     emit_csv,
     emit_svg_loglog,
     run_sweep,
@@ -130,7 +129,7 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    cal = calibration_for(args.dim, args.ref, args.tol)
+    cal = calibrate(args.dim, args.ref)
     mesh = build_mesh(args.dim, _params_from_args(args))
     report = analyze_mesh(mesh, cal, tol=args.tol)
     s = report.stats
@@ -158,7 +157,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    cal = calibration_for(args.dim, args.ref, args.tol)
+    cal = calibrate(args.dim, args.ref)
     pairs = [
         ("dim", cal.dim),
         ("n_ref", cal.n_ref),
@@ -262,7 +261,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--ref", type=int, default=None,
                    help=f"reference intervals (default {DEFAULT_REFERENCE_INTERVALS})")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="store constants as a key = value file")
     p.set_defaults(func=_cmd_calibrate)
     return parser

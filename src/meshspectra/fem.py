@@ -70,9 +70,6 @@ class SparseSPD:
     def nnz(self) -> int:
         return int(self.matrix.nnz)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()
 

@@ -4,7 +4,8 @@ A sweep fixes one grading family and varies a single axis (mesh size n, layer
 width eps, or grading exponent beta).  Every sweep point builds the mesh,
 assembles the stiffness matrix, computes the exact smallest eigenvalue, and
 evaluates the three calibrated estimates; calibration is computed once per
-sweep from the pinned uniform reference mesh.  Output is deterministic:
+sweep from the pinned uniform reference mesh, whose eigenvalue is known in
+closed form.  Output is deterministic:
 wall_time is recorded as 0.0 unless timing is explicitly requested, so two
 runs of the same spec produce byte-identical CSV.
 """
@@ -17,7 +18,6 @@ import time
 from dataclasses import dataclass, replace
 
 from .bounds import (
-    DEFAULT_REFERENCE_INTERVALS,
     BoundReport,
     Calibration,
     calibrate,
@@ -109,15 +109,6 @@ class SweepRow:
     wall_time: float
 
 
-def calibration_for(dim: int, n_ref: int | None = None, tol: float = 1e-8) -> Calibration:
-    """Calibrate on the pinned uniform reference mesh (eigensolve included)."""
-    if n_ref is None:
-        n_ref = DEFAULT_REFERENCE_INTERVALS[dim]
-    mesh = build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref))
-    exact = lambda_min_sparse(assemble(mesh), tol=tol).lambda_min
-    return calibrate(dim, n_ref, exact)
-
-
 def analyze_mesh(mesh: SimplicialMesh, cal: Calibration, tol: float = 1e-8) -> BoundReport:
     """Exact eigenvalue plus all three calibrated estimates for one mesh."""
     stats = patch_stats(mesh)
@@ -155,7 +146,7 @@ def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[SweepRow]:
     measure_time=False (the default) records wall_time as 0.0, keeping the
     emitted CSV byte-deterministic.
     """
-    cal = calibration_for(spec.dim, spec.calibration_ref, spec.tol)
+    cal = calibrate(spec.dim, spec.calibration_ref)
     rows = []
     for value in spec.values:
         mesh = build_mesh(spec.dim, spec.params_at(value))

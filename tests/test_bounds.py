@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from meshspectra import (
+    DEFAULT_REFERENCE_INTERVALS,
     Calibration,
     GradingParams,
     MeshFamily,
@@ -18,9 +19,11 @@ from meshspectra import (
     estimate_new,
     geo_form,
     holder_mean,
+    lambda_min_dense,
     lambda_min_sparse,
     patch_stats,
 )
+from meshspectra.bounds import uniform_lambda_min
 
 
 def make_stats(patch_volumes, n_cells=None, m_const=6, h_const=1.0, k_min=None):
@@ -207,6 +210,22 @@ def test_calibration_fixed_point_3d():
     assert math.isclose(estimate_khx(cell_volumes(mesh), 3, cal), exact, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("dim, n", [(2, 4), (2, 8), (2, 16), (3, 3), (3, 4), (3, 6)])
+def test_uniform_closed_form_matches_dense(dim, n):
+    A = assemble(build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n)))
+    lam = uniform_lambda_min(dim, n)
+    assert abs(lam - lambda_min_dense(A)) <= 1e-13 * lam
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_calibrate_uses_closed_form_at_pinned_reference(dim):
+    n_ref = DEFAULT_REFERENCE_INTERVALS[dim]
+    lam = uniform_lambda_min(dim, n_ref)
+    A = assemble(build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref)))
+    assert abs(lam - lambda_min_sparse(A).lambda_min) <= 1e-12 * lam
+    assert calibrate(dim) == calibrate(dim, n_ref, exact=lam)
+
+
 def test_calibrate_supplied_exact_short_circuits_solve():
     cal = calibrate(2, n_ref=8, exact=1.0)
     cal2 = calibrate(2, n_ref=8, exact=2.0)
@@ -215,10 +234,8 @@ def test_calibrate_supplied_exact_short_circuits_solve():
 
 
 def test_recalibration_stability():
-    from meshspectra import calibration_for
-
-    a = calibration_for(2, n_ref=16)
-    b = calibration_for(2, n_ref=32)
+    a = calibrate(2, n_ref=16)
+    b = calibrate(2, n_ref=32)
     for ca, cb in ((a.c_new, b.c_new), (a.c_gm, b.c_gm), (a.c_khx, b.c_khx)):
         assert 0.5 < ca / cb < 2.0
 
@@ -245,9 +262,7 @@ def test_relabeling_invariance():
         free_index=mesh.free_index,
     )
     st0, st1 = patch_stats(mesh), patch_stats(shuffled)
-    from meshspectra import calibration_for
-
-    cal = calibration_for(2, n_ref=8)
+    cal = calibrate(2, n_ref=8)
     assert estimate_new(st0, 2, cal) == estimate_new(st1, 2, cal)
     assert estimate_gm(st0, 2, cal) == estimate_gm(st1, 2, cal)
     v0, v1 = cell_volumes(mesh), cell_volumes(shuffled)
@@ -257,9 +272,7 @@ def test_relabeling_invariance():
 
 
 def test_uniform_family_tracks_exact():
-    from meshspectra import calibration_for
-
-    cal = calibration_for(2, n_ref=16)
+    cal = calibrate(2, n_ref=16)
     for n in (8, 16, 32):
         mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, n))
         st = patch_stats(mesh)

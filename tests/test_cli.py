@@ -9,7 +9,7 @@ from meshspectra import (
     MeshFamily,
     SweepAxis,
     SweepSpec,
-    calibration_for,
+    calibrate,
     emit_csv,
     run_sweep,
 )
@@ -134,7 +134,7 @@ def test_calibrate_prints_and_stores(tmp_path, capsys):
     for line in out.read_text().splitlines():
         key, _, value = line.partition("=")
         stored[key.strip()] = value.strip()
-    cal = calibration_for(2, n_ref=8)
+    cal = calibrate(2, n_ref=8)
     assert float(stored["c_new"]) == cal.c_new  # %.17g round-trips
     assert float(stored["c_gm"]) == cal.c_gm
     assert float(stored["c_khx"]) == cal.c_khx

@@ -183,7 +183,7 @@ def test_assemble_exact_symmetry():
 def test_assemble_row_sums_nonnegative():
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 6))
     A = assemble(mesh)
-    s = A.matvec(np.ones(A.n))
+    s = A.matrix @ np.ones(A.n)
     assert np.min(s) >= -1e-13
     assert np.max(s) > 0.1  # rows next to the boundary keep eliminated mass
 
@@ -194,7 +194,7 @@ def test_assemble_positive_definite_random_vectors():
     A = assemble(mesh)
     for _ in range(20):
         u = rng.standard_normal(A.n)
-        assert u @ A.matvec(u) > 0.0
+        assert u @ (A.matrix @ u) > 0.0
 
 
 def test_assemble_anisotropic_coefficient():

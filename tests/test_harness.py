@@ -14,7 +14,7 @@ from meshspectra import (
     SweepSpec,
     analyze_mesh,
     build_mesh,
-    calibration_for,
+    calibrate,
     emit_csv,
     emit_svg_loglog,
     run_sweep,
@@ -298,7 +298,7 @@ def test_fixture_meshes_build(name):
 
 
 def test_analyze_mesh_consistent_with_run_sweep():
-    cal = calibration_for(2, n_ref=SHISHKIN_SMALL.calibration_ref, tol=SHISHKIN_SMALL.tol)
+    cal = calibrate(2, n_ref=SHISHKIN_SMALL.calibration_ref)
     mesh = build_mesh(2, SHISHKIN_SMALL.params_at(8))
     report = analyze_mesh(mesh, cal, tol=SHISHKIN_SMALL.tol)
     row = run_sweep(SHISHKIN_SMALL)[0]
@@ -324,7 +324,7 @@ def test_analyze_mesh_computes_cell_volumes_once(monkeypatch):
     # every module that could call it by its own imported name
     for module in (mg, bd, hz):
         monkeypatch.setattr(module, "cell_volumes", counted, raising=False)
-    cal = calibration_for(2, n_ref=4)
+    cal = calibrate(2, n_ref=4)
     assert len(calls) == 1  # calibrate reuses the volumes patch_stats computed
     analyze_mesh(build_mesh(2, SHISHKIN_SMALL.params_at(8)), cal)
     assert len(calls) == 2

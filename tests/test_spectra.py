@@ -21,6 +21,7 @@ from meshspectra import (
     tensor_mesh_2d,
     tensor_mesh_3d,
 )
+from meshspectra import spectra
 
 
 def spd(dense):
@@ -135,6 +136,122 @@ def test_power_3d_beta_304_matches_dense():
     r = lambda_min_sparse(A)
     assert abs(r.lambda_min - lam_dense) <= 1e-10 * lam_dense
     assert abs(r.lambda_min - lam_dense) <= r.error_bound <= 1e-8 * r.lambda_min
+
+
+def test_power_3d_eigenvalue_cluster_matches_dense():
+    # the six lowest eigenvalues lie within 1.1e-8 relative of each other;
+    # Jacobi keeps the mesh's symmetry and resolves the smallest to 6.1e-15,
+    # multigrid from the first step moved it by 6.3e-12
+    A = assemble(build_mesh(3, GradingParams(MeshFamily.POWER, 10, beta=3.0)))
+    lam_dense = lambda_min_dense(A)
+    r = lambda_min_sparse(A)
+    assert abs(r.lambda_min - lam_dense) <= 1e-12 * lam_dense
+    assert r.iterations <= spectra.MG_SWITCH_STEP
+
+
+# --------------------------------------------------------------- multigrid
+
+BAKHVALOV_32 = GradingParams(MeshFamily.BAKHVALOV, 32, eps=0.01)
+
+
+def test_multigrid_switch_path_matches_dense():
+    A = assemble(build_mesh(2, BAKHVALOV_32))
+    tol = 1e-8
+    lam_dense = lambda_min_dense(A)
+    r = lambda_min_sparse(A, tol=tol)
+    assert r.iterations > spectra.MG_SWITCH_STEP
+    assert abs(r.lambda_min - lam_dense) <= 1e-10 * lam_dense
+    assert abs(r.lambda_min - lam_dense) <= r.error_bound <= tol * r.lambda_min
+    assert lambda_min_sparse(A, tol=tol) == r
+
+
+def test_multigrid_step_count_internal_layer():
+    # Jacobi alone needs 1555 steps here
+    A = assemble(
+        build_mesh(
+            2,
+            GradingParams(
+                MeshFamily.SHISHKIN, 128, eps=0.01, layer_position=LayerPosition.INTERNAL
+            ),
+        )
+    )
+    r = lambda_min_sparse(A)
+    assert spectra.MG_SWITCH_STEP < r.iterations <= 300
+    assert r.error_bound <= 1e-8 * r.lambda_min
+
+
+@pytest.mark.parametrize(
+    "dim, params, sizes",
+    [
+        (2, BAKHVALOV_32, [961, 234, 63]),
+        (3, GradingParams(MeshFamily.POWER, 8, beta=3.0), [343, 98]),
+    ],
+)
+def test_vcycle_is_symmetric_positive_definite(dim, params, sizes):
+    M = assemble(build_mesh(dim, params)).matrix
+    mg = spectra._Multigrid.build(M)
+    assert mg.sizes == sizes
+    V = np.column_stack([mg(e) for e in np.eye(M.shape[0])])
+    norm = np.linalg.norm(V, 2)
+    assert np.max(np.abs(V - V.T)) <= 1e-12 * norm
+    assert np.linalg.eigvalsh(0.5 * (V + V.T))[0] > 0.0
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal((2, M.shape[0]))
+    assert abs(u @ mg(v) - v @ mg(u)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v) * norm
+    assert u @ mg(u) > 0.0
+
+
+def test_multigrid_not_built_without_coarsening():
+    # no off-diagonal entries: every node is its own aggregate
+    assert spectra._Multigrid.build(sp.diags(np.arange(1.0, 202.0)).tocsr()) is None
+
+
+def test_convergence_error_names_preconditioner(monkeypatch):
+    A = assemble(build_mesh(2, BAKHVALOV_32))
+    step = spectra.MG_SWITCH_STEP + 1
+    with pytest.raises(ConvergenceError, match=f"multigrid 961/234/63 from step {step}") as info:
+        lambda_min_sparse(A, max_outer=step + 1)
+    assert info.value.iterations == step + 1
+    with pytest.raises(ConvergenceError, match="preconditioner Jacobi,"):
+        lambda_min_sparse(A, max_outer=spectra.MG_SWITCH_STEP)
+    monkeypatch.setattr(spectra._Multigrid, "build", classmethod(lambda cls, M: None))
+    with pytest.raises(
+        ConvergenceError, match=f"Jacobi \\(multigrid coarsening stalled at step {step}\\)"
+    ):
+        lambda_min_sparse(A, max_outer=step + 1)
+
+
+def chain_with_hidden_negative_mode(n=100):
+    """A 1D Laplacian chain plus a 4-node block with eigenvalue -0.1.
+
+    The block's negative mode is (1, 1, -1, -1) on nodes with equal start
+    vector entries; its rows hold the same values in the same order, so
+    every Jacobi step keeps those entries bitwise equal and never sees the
+    mode.  The slow chain keeps LOBPCG going past the switch, where the
+    exact coarse solve of this <= 100-row matrix meets the mode.
+    """
+    bits = spectra._index_hash(n) & np.uint64(0x80000000)
+    block = [int(i) for i in np.flatnonzero(bits == bits[0])[:4]]
+    chain = [i for i in range(n) if i not in block]
+    rows = {}
+    for k, i in enumerate(chain):
+        rows[i] = [(i, 2.0)] + [(chain[j], -1.0) for j in (k - 1, k + 1) if 0 <= j < len(chain)]
+    a, b, c, d = block
+    for i, mate, others in ((a, b, (c, d)), (b, a, (c, d)), (c, d, (a, b)), (d, c, (a, b))):
+        rows[i] = [(i, 1.0), (mate, -0.9), (others[0], 0.1), (others[1], 0.1)]
+    indptr = np.cumsum([0] + [len(rows[i]) for i in range(n)])
+    indices = np.array([j for i in range(n) for j, _ in rows[i]])
+    data = np.array([v for i in range(n) for _, v in rows[i]])
+    return SparseSPD(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+
+
+def test_indefinite_matrix_past_switch_raises_convergence_error():
+    A = chain_with_hidden_negative_mode()
+    assert lambda_min_dense(A) < 0.0
+    with pytest.raises(ConvergenceError, match="broke down") as info:
+        lambda_min_sparse(A)
+    assert info.value.iterations == spectra.MG_SWITCH_STEP + 1
+    assert info.value.lambda_estimate > 0.0 and info.value.residual is not None
 
 
 def test_dense_guard():
