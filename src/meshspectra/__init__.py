@@ -1,6 +1,6 @@
 """Mesh-spectral laboratory: graded simplicial meshes of the unit square/cube,
-P1 stiffness assembly, exact smallest eigenvalues, and calibrated geometric
-lower-bound estimates."""
+P1 stiffness assembly, exact smallest eigenvalues, and geometric estimates of
+them calibrated on a uniform reference mesh."""
 
 from .bounds import (
     DEFAULT_REFERENCE_INTERVALS,
@@ -10,14 +10,11 @@ from .bounds import (
     estimate_gm,
     estimate_khx,
     estimate_new,
-    geo_form,
-    holder_mean,
 )
 from .fem import DiffusionTensor, SparseSPD, assemble, export_matrix_text, local_stiffness
 from .harness import (
     FIXTURES,
     SweepAxis,
-    SweepRow,
     SweepSpec,
     analyze_mesh,
     emit_csv,
@@ -58,7 +55,6 @@ __all__ = [
     "SimplicialMesh",
     "SparseSPD",
     "SweepAxis",
-    "SweepRow",
     "SweepSpec",
     "analyze_mesh",
     "assemble",
@@ -73,9 +69,7 @@ __all__ = [
     "estimate_new",
     "export_matrix_text",
     "export_mesh_text",
-    "geo_form",
     "graded_nodes",
-    "holder_mean",
     "lambda_min_dense",
     "lambda_min_sparse",
     "local_stiffness",

@@ -1,4 +1,4 @@
-"""Calibrated lower-bound estimators for the smallest stiffness eigenvalue.
+"""Calibrated estimators for the smallest stiffness eigenvalue.
 
 Three families of estimates, all driven by mesh geometry alone:
 
@@ -11,7 +11,9 @@ Three families of estimates, all driven by mesh geometry alone:
 Each bound carries an unknown multiplicative constant; `calibrate` fixes it
 so that the estimate reproduces the exact eigenvalue on one uniform
 reference mesh per dimension (known in closed form there), after which the
-estimators can be compared across families and sizes on equal footing.
+estimators can be compared across families and sizes on equal footing.  The
+calibrated values are estimates, not lower bounds: on graded meshes they can
+exceed the exact eigenvalue.
 """
 
 from __future__ import annotations
@@ -56,31 +58,29 @@ class Calibration:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One mesh's exact eigenvalue next to all three calibrated estimates."""
+    """One mesh's exact eigenvalue next to all three calibrated estimates and
+    the geometry they were computed from, one field per CSV column in order.
 
+    param is the sweep value the mesh stands for; wall_time is the seconds
+    spent on the mesh, 0.0 when not measured.
+    """
+
+    param: float
     n_free: int
     lambda_exact: float
     lambda_new: float
     lambda_gm: float
     lambda_khx: float
-    stats: PatchStats
+    omega_min: float
+    k_min: float
+    m_const: int
+    h_const: float
+    wall_time: float
 
     def __post_init__(self):
         for name in ("lambda_exact", "lambda_new", "lambda_gm", "lambda_khx"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-
-
-def holder_mean(values, p: float) -> float:
-    """Power mean M_p(values) = ((1/n) sum v_i^p)^(1/p) for nonzero p."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("holder_mean needs at least one value")
-    if np.any(v <= 0.0):
-        raise ValueError("holder_mean is defined for positive values only")
-    if p == 0.0:
-        raise ValueError("p must be nonzero")
-    return float(np.mean(v**p) ** (1.0 / p))
 
 
 def _check_dim(dim: int, cal: Calibration) -> None:
@@ -134,23 +134,6 @@ def estimate_khx(volumes, dim: int, cal: Calibration) -> float:
     """Element-volume estimate over all cells (N_ele = cell count)."""
     _check_dim(dim, cal)
     return cal.c_khx * _kernel_khx(volumes, dim)
-
-
-def geo_form(stats: PatchStats, dim: int = 3) -> float:
-    """Average-patch form of the 3D kernel.
-
-    Rescales every patch by the mean patch size w = d*|domain|/N and combines
-    them through a Hölder mean.  On the unit domain this is algebraically the
-    same number as the raw (-1/2)-power-sum kernel; keeping both forms gives a
-    cross-check routed through independent code paths.
-    """
-    if dim != 3:
-        raise ValueError("the average-patch form is implemented for dim=3 only")
-    d = float(dim)
-    n = stats.n_free
-    omega_tilde = d * stats.domain_volume / n
-    mean = holder_mean(stats.patch_volumes / omega_tilde, 1.0 - d / 2.0)
-    return mean ** (1.0 - 2.0 / d) * d ** ((d - 2.0) / d) / n
 
 
 def uniform_lambda_min(dim: int, n: int) -> float:

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
 from .bounds import DEFAULT_REFERENCE_INTERVALS, calibrate
 from .harness import (
+    CSV_COLUMNS,
     PLOT_COLUMNS,
     SweepAxis,
     SweepSpec,
-    _row_from_report,
     analyze_mesh,
     emit_csv,
     emit_svg_loglog,
@@ -131,27 +132,13 @@ def _cmd_mesh(args) -> int:
 def _cmd_analyze(args) -> int:
     cal = calibrate(args.dim, args.ref)
     mesh = build_mesh(args.dim, _params_from_args(args))
-    report = analyze_mesh(mesh, cal, tol=args.tol)
-    s = report.stats
-    _print_table(
-        [
-            ("dim", args.dim),
-            ("family", args.family),
-            ("n", args.n),
-            ("n_free", report.n_free),
-            ("lambda_exact", report.lambda_exact),
-            ("lambda_new", report.lambda_new),
-            ("lambda_gm", report.lambda_gm),
-            ("lambda_khx", report.lambda_khx),
-            ("omega_min", s.omega_min),
-            ("k_min", s.k_min),
-            ("M", s.m_const),
-            ("H", s.h_const),
-        ]
-    )
+    report = analyze_mesh(mesh, cal, tol=args.tol, param=args.n)
+    # the CSV columns between param and seconds
+    columns = zip(CSV_COLUMNS[1:10], astuple(report)[1:10])
+    _print_table([("dim", args.dim), ("family", args.family), ("n", args.n), *columns])
     if args.csv:
         _ensure_parent(args.csv)
-        emit_csv([_row_from_report(args.n, report, 0.0)], args.csv)
+        emit_csv([report], args.csv)
         print(f"wrote {args.csv}")
     return 0
 

@@ -62,25 +62,6 @@ class SparseSPD:
         if np.any(m.diagonal() <= 0.0):
             raise ValueError("diagonal entries must be strictly positive")
 
-    @property
-    def n(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
-    def nnz(self) -> int:
-        return int(self.matrix.nnz)
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def scaled(self, c: float) -> "SparseSPD":
-        if c <= 0.0:
-            raise ValueError("scale factor must be positive")
-        return SparseSPD(self.matrix * c)
-
 
 def _local_matrices(pts: np.ndarray, D: DiffusionTensor) -> np.ndarray:
     """Element stiffness matrices of a stack of simplices.

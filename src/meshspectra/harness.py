@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from .bounds import (
     BoundReport,
@@ -32,11 +32,10 @@ from .meshgen import (
     MeshFamily,
     SimplicialMesh,
     build_mesh,
+    check_intervals,
     patch_stats,
 )
 from .spectra import ConvergenceError, lambda_min_sparse
-
-MAX_INTERVALS = {2: 256, 3: 16}
 
 # y-series selectable for plotting, with their legend labels
 PLOT_COLUMNS = {
@@ -46,7 +45,12 @@ PLOT_COLUMNS = {
     "lambda_khx": "λ̄_KHX",
 }
 
-_CSV_HEADER = "param,n_free,lambda_exact,lambda_new,lambda_gm,lambda_khx,omega_min,k_min,M,H,seconds"
+# CSV header, one name per BoundReport field in order
+CSV_COLUMNS = (
+    "param", "n_free", "lambda_exact", "lambda_new", "lambda_gm", "lambda_khx",
+    "omega_min", "k_min", "M", "H", "seconds",
+)
+_CSV_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
 
 
 class SweepAxis(enum.Enum):
@@ -78,13 +82,11 @@ class SweepSpec:
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError(f"sweep_values must be strictly monotone, got {vals}")
-        cap = MAX_INTERVALS[self.dim]
         sizes = vals if self.axis is SweepAxis.N else (self.base.n,)
         for n in sizes:
             if int(n) != n:
                 raise ValueError(f"mesh sizes must be integers, got {n}")
-            if n > cap:
-                raise ValueError(f"n={int(n)} exceeds the {self.dim}D cap of {cap} intervals")
+            check_intervals(self.dim, n)
 
     def params_at(self, value) -> GradingParams:
         if self.axis is SweepAxis.N:
@@ -94,54 +96,30 @@ class SweepSpec:
         return replace(self.base, beta=float(value))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    param: float
-    n_free: int
-    lambda_exact: float
-    lambda_new: float
-    lambda_gm: float
-    lambda_khx: float
-    omega_min: float
-    k_min: float
-    m_const: int
-    h_const: float
-    wall_time: float
-
-
-def analyze_mesh(mesh: SimplicialMesh, cal: Calibration, tol: float = 1e-8) -> BoundReport:
-    """Exact eigenvalue plus all three calibrated estimates for one mesh."""
+def analyze_mesh(
+    mesh: SimplicialMesh, cal: Calibration, tol: float = 1e-8, param: float = 0.0
+) -> BoundReport:
+    """Exact eigenvalue plus all three calibrated estimates for one mesh,
+    recorded under the sweep value param, with wall_time 0.0."""
     stats = patch_stats(mesh)
     exact = lambda_min_sparse(assemble(mesh), tol=tol).lambda_min
     return BoundReport(
+        param=float(param),
         n_free=stats.n_free,
         lambda_exact=exact,
         lambda_new=estimate_new(stats, mesh.dim, cal),
         lambda_gm=estimate_gm(stats, mesh.dim, cal),
         lambda_khx=estimate_khx(stats.cell_volumes, mesh.dim, cal),
-        stats=stats,
+        omega_min=stats.omega_min,
+        k_min=stats.k_min,
+        m_const=stats.m_const,
+        h_const=stats.h_const,
+        wall_time=0.0,
     )
 
 
-def _row_from_report(param: float, report: BoundReport, wall_time: float) -> SweepRow:
-    s = report.stats
-    return SweepRow(
-        param=float(param),
-        n_free=report.n_free,
-        lambda_exact=report.lambda_exact,
-        lambda_new=report.lambda_new,
-        lambda_gm=report.lambda_gm,
-        lambda_khx=report.lambda_khx,
-        omega_min=s.omega_min,
-        k_min=s.k_min,
-        m_const=s.m_const,
-        h_const=s.h_const,
-        wall_time=wall_time,
-    )
-
-
-def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[SweepRow]:
-    """One SweepRow per sweep value, under a single shared calibration.
+def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[BoundReport]:
+    """One BoundReport per sweep value, under a single shared calibration.
 
     measure_time=False (the default) records wall_time as 0.0, keeping the
     emitted CSV byte-deterministic.
@@ -152,7 +130,7 @@ def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[SweepRow]:
         mesh = build_mesh(spec.dim, spec.params_at(value))
         start = time.perf_counter()
         try:
-            report = analyze_mesh(mesh, cal, tol=spec.tol)
+            report = analyze_mesh(mesh, cal, tol=spec.tol, param=value)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"sweep point {spec.axis.value}={value} did not converge: {exc}",
@@ -161,35 +139,19 @@ def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[SweepRow]:
                 residual=exc.residual,
                 iterations=exc.iterations,
             ) from exc
-        wall = time.perf_counter() - start if measure_time else 0.0
-        rows.append(_row_from_report(value, report, wall))
+        if measure_time:
+            report = replace(report, wall_time=time.perf_counter() - start)
+        rows.append(report)
     return rows
 
 
 def emit_csv(rows, path) -> None:
-    """Write sweep rows as CSV with 17-significant-digit floats.
+    """Write BoundReports as CSV with 17-significant-digit floats.
 
     The format round-trips floats bit-exactly and is byte-deterministic for
     identical inputs.
     """
-    lines = [_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
-            % (
-                r.param,
-                r.n_free,
-                r.lambda_exact,
-                r.lambda_new,
-                r.lambda_gm,
-                r.lambda_khx,
-                r.omega_min,
-                r.k_min,
-                r.m_const,
-                r.h_const,
-                r.wall_time,
-            )
-        )
+    lines = [",".join(CSV_COLUMNS)] + [_CSV_ROW % astuple(r) for r in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -242,8 +242,6 @@ class PatchStats:
     m_const: int
     h_const: float
     n_free: int
-    n_cells: int
-    domain_volume: float
     cell_volumes: np.ndarray | None = None
 
 
@@ -343,6 +341,17 @@ def tensor_mesh_3d(nx: NodeSet1D, ny: NodeSet1D, nz: NodeSet1D) -> SimplicialMes
     )
 
 
+# most intervals per direction, per dimension: cells and unknowns grow as n^dim
+MAX_INTERVALS = {2: 256, 3: 16}
+
+
+def check_intervals(dim: int, n) -> None:
+    """Raise if n intervals per direction exceed the cap for dim."""
+    cap = MAX_INTERVALS[dim]
+    if n > cap:
+        raise ValueError(f"n={int(n)} exceeds the {dim}D cap of {cap} intervals")
+
+
 def build_mesh(dim: int, p: GradingParams) -> SimplicialMesh:
     """Mesh of the unit square/cube under the grading policy of the family.
 
@@ -351,6 +360,7 @@ def build_mesh(dim: int, p: GradingParams) -> SimplicialMesh:
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
+    check_intervals(dim, p.n)
     graded = graded_nodes(p)
     if p.family is MeshFamily.SINGLE_LAYER:
         rest = uniform_nodes(p.n)
@@ -405,8 +415,6 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
         m_const=int(counts.max()),
         h_const=h_const,
         n_free=mesh.n_free,
-        n_cells=mesh.n_cells,
-        domain_volume=float(vols.sum()),
         cell_volumes=vols,
     )
 

@@ -221,9 +221,9 @@ def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -
     M = A.matrix
     dinv = 1.0 / M.diagonal()
     # rows x, w, p and their products; B[:3] @ B.T holds both Gram matrices
-    B = np.zeros((6, A.n))
+    B = np.zeros((6, M.shape[0]))
     x, w, p, Ax, Aw, Ap = B
-    x[:] = _start_vector(A.n)
+    x[:] = _start_vector(M.shape[0])
     Ax[:] = M @ x
     exact = True  # Ax is an explicit product, not an implicit update
     k = 2  # Ritz basis size; p joins after the first step
@@ -301,6 +301,7 @@ def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -
 
 def lambda_min_dense(A: SparseSPD) -> float:
     """Dense-oracle smallest eigenvalue (vetted symmetric eigensolver)."""
-    if A.n > MAX_DENSE_DIM:
-        raise ValueError(f"dense oracle capped at n <= {MAX_DENSE_DIM}, got {A.n}")
-    return float(np.linalg.eigvalsh(A.toarray())[0])
+    n = A.matrix.shape[0]
+    if n > MAX_DENSE_DIM:
+        raise ValueError(f"dense oracle capped at n <= {MAX_DENSE_DIM}, got {n}")
+    return float(np.linalg.eigvalsh(A.matrix.toarray())[0])

@@ -1,6 +1,7 @@
 """Shared brute-force oracles: slow, independent recomputations of the mesh
 statistics, the stiffness matrix, the conformity check and the mesh and
-matrix text formats, used to cross-check the vectorized implementations."""
+matrix text formats, used to cross-check the vectorized implementations, plus
+the average-patch form of the 3D kernel that cross-checks the estimators."""
 
 from __future__ import annotations
 
@@ -10,7 +11,36 @@ from collections import Counter
 import numpy as np
 import scipy.sparse as sp
 
-from meshspectra import DiffusionTensor, SimplicialMesh, SparseSPD, cell_volumes
+from meshspectra import DiffusionTensor, PatchStats, SimplicialMesh, SparseSPD, cell_volumes
+
+
+def holder_mean(values, p: float) -> float:
+    """Power mean M_p(values) = ((1/n) sum v_i^p)^(1/p) for nonzero p."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError("holder_mean needs at least one value")
+    if np.any(v <= 0.0):
+        raise ValueError("holder_mean is defined for positive values only")
+    if p == 0.0:
+        raise ValueError("p must be nonzero")
+    return float(np.mean(v**p) ** (1.0 / p))
+
+
+def geo_form(stats: PatchStats, dim: int = 3) -> float:
+    """Average-patch form of the 3D kernel.
+
+    Rescales every patch by the mean patch size w = d*|domain|/N and combines
+    them through a Hölder mean.  On the unit domain this is algebraically the
+    same number as the raw (-1/2)-power-sum kernel; keeping both forms gives a
+    cross-check routed through independent code paths.
+    """
+    if dim != 3:
+        raise ValueError("the average-patch form is implemented for dim=3 only")
+    d = float(dim)
+    n = stats.n_free
+    omega_tilde = d * float(stats.cell_volumes.sum()) / n
+    mean = holder_mean(stats.patch_volumes / omega_tilde, 1.0 - d / 2.0)
+    return mean ** (1.0 - 2.0 / d) * d ** ((d - 2.0) / d) / n
 
 
 def brute_patch_volumes(mesh: SimplicialMesh) -> np.ndarray:

@@ -17,16 +17,17 @@ from meshspectra import (
     estimate_gm,
     estimate_khx,
     estimate_new,
-    geo_form,
-    holder_mean,
     lambda_min_dense,
     lambda_min_sparse,
     patch_stats,
 )
 from meshspectra.bounds import uniform_lambda_min
 
+from conftest import geo_form, holder_mean
 
-def make_stats(patch_volumes, n_cells=None, m_const=6, h_const=1.0, k_min=None):
+
+def make_stats(patch_volumes, m_const=6, h_const=1.0, k_min=None):
+    """Hand-built stats on the unit domain: two equal cells per free vertex."""
     pv = np.asarray(patch_volumes, dtype=float)
     return PatchStats(
         patch_volumes=pv,
@@ -35,8 +36,7 @@ def make_stats(patch_volumes, n_cells=None, m_const=6, h_const=1.0, k_min=None):
         m_const=m_const,
         h_const=h_const,
         n_free=pv.size,
-        n_cells=pv.size * 2 if n_cells is None else n_cells,
-        domain_volume=1.0,
+        cell_volumes=np.full(2 * pv.size, 0.5 / pv.size),
     )
 
 
@@ -288,17 +288,19 @@ def test_uniform_family_tracks_exact():
 def test_bound_report_validation():
     from meshspectra import BoundReport
 
-    st = make_stats([0.25, 0.5])
+    geometry = dict(omega_min=0.25, k_min=0.1, m_const=6, h_const=1.0, wall_time=0.0)
     with pytest.raises(ValueError):
         BoundReport(
+            param=4.0,
             n_free=2,
             lambda_exact=0.0,
             lambda_new=1.0,
             lambda_gm=1.0,
             lambda_khx=1.0,
-            stats=st,
+            **geometry,
         )
     r = BoundReport(
-        n_free=2, lambda_exact=2.0, lambda_new=1.0, lambda_gm=1.0, lambda_khx=1.0, stats=st
+        param=4.0, n_free=2, lambda_exact=2.0, lambda_new=1.0, lambda_gm=1.0, lambda_khx=1.0,
+        **geometry,
     )
     assert r.lambda_exact == 2.0

@@ -14,6 +14,7 @@ from meshspectra import (
     run_sweep,
 )
 from meshspectra import cli
+from meshspectra.harness import CSV_COLUMNS
 
 
 def run_cli(*argv):
@@ -118,6 +119,43 @@ def test_analyze_optional_csv(tmp_path, capsys):
     assert lines[0].startswith("param,n_free,lambda_exact")
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 8.0
+
+
+def test_analyze_and_sweep_write_the_same_record(tmp_path, capsys):
+    point = ["--dim", "2", "--family", "power", "--beta", "2", "--ref", "8"]
+    report = tmp_path / "report.csv"
+    assert run_cli("analyze", *point, "--n", "8", "--csv", str(report)) == 0
+    table = table_from_stdout(capsys.readouterr().out)
+    assert run_cli("sweep", *point, "--axis", "n", "--values", "4,8",
+                   "--out", str(tmp_path / "sweep")) == 0
+    analyzed = report.read_bytes().splitlines()
+    swept = (tmp_path / "sweep.csv").read_bytes().splitlines()
+    assert analyzed[0] == swept[0]
+    assert analyzed[1] == swept[2]  # the n=8 point, byte for byte
+    # the table lists the CSV columns between param and seconds, same values
+    assert analyzed[0].decode().split(",") == list(CSV_COLUMNS)
+    assert list(table)[3:] == list(CSV_COLUMNS[1:10])
+    fields = dict(zip(CSV_COLUMNS, analyzed[1].decode().split(",")))
+    for key in CSV_COLUMNS[1:10]:
+        assert math.isclose(float(table[key]), float(fields[key]), rel_tol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mesh", "--family", "uniform", "--out", "never-written.txt"],
+        ["analyze", "--family", "uniform"],
+        ["calibrate"],
+    ],
+    ids=["mesh", "analyze", "calibrate"],
+)
+@pytest.mark.parametrize("dim, n, cap", [(2, 258, 256), (3, 17, 16)])
+def test_mesh_size_cap_exits_1(argv, dim, n, cap, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    size = ["--ref" if argv[0] == "calibrate" else "--n", str(n)]
+    assert run_cli(*argv, "--dim", str(dim), *size) == 1
+    assert f"n={n} exceeds the {dim}D cap of {cap} intervals" in capsys.readouterr().err
+    assert not (tmp_path / "never-written.txt").exists()
 
 
 # --------------------------------------------------------------- calibrate

@@ -103,8 +103,8 @@ def test_diffusion_tensor_validation():
 
 def test_assemble_single_free_vertex():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 2)))
-    assert A.n == 1
-    np.testing.assert_array_equal(A.toarray(), [[4.0]])
+    assert A.matrix.shape == (1, 1)
+    np.testing.assert_array_equal(A.matrix.toarray(), [[4.0]])
 
 
 def _five_point_matrix(n):
@@ -126,15 +126,15 @@ def _five_point_matrix(n):
 @pytest.mark.parametrize("n", [4, 8])
 def test_assemble_uniform_2d_matches_stencil(n):
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, n))
-    A = assemble(mesh).toarray()
+    A = assemble(mesh).matrix.toarray()
     np.testing.assert_allclose(A, _five_point_matrix(n), rtol=0, atol=1e-13)
 
 
 def test_assemble_scalar_coefficient_scales_matrix():
     mesh = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1))
-    A1 = assemble(mesh).toarray()
+    A1 = assemble(mesh).matrix.toarray()
     for c in (2.0, 3.0):
-        Ac = assemble(mesh, DiffusionTensor(c * np.eye(2))).toarray()
+        Ac = assemble(mesh, DiffusionTensor(c * np.eye(2))).matrix.toarray()
         np.testing.assert_allclose(Ac, c * A1, rtol=1e-15)
 
 
@@ -183,7 +183,7 @@ def test_assemble_exact_symmetry():
 def test_assemble_row_sums_nonnegative():
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 6))
     A = assemble(mesh)
-    s = A.matrix @ np.ones(A.n)
+    s = A.matrix @ np.ones(A.matrix.shape[0])
     assert np.min(s) >= -1e-13
     assert np.max(s) > 0.1  # rows next to the boundary keep eliminated mass
 
@@ -193,7 +193,7 @@ def test_assemble_positive_definite_random_vectors():
     mesh = build_mesh(2, GradingParams(MeshFamily.POWER, 8, beta=3.0))
     A = assemble(mesh)
     for _ in range(20):
-        u = rng.standard_normal(A.n)
+        u = rng.standard_normal(A.matrix.shape[0])
         assert u @ (A.matrix @ u) > 0.0
 
 
@@ -201,7 +201,7 @@ def test_assemble_anisotropic_coefficient():
     # diag(a, b) on the diagonal-split uniform grid: axis couplings scale
     # separately, so the stencil becomes [2(a+b); -a twice; -b twice]
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 2))
-    A = assemble(mesh, DiffusionTensor(np.diag([3.0, 5.0]))).toarray()
+    A = assemble(mesh, DiffusionTensor(np.diag([3.0, 5.0]))).matrix.toarray()
     np.testing.assert_allclose(A, [[2.0 * (3.0 + 5.0)]], rtol=1e-14)
 
 
@@ -215,10 +215,10 @@ def test_sparsespd_validation_and_scaling():
         SparseSPD(sp.csr_matrix(np.diag([1.0, 0.0])))
     A = SparseSPD(sp.csr_matrix(np.diag([1.0, 2.0])))
     with pytest.raises(ValueError):
-        A.scaled(-1.0)
-    np.testing.assert_array_equal(A.scaled(2.0).toarray(), np.diag([2.0, 4.0]))
-    np.testing.assert_array_equal(A.diagonal(), [1.0, 2.0])
-    assert A.n == 2 and A.nnz == 2
+        SparseSPD(A.matrix * -1.0)
+    np.testing.assert_array_equal(SparseSPD(A.matrix * 2.0).matrix.toarray(), np.diag([2.0, 4.0]))
+    np.testing.assert_array_equal(A.matrix.diagonal(), [1.0, 2.0])
+    assert A.matrix.shape == (2, 2) and A.matrix.nnz == 2
 
 
 def test_export_matrix_text_matches_entry_writer(tmp_path):
@@ -236,7 +236,7 @@ def test_export_matrix_text_roundtrip(tmp_path):
     path = tmp_path / "matrix.txt"
     export_matrix_text(A, path)
     lines = path.read_text().splitlines()
-    dense = np.zeros((A.n, A.n))
+    dense = np.zeros(A.matrix.shape)
     prev = None
     for line in lines:
         si, sj, sv = line.split()
@@ -246,4 +246,4 @@ def test_export_matrix_text_roundtrip(tmp_path):
         prev = (i, j)
         dense[i, j] = v
         dense[j, i] = v
-    np.testing.assert_array_equal(dense, A.toarray())  # %.17g round-trips
+    np.testing.assert_array_equal(dense, A.matrix.toarray())  # %.17g round-trips

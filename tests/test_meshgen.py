@@ -346,8 +346,8 @@ def test_patch_stats_uniform_2d():
     assert st.m_const == 6
     assert abs(st.h_const - 1.0) <= 1e-12
     assert st.n_free == 9
-    assert st.n_cells == 32
-    assert math.isclose(st.domain_volume, 1.0, rel_tol=1e-14)
+    assert st.cell_volumes.size == 32
+    assert math.isclose(st.cell_volumes.sum(), 1.0, rel_tol=1e-14)
     # all interior patches of the uniform grid are congruent
     np.testing.assert_allclose(st.patch_volumes, 3 * h * h, rtol=1e-13)
 

@@ -62,7 +62,7 @@ def test_sparse_matches_dense_on_meshes():
     tol = 1e-10
     for dim, p in SMALL_MESHES:
         A = assemble(build_mesh(dim, p))
-        assert A.n <= 400
+        assert A.matrix.shape[0] <= 400
         lam_dense = lambda_min_dense(A)
         r = lambda_min_sparse(A, tol=tol)
         assert abs(r.lambda_min - lam_dense) <= 1e-8 * lam_dense
@@ -89,7 +89,7 @@ def test_scale_equivariance():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1)))
     base = lambda_min_sparse(A, tol=1e-10).lambda_min
     for c in (1e-6, 0.5, 2.0, 10.0, 1e4):
-        lam = lambda_min_sparse(A.scaled(c), tol=1e-10).lambda_min
+        lam = lambda_min_sparse(SparseSPD(A.matrix * c), tol=1e-10).lambda_min
         assert abs(lam - c * base) <= 1e-10 * c * base
 
 
@@ -107,7 +107,7 @@ def test_outer_convergence_error_carries_state():
     err = info.value
     assert err.iterations == 1
     assert err.lambda_estimate is not None and err.lambda_estimate > 0.0
-    assert err.vector is not None and err.vector.shape == (A.n,)
+    assert err.vector is not None and err.vector.shape == (A.matrix.shape[0],)
 
 
 def test_not_positive_definite_raises_at_once():
