@@ -34,10 +34,9 @@ from .meshgen import (
     export_mesh_text,
     graded_nodes,
     patch_stats,
-    tensor_mesh_2d,
-    tensor_mesh_3d,
+    tensor_mesh,
 )
-from .spectra import ConvergenceError, EigenResult, lambda_min_dense, lambda_min_sparse
+from .spectra import ConvergenceError, EigenResult, lambda_min_sparse
 
 __all__ = [
     "BoundReport",
@@ -70,13 +69,11 @@ __all__ = [
     "export_matrix_text",
     "export_mesh_text",
     "graded_nodes",
-    "lambda_min_dense",
     "lambda_min_sparse",
     "local_stiffness",
     "patch_stats",
     "run_sweep",
-    "tensor_mesh_2d",
-    "tensor_mesh_3d",
+    "tensor_mesh",
 ]
 
 __version__ = "0.1.0"

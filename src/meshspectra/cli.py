@@ -17,7 +17,7 @@ from .harness import (
     CSV_COLUMNS,
     PLOT_COLUMNS,
     SweepAxis,
-    SweepSpec,
+    _spec,
     analyze_mesh,
     emit_csv,
     emit_svg_loglog,
@@ -189,23 +189,11 @@ def _cmd_sweep(args) -> int:
     ref = pick("ref", int)
     normalize = pick("normalize", _parse_bool)
     normalize = bool(normalize) if normalize is not None else False
-
     n = pick("n", int)
-    if n is None:
-        if axis is not SweepAxis.N:
-            raise ValueError(f"sweeping '{axis.value}' needs a fixed mesh size: set 'n'")
-        n = int(max(values))
     kw = _grading_kwargs(
         pick("eps", float), pick("beta", float), pick("c_sigma", float), pick("layer", str)
     )
-    spec = SweepSpec(
-        dim=dim,
-        base=GradingParams(family, n, **kw),
-        axis=axis,
-        values=values,
-        tol=tol,
-        calibration_ref=ref,
-    )
+    spec = _spec(dim, family, axis, values, n=n, tol=tol, calibration_ref=ref, **kw)
 
     rows = run_sweep(spec)
     _ensure_parent(out)

@@ -75,8 +75,8 @@ class SweepSpec:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ValueError("sweep_values must be nonempty")
+        if len(vals) < 2:
+            raise ValueError(f"a sweep needs at least 2 values, got {len(vals)}")
         if any(not v > 0 for v in vals):
             raise ValueError("sweep_values must be positive")
         diffs = [b - a for a, b in zip(vals, vals[1:])]
@@ -89,11 +89,8 @@ class SweepSpec:
             check_intervals(self.dim, n)
 
     def params_at(self, value) -> GradingParams:
-        if self.axis is SweepAxis.N:
-            return replace(self.base, n=int(value))
-        if self.axis is SweepAxis.EPS:
-            return replace(self.base, eps=float(value))
-        return replace(self.base, beta=float(value))
+        cast = int if self.axis is SweepAxis.N else float
+        return replace(self.base, **{self.axis.value: cast(value)})
 
 
 def analyze_mesh(
@@ -132,13 +129,8 @@ def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[BoundReport]:
         try:
             report = analyze_mesh(mesh, cal, tol=spec.tol, param=value)
         except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"sweep point {spec.axis.value}={value} did not converge: {exc}",
-                lambda_estimate=exc.lambda_estimate,
-                vector=exc.vector,
-                residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
+            exc.args = (f"sweep point {spec.axis.value}={value} did not converge: {exc}",)
+            raise
         if measure_time:
             report = replace(report, wall_time=time.perf_counter() - start)
         rows.append(report)
@@ -291,16 +283,24 @@ def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _spec(dim, family, axis, values, **kw) -> SweepSpec:
-    base_kw = {k: kw.pop(k) for k in ("eps", "beta", "c_sigma", "layer_position") if k in kw}
-    n = kw.pop("n", values[-1] if axis is SweepAxis.N else None)
-    if kw:
-        raise TypeError(f"unexpected fixture parameters {sorted(kw)}")
+def _spec(
+    dim, family, axis, values, n=None, tol=1e-8, calibration_ref=None, **grading
+) -> SweepSpec:
+    """Sweep spec from its settings; n defaults to the largest value of an n sweep.
+
+    grading holds the GradingParams keywords (eps, beta, c_sigma, layer_position).
+    """
+    if n is None:
+        if axis is not SweepAxis.N:
+            raise ValueError(f"sweeping '{axis.value}' needs a fixed mesh size: set 'n'")
+        n = max(values)
     return SweepSpec(
         dim=dim,
-        base=GradingParams(family, int(n), **base_kw),
+        base=GradingParams(family, int(n), **grading),
         axis=axis,
         values=tuple(values),
+        tol=tol,
+        calibration_ref=calibration_ref,
     )
 
 

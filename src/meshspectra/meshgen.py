@@ -1,9 +1,10 @@
-"""Graded 1D node families and tensor-product simplicial meshes of the unit square/cube.
+"""Graded 1D node families and Kuhn-subdivided tensor meshes of the unit box.
 
 Node sets live on [0, 1] and encode a grading family (uniform, Shishkin,
-Bakhvalov-type, power-graded, or a single thin slab).  Tensor meshes split every
-grid rectangle into two triangles (2D) or every grid box into six tetrahedra via
-the Kuhn subdivision (3D), which keeps the mesh conforming.  patch_stats collects
+Bakhvalov-type, power-graded, or a single thin slab).  tensor_mesh takes one
+node set per axis, in any dimension, and splits every grid box into d!
+simplices by the Kuhn subdivision (two triangles in 2D, six tetrahedra in 3D);
+the same pattern in every box keeps the mesh conforming.  patch_stats collects
 the geometric quantities the eigenvalue estimators consume: per-node patch
 volumes, the smallest cell, the max cells-per-vertex count M and the max volume
 ratio H between cells whose closures intersect.
@@ -12,6 +13,7 @@ ratio H between cells whose closures intersect.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -29,10 +31,6 @@ class MeshFamily(enum.Enum):
 class LayerPosition(enum.Enum):
     BOUNDARY = "boundary"
     INTERNAL = "internal"
-
-
-# families whose node formulas index the fine half by i <= n/2
-_HALF_INDEXED = (MeshFamily.SHISHKIN, MeshFamily.BAKHVALOV, MeshFamily.POWER)
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,6 @@ def shishkin_nodes(p: GradingParams) -> NodeSet1D:
     The transition tau = min(1, 2*c_sigma*eps*ln n) clamps to 1 for large eps,
     in which case the node set degenerates to the uniform one (not an error).
     """
-    if p.family is not MeshFamily.SHISHKIN:
-        raise ValueError(f"expected shishkin params, got {p.family.value}")
     if p.n < 4:
         raise ValueError(f"shishkin grading needs n >= 4, got {p.n}")
     tau = min(1.0, 2.0 * p.c_sigma * p.eps * math.log(p.n))
@@ -126,8 +122,6 @@ def bakhvalov_nodes(p: GradingParams) -> NodeSet1D:
     remaining n/2 steps split [x_{n/2}, 1] equidistantly.  The ln argument stays
     positive because 2(1-eps)*(i/n) <= 1-eps < 1.
     """
-    if p.family is not MeshFamily.BAKHVALOV:
-        raise ValueError(f"expected bakhvalov params, got {p.family.value}")
     half = p.n // 2
     i = np.arange(half + 1)
     fine = -p.c_sigma * p.eps * np.log1p(-2.0 * (1.0 - p.eps) * i / p.n)
@@ -143,8 +137,6 @@ def bakhvalov_nodes(p: GradingParams) -> NodeSet1D:
 
 def power_nodes(p: GradingParams) -> NodeSet1D:
     """Symmetric power grading: x_i = (2i/n)^beta / 2 up to the midpoint, reflected above."""
-    if p.family is not MeshFamily.POWER:
-        raise ValueError(f"expected power params, got {p.family.value}")
     half = p.n // 2
     lower = 0.5 * (2.0 * np.arange(half + 1) / p.n) ** p.beta
     upper = (1.0 - lower[:-1])[::-1]  # exact reflection, not re-evaluation
@@ -153,8 +145,6 @@ def power_nodes(p: GradingParams) -> NodeSet1D:
 
 def single_layer_nodes(p: GradingParams) -> NodeSet1D:
     """Uniform grid plus one extra node at 1/2 + eps/n: a single slab of relative width eps."""
-    if p.family is not MeshFamily.SINGLE_LAYER:
-        raise ValueError(f"expected single_layer params, got {p.family.value}")
     # eps < 1 strictly keeps the inserted node off the neighbor node 1/2 + 1/n
     base = np.linspace(0.0, 1.0, p.n + 1)
     mid = p.n // 2
@@ -175,6 +165,15 @@ def internalize(ns: NodeSet1D) -> NodeSet1D:
     return NodeSet1D(np.concatenate([left, right[1:]]))
 
 
+_NODE_BUILDERS = {
+    MeshFamily.UNIFORM: lambda p: uniform_nodes(p.n),
+    MeshFamily.SHISHKIN: shishkin_nodes,
+    MeshFamily.BAKHVALOV: bakhvalov_nodes,
+    MeshFamily.POWER: power_nodes,
+    MeshFamily.SINGLE_LAYER: single_layer_nodes,
+}
+
+
 def graded_nodes(p: GradingParams) -> NodeSet1D:
     """Dispatch to the family's node builder, applying internal-layer placement if set."""
     if p.layer_position is LayerPosition.INTERNAL:
@@ -183,34 +182,23 @@ def graded_nodes(p: GradingParams) -> NodeSet1D:
         if p.n % 4 != 0:
             raise ValueError(f"internal layer placement needs n divisible by 4, got {p.n}")
         base = replace(p, n=p.n // 2, layer_position=LayerPosition.BOUNDARY)
-        builder = shishkin_nodes if p.family is MeshFamily.SHISHKIN else bakhvalov_nodes
-        return internalize(builder(base))
-    if p.family is MeshFamily.UNIFORM:
-        return uniform_nodes(p.n)
-    if p.family is MeshFamily.SHISHKIN:
-        return shishkin_nodes(p)
-    if p.family is MeshFamily.BAKHVALOV:
-        return bakhvalov_nodes(p)
-    if p.family is MeshFamily.POWER:
-        return power_nodes(p)
-    return single_layer_nodes(p)
+        return internalize(_NODE_BUILDERS[p.family](base))
+    return _NODE_BUILDERS[p.family](p)
 
 
 @dataclass(frozen=True)
 class SimplicialMesh:
-    """Conforming simplicial mesh of the unit square/cube.
+    """Conforming simplicial mesh of the unit box.
 
     vertices is (n_vertices, dim); cells holds dim+1 vertex indices per simplex
     with positive orientation.  boundary_mask flags vertices on the domain
-    boundary; free_index maps a non-boundary vertex to its matrix row (-1 on the
-    boundary).  Instances are immutable and shareable.
+    boundary.  Instances are immutable and shareable.
     """
 
     dim: int
     vertices: np.ndarray
     cells: np.ndarray
     boundary_mask: np.ndarray
-    free_index: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -223,6 +211,13 @@ class SimplicialMesh:
     @property
     def n_free(self) -> int:
         return int(np.count_nonzero(~self.boundary_mask))
+
+    @property
+    def free_index(self) -> np.ndarray:
+        """Matrix row of every non-boundary vertex, in vertex order; -1 on the boundary."""
+        free = np.full(self.n_vertices, -1, dtype=np.int64)
+        free[~self.boundary_mask] = np.arange(self.n_free)
+        return free
 
 
 @dataclass(frozen=True)
@@ -245,100 +240,47 @@ class PatchStats:
     cell_volumes: np.ndarray | None = None
 
 
-def _free_index(boundary_mask: np.ndarray) -> np.ndarray:
-    free = np.full(boundary_mask.size, -1, dtype=np.int64)
-    free[~boundary_mask] = np.arange(np.count_nonzero(~boundary_mask))
-    return free
+def _kuhn_permutations(dim: int) -> list[tuple[int, ...]]:
+    """Axis orders of the Kuhn simplices of a box: the dim cyclic shifts of every
+    order that starts with axis 0.  2D: (0, 1), (1, 0); 3D: (0, 1, 2), (1, 2, 0),
+    (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)."""
+    perms = []
+    for tail in itertools.permutations(range(1, dim)):
+        first = (0, *tail)
+        perms += [first[s:] + first[:s] for s in range(dim)]
+    return perms
 
 
-def tensor_mesh_2d(nx: NodeSet1D, ny: NodeSet1D) -> SimplicialMesh:
-    """Product mesh of the unit square, every rectangle split along its
-    lower-left to upper-right diagonal.
+def tensor_mesh(*node_sets: NodeSet1D) -> SimplicialMesh:
+    """Product mesh of the unit box, one node set per axis; every grid box is
+    Kuhn-subdivided into dim! simplices.
 
-    Vertex (i, j) gets index i*len(ny) + j.  The two triangles of rectangle
-    (i, j) are (v00, v10, v11) and (v00, v11, v01), both counterclockwise.
+    Vertices are numbered in C order of their axis indices.  The simplex of
+    axis order perm walks from the box's lower corner to its upper corner one
+    axis at a time, so all of them share the box's main diagonal and the faces
+    of neighboring boxes carry matching triangulations.  Its determinant has
+    the sign of perm; an odd perm swaps its 2nd and 3rd vertex to keep a
+    positive orientation.
     """
-    x, y = nx.nodes, ny.nodes
-    mx, my = x.size, y.size
-    vertices = np.column_stack([np.repeat(x, my), np.tile(y, mx)])
+    shape = tuple(len(ns) for ns in node_sets)
+    dim = len(shape)
+    index = np.indices(shape).reshape(dim, -1)
+    vertices = np.column_stack([ns.nodes[i] for ns, i in zip(node_sets, index)])
+    last = np.array(shape)[:, None] - 1
+    boundary_mask = np.any((index == 0) | (index == last), axis=0)
+    # lower corner of every box, boxes in C order
+    base = np.flatnonzero(np.all(index < last, axis=0))
+    stride = np.array([math.prod(shape[k + 1 :]) for k in range(dim)])
 
-    ii, jj = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
-    boundary = (ii == 0) | (ii == mx - 1) | (jj == 0) | (jj == my - 1)
-    boundary_mask = boundary.ravel()
+    perms = _kuhn_permutations(dim)
+    cells = np.empty((len(perms) * base.size, dim + 1), dtype=np.int64)
+    for t, perm in enumerate(perms):
+        corners = base + np.cumsum([0, *stride[list(perm)]])[:, None]
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            corners[[1, 2]] = corners[[2, 1]]
+        cells[t :: len(perms)] = corners.T
 
-    ri, rj = np.meshgrid(np.arange(mx - 1), np.arange(my - 1), indexing="ij")
-    v00 = (ri * my + rj).ravel()
-    v10 = v00 + my
-    v01 = v00 + 1
-    v11 = v10 + 1
-    tri1 = np.column_stack([v00, v10, v11])
-    tri2 = np.column_stack([v00, v11, v01])
-    cells = np.empty((2 * v00.size, 3), dtype=np.int64)
-    cells[0::2] = tri1
-    cells[1::2] = tri2
-
-    return SimplicialMesh(
-        dim=2,
-        vertices=vertices,
-        cells=cells,
-        boundary_mask=boundary_mask,
-        free_index=_free_index(boundary_mask),
-    )
-
-
-# Kuhn subdivision: one tetrahedron per axis permutation, all sharing the main
-# diagonal of the box.  Odd permutations get their last two vertices swapped to
-# keep a positive orientation.
-_KUHN_PERMS = (
-    ((0, 1, 2), False),
-    ((1, 2, 0), False),
-    ((2, 0, 1), False),
-    ((0, 2, 1), True),
-    ((2, 1, 0), True),
-    ((1, 0, 2), True),
-)
-
-
-def tensor_mesh_3d(nx: NodeSet1D, ny: NodeSet1D, nz: NodeSet1D) -> SimplicialMesh:
-    """Product mesh of the unit cube; every box is Kuhn-subdivided into 6 tets.
-
-    The same subdivision pattern in every box makes the mesh conforming: faces
-    of neighboring boxes carry matching triangulations.
-    """
-    x, y, z = nx.nodes, ny.nodes, nz.nodes
-    mx, my, mz = x.size, y.size, z.size
-    xi, yi, zi = np.meshgrid(x, y, z, indexing="ij")
-    vertices = np.column_stack([xi.ravel(), yi.ravel(), zi.ravel()])
-
-    ii, jj, kk = np.meshgrid(np.arange(mx), np.arange(my), np.arange(mz), indexing="ij")
-    boundary = (
-        (ii == 0) | (ii == mx - 1) | (jj == 0) | (jj == my - 1) | (kk == 0) | (kk == mz - 1)
-    )
-    boundary_mask = boundary.ravel()
-
-    bi, bj, bk = np.meshgrid(
-        np.arange(mx - 1), np.arange(my - 1), np.arange(mz - 1), indexing="ij"
-    )
-    base = ((bi * my + bj) * mz + bk).ravel()
-    stride = np.array([my * mz, mz, 1], dtype=np.int64)
-
-    n_boxes = base.size
-    cells = np.empty((6 * n_boxes, 4), dtype=np.int64)
-    for t, (perm, swap) in enumerate(_KUHN_PERMS):
-        c0 = base
-        c1 = c0 + stride[perm[0]]
-        c2 = c1 + stride[perm[1]]
-        c3 = c2 + stride[perm[2]]
-        tet = (c0, c2, c1, c3) if swap else (c0, c1, c2, c3)
-        cells[t::6] = np.column_stack(tet)
-
-    return SimplicialMesh(
-        dim=3,
-        vertices=vertices,
-        cells=cells,
-        boundary_mask=boundary_mask,
-        free_index=_free_index(boundary_mask),
-    )
+    return SimplicialMesh(dim=dim, vertices=vertices, cells=cells, boundary_mask=boundary_mask)
 
 
 # most intervals per direction, per dimension: cells and unknowns grow as n^dim
@@ -362,12 +304,8 @@ def build_mesh(dim: int, p: GradingParams) -> SimplicialMesh:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     check_intervals(dim, p.n)
     graded = graded_nodes(p)
-    if p.family is MeshFamily.SINGLE_LAYER:
-        rest = uniform_nodes(p.n)
-        sets = [graded] + [rest] * (dim - 1)
-    else:
-        sets = [graded] * dim
-    return tensor_mesh_2d(*sets) if dim == 2 else tensor_mesh_3d(*sets)
+    rest = uniform_nodes(p.n) if p.family is MeshFamily.SINGLE_LAYER else graded
+    return tensor_mesh(graded, *[rest] * (dim - 1))
 
 
 def cell_volumes(mesh: SimplicialMesh) -> np.ndarray:
@@ -419,13 +357,6 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
     )
 
 
-# face k of a cell drops its vertex k; one row of local vertex indices per face
-_FACE_TABLE = {
-    2: np.array([[1, 2], [0, 2], [0, 1]]),
-    3: np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
-}
-
-
 def check_conforming(mesh: SimplicialMesh) -> None:
     """Raise if any codimension-1 face is shared by more than two cells, or a
     once-counted face is not a boundary face.
@@ -436,7 +367,9 @@ def check_conforming(mesh: SimplicialMesh) -> None:
     nv = mesh.n_vertices
     if nv**mesh.dim > np.iinfo(np.int64).max:
         raise ValueError(f"{nv} vertices are too many to encode {mesh.dim}-vertex faces in int64")
-    faces = np.sort(mesh.cells[:, _FACE_TABLE[mesh.dim]], axis=2).reshape(-1, mesh.dim)
+    # face k of a cell drops its vertex k; one row of local vertex indices per face
+    local = np.array([np.delete(np.arange(mesh.dim + 1), k) for k in range(mesh.dim + 1)])
+    faces = np.sort(mesh.cells[:, local], axis=2).reshape(-1, mesh.dim)
     # mixed radix nv: one int64 per face, ordered like the sorted vertex tuples
     keys = faces @ (nv ** np.arange(mesh.dim - 1, -1, -1, dtype=np.int64))
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)

@@ -25,7 +25,7 @@ within ||Ax - theta x|| of theta (Krylov-Bogoliubov), and that residual is
 returned as the error bound.  Inside a cluster of eigenvalues closer than the
 bound, the bound is the only accuracy guarantee.
 
-A dense eigendecomposition serves as the validation oracle on small matrices.
+The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
 fixed by an index hash, so repeated runs agree bitwise.
 """
@@ -38,8 +38,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import SparseSPD
-
-MAX_DENSE_DIM = 5000
 
 # LOBPCG steps taken with the Jacobi preconditioner before the multigrid
 # hierarchy is built: about what the build costs in Jacobi steps
@@ -298,10 +296,3 @@ def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -
         exact = False
         k = 3
 
-
-def lambda_min_dense(A: SparseSPD) -> float:
-    """Dense-oracle smallest eigenvalue (vetted symmetric eigensolver)."""
-    n = A.matrix.shape[0]
-    if n > MAX_DENSE_DIM:
-        raise ValueError(f"dense oracle capped at n <= {MAX_DENSE_DIM}, got {n}")
-    return float(np.linalg.eigvalsh(A.matrix.toarray())[0])

@@ -1,7 +1,8 @@
-"""Shared brute-force oracles: slow, independent recomputations of the mesh
-statistics, the stiffness matrix, the conformity check and the mesh and
-matrix text formats, used to cross-check the vectorized implementations, plus
-the average-patch form of the 3D kernel that cross-checks the estimators."""
+"""Shared brute-force oracles: slow, independent recomputations of the tensor
+meshes, the mesh statistics, the stiffness matrix, the conformity check, the
+smallest eigenvalue and the mesh and matrix text formats, used to cross-check
+the vectorized implementations, plus the average-patch form of the 3D kernel
+that cross-checks the estimators."""
 
 from __future__ import annotations
 
@@ -11,7 +12,16 @@ from collections import Counter
 import numpy as np
 import scipy.sparse as sp
 
-from meshspectra import DiffusionTensor, PatchStats, SimplicialMesh, SparseSPD, cell_volumes
+from meshspectra import (
+    DiffusionTensor,
+    NodeSet1D,
+    PatchStats,
+    SimplicialMesh,
+    SparseSPD,
+    cell_volumes,
+)
+
+MAX_DENSE_DIM = 5000
 
 
 def holder_mean(values, p: float) -> float:
@@ -41,6 +51,89 @@ def geo_form(stats: PatchStats, dim: int = 3) -> float:
     omega_tilde = d * float(stats.cell_volumes.sum()) / n
     mean = holder_mean(stats.patch_volumes / omega_tilde, 1.0 - d / 2.0)
     return mean ** (1.0 - 2.0 / d) * d ** ((d - 2.0) / d) / n
+
+
+def lambda_min_dense(A: SparseSPD) -> float:
+    """Dense-oracle smallest eigenvalue (vetted symmetric eigensolver)."""
+    n = A.matrix.shape[0]
+    if n > MAX_DENSE_DIM:
+        raise ValueError(f"dense oracle capped at n <= {MAX_DENSE_DIM}, got {n}")
+    return float(np.linalg.eigvalsh(A.matrix.toarray())[0])
+
+
+def brute_tensor_mesh_2d(nx: NodeSet1D, ny: NodeSet1D) -> SimplicialMesh:
+    """Product mesh of the unit square, every rectangle split along its
+    lower-left to upper-right diagonal.
+
+    Vertex (i, j) gets index i*len(ny) + j.  The two triangles of rectangle
+    (i, j) are (v00, v10, v11) and (v00, v11, v01), both counterclockwise.
+    """
+    x, y = nx.nodes, ny.nodes
+    mx, my = x.size, y.size
+    vertices = np.column_stack([np.repeat(x, my), np.tile(y, mx)])
+
+    ii, jj = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
+    boundary = (ii == 0) | (ii == mx - 1) | (jj == 0) | (jj == my - 1)
+
+    ri, rj = np.meshgrid(np.arange(mx - 1), np.arange(my - 1), indexing="ij")
+    v00 = (ri * my + rj).ravel()
+    v10 = v00 + my
+    v01 = v00 + 1
+    v11 = v10 + 1
+    cells = np.empty((2 * v00.size, 3), dtype=np.int64)
+    cells[0::2] = np.column_stack([v00, v10, v11])
+    cells[1::2] = np.column_stack([v00, v11, v01])
+    return SimplicialMesh(dim=2, vertices=vertices, cells=cells, boundary_mask=boundary.ravel())
+
+
+# Kuhn subdivision: one tetrahedron per axis permutation, all sharing the main
+# diagonal of the box.  Odd permutations get their last two vertices swapped to
+# keep a positive orientation.
+_KUHN_PERMS = (
+    ((0, 1, 2), False),
+    ((1, 2, 0), False),
+    ((2, 0, 1), False),
+    ((0, 2, 1), True),
+    ((2, 1, 0), True),
+    ((1, 0, 2), True),
+)
+
+
+def brute_tensor_mesh_3d(nx: NodeSet1D, ny: NodeSet1D, nz: NodeSet1D) -> SimplicialMesh:
+    """Product mesh of the unit cube; every box is Kuhn-subdivided into 6 tets."""
+    x, y, z = nx.nodes, ny.nodes, nz.nodes
+    mx, my, mz = x.size, y.size, z.size
+    xi, yi, zi = np.meshgrid(x, y, z, indexing="ij")
+    vertices = np.column_stack([xi.ravel(), yi.ravel(), zi.ravel()])
+
+    ii, jj, kk = np.meshgrid(np.arange(mx), np.arange(my), np.arange(mz), indexing="ij")
+    boundary = (
+        (ii == 0) | (ii == mx - 1) | (jj == 0) | (jj == my - 1) | (kk == 0) | (kk == mz - 1)
+    )
+
+    bi, bj, bk = np.meshgrid(
+        np.arange(mx - 1), np.arange(my - 1), np.arange(mz - 1), indexing="ij"
+    )
+    base = ((bi * my + bj) * mz + bk).ravel()
+    stride = np.array([my * mz, mz, 1], dtype=np.int64)
+    cells = np.empty((6 * base.size, 4), dtype=np.int64)
+    for t, (perm, swap) in enumerate(_KUHN_PERMS):
+        c0 = base
+        c1 = c0 + stride[perm[0]]
+        c2 = c1 + stride[perm[1]]
+        c3 = c2 + stride[perm[2]]
+        tet = (c0, c2, c1, c3) if swap else (c0, c1, c2, c3)
+        cells[t::6] = np.column_stack(tet)
+    return SimplicialMesh(dim=3, vertices=vertices, cells=cells, boundary_mask=boundary.ravel())
+
+
+def brute_free_index(mesh: SimplicialMesh) -> np.ndarray:
+    """Matrix row of every vertex, counted vertex by vertex; -1 on the boundary."""
+    rows, free = [], 0
+    for on_boundary in mesh.boundary_mask:
+        rows.append(-1 if on_boundary else free)
+        free += not on_boundary
+    return np.array(rows, dtype=np.int64)
 
 
 def brute_patch_volumes(mesh: SimplicialMesh) -> np.ndarray:

@@ -26,7 +26,6 @@ from meshspectra import (
     calibrate,
     cell_volumes,
     graded_nodes,
-    lambda_min_dense,
     lambda_min_sparse,
     local_stiffness,
     patch_stats,
@@ -34,7 +33,7 @@ from meshspectra import (
 )
 from meshspectra.fem import DiffusionTensor
 
-from conftest import brute_patch_volumes, geo_form, holder_mean
+from conftest import brute_patch_volumes, geo_form, holder_mean, lambda_min_dense
 
 
 def announce(num, ok, detail):
@@ -272,7 +271,7 @@ def test_criterion_8_invariant_suite():
         for _ in range(3):
             interior = np.sort(rng.uniform(0.05, 0.95, size=5))
             ns = NodeSet1D(np.concatenate(([0.0], interior, [1.0])))
-            meshes.append(__import__("meshspectra").tensor_mesh_2d(ns, ns))
+            meshes.append(meshspectra.tensor_mesh(ns, ns))
         for name in ("uniform-2d-n", "shishkin-2d-n", "power-3d-n", "single-layer-3d-n"):
             spec = FIXTURES[name]
             meshes.append(build_mesh(spec.dim, spec.params_at(spec.values[0])))

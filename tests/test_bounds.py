@@ -17,13 +17,12 @@ from meshspectra import (
     estimate_gm,
     estimate_khx,
     estimate_new,
-    lambda_min_dense,
     lambda_min_sparse,
     patch_stats,
 )
 from meshspectra.bounds import uniform_lambda_min
 
-from conftest import geo_form, holder_mean
+from conftest import geo_form, holder_mean, lambda_min_dense
 
 
 def make_stats(patch_volumes, m_const=6, h_const=1.0, k_min=None):
@@ -259,7 +258,6 @@ def test_relabeling_invariance():
         vertices=mesh.vertices,
         cells=mesh.cells[perm],
         boundary_mask=mesh.boundary_mask,
-        free_index=mesh.free_index,
     )
     st0, st1 = patch_stats(mesh), patch_stats(shuffled)
     cal = calibrate(2, n_ref=8)

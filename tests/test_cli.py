@@ -250,6 +250,18 @@ def test_sweep_eps_axis_requires_fixed_n(tmp_path, capsys):
     assert "fixed mesh size" in capsys.readouterr().err
 
 
+def test_sweep_rejects_one_value_before_solving(tmp_path, capsys):
+    out = tmp_path / "X"
+    code = run_cli(
+        "sweep", "--dim", "2", "--family", "uniform", "--axis", "n",
+        "--values", "16", "--out", str(out),
+    )
+    assert code == 1
+    assert "at least 2 values" in capsys.readouterr().err
+    assert not out.with_name("X.csv").exists()
+    assert not out.with_name("X.svg").exists()
+
+
 def test_sweep_rejects_malformed_config(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("dim 2\n")

@@ -58,6 +58,8 @@ def test_spec_validation():
         SweepSpec(dim=4, base=base2, axis=SweepAxis.N, values=(4, 8))
     with pytest.raises(ValueError):
         SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=())
+    with pytest.raises(ValueError, match="at least 2 values"):
+        SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=(8,))
     with pytest.raises(ValueError):
         SweepSpec(dim=2, base=base2, axis=SweepAxis.EPS, values=(0.1, -0.2))
     with pytest.raises(ValueError):
@@ -162,8 +164,12 @@ def test_run_sweep_measure_time():
 def test_run_sweep_labels_convergence_failures(monkeypatch):
     import meshspectra.harness as hz
 
+    vector = np.ones(4)
+
     def boom(mesh, cal, tol=1e-8, param=0.0):
-        raise ConvergenceError("inner solve stalled", iterations=3, residual=0.5)
+        raise ConvergenceError(
+            "inner solve stalled", lambda_estimate=7.5, vector=vector, iterations=3, residual=0.5
+        )
 
     monkeypatch.setattr(hz, "analyze_mesh", boom)
     spec = SweepSpec(
@@ -175,9 +181,11 @@ def test_run_sweep_labels_convergence_failures(monkeypatch):
     )
     with pytest.raises(ConvergenceError) as info:
         hz.run_sweep(spec)
-    assert "eps=0.2" in str(info.value)
+    assert str(info.value) == "sweep point eps=0.2 did not converge: inner solve stalled"
     assert info.value.iterations == 3
     assert info.value.residual == 0.5
+    assert info.value.lambda_estimate == 7.5
+    assert info.value.vector is vector
 
 
 # --------------------------------------------------------------------- CSV

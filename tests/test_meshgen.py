@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshspectra import (
     GradingParams,
@@ -16,8 +18,7 @@ from meshspectra import (
     export_mesh_text,
     graded_nodes,
     patch_stats,
-    tensor_mesh_2d,
-    tensor_mesh_3d,
+    tensor_mesh,
 )
 from meshspectra.meshgen import (
     bakhvalov_nodes,
@@ -31,9 +32,12 @@ from meshspectra.meshgen import (
 from conftest import (
     brute_check_conforming,
     brute_export_mesh_text,
+    brute_free_index,
     brute_h_const,
     brute_m_const,
     brute_patch_volumes,
+    brute_tensor_mesh_2d,
+    brute_tensor_mesh_3d,
 )
 
 
@@ -210,7 +214,7 @@ def test_node_family_invariants():
 
 def test_tensor_2d_small_counts():
     ns = uniform_nodes(2)
-    mesh = tensor_mesh_2d(ns, ns)
+    mesh = tensor_mesh(ns, ns)
     assert mesh.n_vertices == 9
     assert mesh.n_cells == 8
     assert int(mesh.boundary_mask.sum()) == 8
@@ -239,7 +243,7 @@ def test_boundary_mask_matches_coordinates_2d():
 
 def test_tensor_3d_single_box():
     ns = NodeSet1D(np.array([0.0, 1.0]))
-    mesh = tensor_mesh_3d(ns, ns, ns)
+    mesh = tensor_mesh(ns, ns, ns)
     vols = cell_volumes(mesh)
     assert mesh.n_cells == 6
     np.testing.assert_allclose(vols, 1.0 / 6.0, rtol=1e-14)
@@ -260,6 +264,61 @@ def test_tensor_3d_orientation_and_partition():
         vols = cell_volumes(mesh)
         assert np.all(vols > 0.0)
         assert abs(vols.sum() - 1.0) <= 1e-12
+
+
+# ------------------------------------------------------ any-dimension builder
+
+
+def assert_same_mesh(mesh, oracle):
+    assert mesh.dim == oracle.dim
+    for field in ("vertices", "cells", "boundary_mask", "free_index"):
+        got, want = getattr(mesh, field), getattr(oracle, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes(), field
+    np.testing.assert_array_equal(mesh.free_index, brute_free_index(mesh))
+
+
+def test_tensor_mesh_matches_brute_builders():
+    sets = [graded_nodes(p) for p in ALL_FAMILIES_2D] + [uniform_nodes(3)]
+    for a, b in zip(sets, sets[1:] + sets[:1]):
+        assert_same_mesh(tensor_mesh(a, b), brute_tensor_mesh_2d(a, b))
+        assert_same_mesh(tensor_mesh(a, b, b), brute_tensor_mesh_3d(a, b, b))
+
+
+@st.composite
+def unequal_node_sets(draw, dim):
+    """dim node sets with pairwise different interval counts."""
+    counts = draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim, unique=True))
+    sets = []
+    for m in counts:
+        steps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+        inner = np.cumsum(steps)[:-1] / steps.sum()
+        sets.append(NodeSet1D(np.concatenate(([0.0], inner, [1.0]))))
+    return sets
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.one_of(unequal_node_sets(2), unequal_node_sets(3)))
+def test_tensor_mesh_property(sets):
+    mesh = tensor_mesh(*sets)
+    oracle = brute_tensor_mesh_2d if len(sets) == 2 else brute_tensor_mesh_3d
+    assert_same_mesh(mesh, oracle(*sets))
+    check_conforming(mesh)
+    vols = cell_volumes(mesh)
+    assert np.all(vols > 0.0)
+    assert abs(vols.sum() - 1.0) <= 1e-12
+
+
+def test_tensor_mesh_4d():
+    skewed = NodeSet1D(np.array([0.0, 0.3, 1.0]))
+    mesh = tensor_mesh(uniform_nodes(2), skewed, uniform_nodes(3), uniform_nodes(2))
+    assert mesh.n_vertices == 3 * 3 * 4 * 3 and mesh.n_free == 1 * 1 * 2 * 1
+    assert mesh.n_cells == 24 * (2 * 2 * 3 * 2)  # 4! Kuhn simplices per box
+    pts = mesh.vertices[mesh.cells]
+    vols = np.linalg.det(pts[:, 1:] - pts[:, :1]) / 24.0
+    assert np.all(vols > 0.0)
+    assert abs(vols.sum() - 1.0) <= 1e-14
+    check_conforming(mesh)
 
 
 def _conforming_error(check, mesh):
@@ -311,7 +370,6 @@ def test_conforming_rejects_unencodable_vertex_count():
         vertices=np.broadcast_to(0.0, (2_100_000, 3)),
         cells=mesh.cells,
         boundary_mask=np.ones(2_100_000, dtype=bool),
-        free_index=np.full(2_100_000, -1),
     )
     with pytest.raises(ValueError, match="too many to encode"):
         check_conforming(huge)
@@ -410,7 +468,7 @@ def test_patch_stats_lower_bounds():
 def test_patch_stats_requires_free_vertex():
     ns = NodeSet1D(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        patch_stats(tensor_mesh_2d(ns, ns))
+        patch_stats(tensor_mesh(ns, ns))
 
 
 def test_export_mesh_text_roundtrip(tmp_path):

@@ -16,12 +16,12 @@ from meshspectra import (
     SparseSPD,
     assemble,
     build_mesh,
-    lambda_min_dense,
     lambda_min_sparse,
-    tensor_mesh_2d,
-    tensor_mesh_3d,
+    tensor_mesh,
 )
 from meshspectra import spectra
+
+from conftest import lambda_min_dense
 
 
 def spd(dense):
@@ -305,10 +305,10 @@ def check_against_dense(mesh):
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(node_sets(), node_sets())
 def test_random_tensor_meshes_2d_match_dense(nx, ny):
-    check_against_dense(tensor_mesh_2d(nx, ny))
+    check_against_dense(tensor_mesh(nx, ny))
 
 
 @settings(max_examples=6, derandomize=True, database=None, deadline=None)
 @given(node_sets(max_intervals=6), node_sets(max_intervals=6), node_sets(max_intervals=6))
 def test_random_tensor_meshes_3d_match_dense(nx, ny, nz):
-    check_against_dense(tensor_mesh_3d(nx, ny, nz))
+    check_against_dense(tensor_mesh(nx, ny, nz))
