@@ -309,7 +309,13 @@ def build_mesh(dim: int, p: GradingParams) -> SimplicialMesh:
 
 
 def cell_volumes(mesh: SimplicialMesh) -> np.ndarray:
-    """Signed cell volumes; positive for the orientation the builders guarantee."""
+    """Signed cell volumes; positive for the orientation the builders guarantee.
+
+    Implemented for dim 2 and 3 only: their closed forms set the digits of the
+    geometry columns.  Raises ValueError for any other dim.
+    """
+    if mesh.dim not in (2, 3):
+        raise ValueError(f"cell volumes are implemented for dim 2 and 3, got dim {mesh.dim}")
     pts = mesh.vertices[mesh.cells]
     e = pts[:, 1:, :] - pts[:, :1, :]
     if mesh.dim == 2:

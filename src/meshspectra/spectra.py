@@ -2,22 +2,26 @@
 
 The production path is single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
 2001): each step does Rayleigh-Ritz on span{x, w, p}, where w is the
-preconditioned residual and p the previous search direction.  The first
-MG_SWITCH_STEP steps use the Jacobi preconditioner.  Diagonal scaling removes
-the effect of mesh nonuniformity on the conditioning (Kamenski-Huang-Xu, Math.
-Comp. 83, 2014), which is enough for most 3D meshes; on strongly graded 2D
-meshes the step count still grows into the thousands (Bakhvalov eps=0.01
-n=128: 1159 steps).  A solve that has not converged by then builds a
-smoothed-aggregation multigrid hierarchy from the matrix once and takes its
-V-cycle as the preconditioner from there on (the same mesh: 206 steps).  The
-switch waits because the build costs about as much as the Jacobi steps
-already spent, and because Jacobi scaling keeps the mesh's symmetry:
-on 3D power meshes with beta >= 3 the six lowest eigenvalues form a cluster
-(relative spread 3.4e-7 at n=8, 1.1e-8 at n=10 and 8.8e-10 at n=12 for
-beta=3, 3e-13 at n=12 for beta=4; the next eigenvalue is 12-37% higher),
-which the symmetric start vector and Jacobi steps resolve to the dense
-oracle within 1.3e-13 (6.1e-15 at n=10), while hash-ordered aggregation breaks
-the symmetry and moved the n=10 result by 6.3e-12.
+preconditioned residual and p the previous search direction.  It starts with
+the Jacobi preconditioner: diagonal scaling removes the effect of mesh
+nonuniformity on the conditioning (Kamenski-Huang-Xu, Math. Comp. 83, 2014),
+which is enough for most 3D meshes, but on strongly graded 2D meshes the step
+count grows into the thousands (Bakhvalov eps=0.01 n=128: 1159 steps).  There
+a smoothed-aggregation multigrid hierarchy, built from the matrix once, gives
+a V-cycle preconditioner that needs far fewer steps (the same mesh: 84).
+
+The build costs about MG_SWITCH_STEP Jacobi steps, so the solve's own residual
+history decides when it pays: after MG_PROBE_STEP steps, the reduction of
+||r|| over the last few Jacobi steps predicts how many more Jacobi would need,
+and the hierarchy is built as soon as that exceeds MG_SWITCH_STEP, or at step
+MG_SWITCH_STEP + 1 at the latest.  A solve that Jacobi is predicted to finish
+sooner stays on Jacobi, which also keeps the mesh's symmetry: on 3D power
+meshes with beta >= 3 the six lowest eigenvalues form a cluster (relative
+spread 3.4e-7 at n=8, 1.1e-8 at n=10 and 8.8e-10 at n=12 for beta=3, 3e-13 at
+n=12 for beta=4; the next eigenvalue is 12-37% higher), which the symmetric
+start vector and Jacobi steps resolve to the dense oracle within 1.3e-13
+(6.1e-15 at n=10), while hash-ordered aggregation breaks the symmetry and
+moved the n=10 result by 6.3e-12.
 
 The iteration stops on the relative residual ||Ax - theta x|| <= tol * theta,
 which does not change when A is scaled; for symmetric A some eigenvalue lies
@@ -27,7 +31,8 @@ bound, the bound is the only accuracy guarantee.
 
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
-fixed by an index hash, so repeated runs agree bitwise.
+fixed by an index hash and the switch reads residual norms, never the clock,
+so repeated runs agree bitwise.
 """
 from __future__ import annotations
 
@@ -39,9 +44,13 @@ import scipy.sparse as sp
 
 from .fem import SparseSPD
 
-# LOBPCG steps taken with the Jacobi preconditioner before the multigrid
-# hierarchy is built: about what the build costs in Jacobi steps
+# what building the multigrid hierarchy costs, in Jacobi LOBPCG steps: the
+# hierarchy is built once the Jacobi steps still needed, predicted from the
+# residual history, exceed it, and at step MG_SWITCH_STEP + 1 at the latest
 MG_SWITCH_STEP = 128
+# the first step at which the prediction is made; it reads the residual
+# reduction over the last MG_PROBE_STEP // 2 steps
+MG_PROBE_STEP = 16
 # strength-of-connection threshold of the aggregation
 MG_STRENGTH = 0.25
 # the coarsest level, solved exactly, has at most this many rows
@@ -62,12 +71,16 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class EigenResult:
     """lambda_min is the Rayleigh quotient of the final iterate; some
-    eigenvalue of A lies within error_bound of it."""
+    eigenvalue of A lies within error_bound of it.  preconditioner names the
+    one the last step used, as ConvergenceError messages do: "Jacobi",
+    "Jacobi (multigrid coarsening stalled at step k)" or
+    "multigrid <level sizes> from step k"."""
 
     lambda_min: float
     residual: float
     iterations: int
     error_bound: float
+    preconditioner: str
 
 
 def _index_hash(n: int) -> np.ndarray:
@@ -144,8 +157,9 @@ class _Multigrid:
     Levels are Galerkin products P^T A P of smoothed piecewise-constant
     prolongators until one has at most MG_COARSE_ROWS rows, which is solved
     exactly through its Cholesky factor.  One damped-Jacobi sweep of weight
-    1/rho (rho the Gershgorin bound on D^-1 A) before and after each coarse
-    correction keeps the cycle symmetric positive definite.  Raises
+    4/(3 rho) before and after each coarse correction, rho the Gershgorin
+    bound on D^-1 A, so that the weighted D^-1 A has spectral radius at most
+    4/3 < 2: the cycle stays symmetric positive definite.  Raises
     np.linalg.LinAlgError when a level is not positive definite.
     """
 
@@ -164,6 +178,7 @@ class _Multigrid:
                 raise np.linalg.LinAlgError("nonpositive diagonal entry")
             dinv = 1.0 / d
             rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) * dinv))
+            wdinv = dinv * (4.0 / (3.0 * rho))
             agg = _aggregate(_strength_graph(A))
             n, n_agg = A.shape[0], int(agg.max()) + 1
             if 2 * n_agg > n:
@@ -171,10 +186,10 @@ class _Multigrid:
             size = np.bincount(agg, minlength=n_agg)
             T = sp.csr_matrix((1.0 / np.sqrt(size[agg]), agg, np.arange(n + 1)), shape=(n, n_agg))
             AT = A @ T
-            AT.data *= np.repeat(dinv * (4.0 / (3.0 * rho)), np.diff(AT.indptr))
+            AT.data *= np.repeat(wdinv, np.diff(AT.indptr))
             P = T - AT
             PT = P.T.tocsr()
-            levels.append((A, dinv / rho, P, PT))
+            levels.append((A, wdinv, P, PT))
             A = PT @ (A @ P)
         L = np.linalg.cholesky(A.toarray())
         Li = np.linalg.inv(L)
@@ -200,11 +215,31 @@ class _Multigrid:
         return x
 
 
+def _build_pays(history: list[float], target: float) -> bool:
+    """Whether building the multigrid hierarchy pays before the next step.
+
+    history[i] is ||r|| after i Jacobi steps.  After MG_PROBE_STEP steps, the
+    per-step reduction q of ||r|| over the last MG_PROBE_STEP // 2 steps
+    predicts log(target / ||r||) / log(q) more Jacobi steps; the build pays when
+    that exceeds MG_SWITCH_STEP (a residual that did not fall predicts no end).
+    After MG_SWITCH_STEP steps it pays regardless.
+    """
+    steps = len(history) - 1
+    if steps >= MG_SWITCH_STEP:
+        return True
+    if steps < MG_PROBE_STEP:
+        return False
+    window = MG_PROBE_STEP // 2
+    q = (history[-1] / history[-1 - window]) ** (1.0 / window)
+    return q >= 1.0 or math.log(target / history[-1]) / math.log(q) > MG_SWITCH_STEP
+
+
 def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -> EigenResult:
     """Smallest eigenvalue by preconditioned single-vector LOBPCG.
 
-    Jacobi preconditioning for the first MG_SWITCH_STEP steps, the multigrid
-    V-cycle after them (or Jacobi still, when the matrix does not coarsen).
+    Jacobi preconditioning until the residual history predicts more than
+    MG_SWITCH_STEP further Jacobi steps (see _build_pays), the multigrid
+    V-cycle from then on (or Jacobi still, when the matrix does not coarsen).
     Converged when the eigen-residual of the unit iterate x satisfies
     ||Ax - theta x|| <= tol * theta, checked on an explicit product A x (the
     loop itself updates A x implicitly, one sparse product per step).
@@ -226,8 +261,9 @@ def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -
     exact = True  # Ax is an explicit product, not an implicit update
     k = 2  # Ritz basis size; p joins after the first step
     it = 0
-    mg = None  # the V-cycle, once Jacobi has taken MG_SWITCH_STEP steps
+    mg = None  # the V-cycle, once built
     preconditioner = "Jacobi"
+    history = []  # ||r|| after 0, 1, ... Jacobi steps
 
     def failure(reason: str) -> ConvergenceError:
         return ConvergenceError(
@@ -245,7 +281,13 @@ def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -
         resid = float(np.linalg.norm(r))
         if resid <= tol * theta:
             if exact:
-                return EigenResult(lambda_min=theta, residual=resid, iterations=it, error_bound=resid)
+                return EigenResult(
+                    lambda_min=theta,
+                    residual=resid,
+                    iterations=it,
+                    error_bound=resid,
+                    preconditioner=preconditioner,
+                )
             Ax[:] = M @ x
             exact = True
             continue
@@ -254,16 +296,20 @@ def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -
         if it == max_outer:
             raise failure(f"did not converge in {max_outer} iterations")
         it += 1
-        if it == MG_SWITCH_STEP + 1:
-            try:
-                mg = _Multigrid.build(M)
-            except np.linalg.LinAlgError:
-                raise failure("broke down: a multigrid level is not positive definite") from None
-            if mg is None:
-                preconditioner = f"Jacobi (multigrid coarsening stalled at step {it})"
-            else:
-                sizes = "/".join(str(m) for m in mg.sizes)
-                preconditioner = f"multigrid {sizes} from step {it}"
+        if preconditioner == "Jacobi":  # no build tried yet
+            history.append(resid)
+            if _build_pays(history, tol * theta):
+                try:
+                    mg = _Multigrid.build(M)
+                except np.linalg.LinAlgError:
+                    raise failure(
+                        "broke down: a multigrid level is not positive definite"
+                    ) from None
+                if mg is None:
+                    preconditioner = f"Jacobi (multigrid coarsening stalled at step {it})"
+                else:
+                    sizes = "/".join(str(m) for m in mg.sizes)
+                    preconditioner = f"multigrid {sizes} from step {it}"
         if mg is None:
             np.multiply(dinv, r, out=w)
         else:

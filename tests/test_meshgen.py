@@ -12,6 +12,7 @@ from meshspectra import (
     MeshFamily,
     NodeSet1D,
     SimplicialMesh,
+    assemble,
     build_mesh,
     cell_volumes,
     check_conforming,
@@ -319,6 +320,15 @@ def test_tensor_mesh_4d():
     assert np.all(vols > 0.0)
     assert abs(vols.sum() - 1.0) <= 1e-14
     check_conforming(mesh)
+
+
+def test_cell_volumes_rejects_dim_4():
+    # assembly takes any dim; the volume closed forms exist for 2 and 3 only
+    mesh = tensor_mesh(*[uniform_nodes(2)] * 4)
+    assert assemble(mesh).matrix.shape == (1, 1)
+    for geometry in (cell_volumes, patch_stats):
+        with pytest.raises(ValueError, match="dim 2 and 3, got dim 4"):
+            geometry(mesh)
 
 
 def _conforming_error(check, mesh):

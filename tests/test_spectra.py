@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from meshspectra import (
     tensor_mesh,
 )
 from meshspectra import spectra
+from meshspectra.harness import FIXTURES, SweepAxis
 
 from conftest import lambda_min_dense
 
@@ -138,15 +140,37 @@ def test_power_3d_beta_304_matches_dense():
     assert abs(r.lambda_min - lam_dense) <= r.error_bound <= 1e-8 * r.lambda_min
 
 
-def test_power_3d_eigenvalue_cluster_matches_dense():
-    # the six lowest eigenvalues lie within 1.1e-8 relative of each other;
-    # Jacobi keeps the mesh's symmetry and resolves the smallest to 6.1e-15,
-    # multigrid from the first step moved it by 6.3e-12
-    A = assemble(build_mesh(3, GradingParams(MeshFamily.POWER, 10, beta=3.0)))
+@pytest.mark.parametrize("n, beta", [(8, 3.0), (10, 3.0), (12, 3.0), (12, 4.0)])
+def test_power_3d_eigenvalue_cluster_matches_dense(n, beta):
+    # the six lowest eigenvalues lie within 3.4e-7 (n=8) down to 3e-13 (beta=4)
+    # relative of each other; Jacobi keeps the mesh's symmetry and resolves
+    # the smallest to 1.3e-13, multigrid from the first step moved the n=10
+    # value by 6.3e-12
+    A = assemble(build_mesh(3, GradingParams(MeshFamily.POWER, n, beta=beta)))
     lam_dense = lambda_min_dense(A)
     r = lambda_min_sparse(A)
+    assert r.preconditioner == "Jacobi"
     assert abs(r.lambda_min - lam_dense) <= 1e-12 * lam_dense
-    assert r.iterations <= spectra.MG_SWITCH_STEP
+
+
+def fixture_points_2d(max_n):
+    for name, spec in FIXTURES.items():
+        if spec.dim == 2 and spec.axis is SweepAxis.N:
+            for n in spec.values:
+                if n <= max_n:
+                    yield pytest.param(spec.params_at(n), id=f"{name}-{n}")
+
+
+@pytest.mark.parametrize("params", fixture_points_2d(32))
+def test_small_2d_fixture_points_match_dense(params):
+    # whichever preconditioner the switch rule picks
+    A = assemble(build_mesh(2, params))
+    assert A.matrix.shape[0] <= 1000
+    tol = 1e-8
+    lam_dense = lambda_min_dense(A)
+    r = lambda_min_sparse(A, tol=tol)
+    assert abs(r.lambda_min - lam_dense) <= 1e-10 * lam_dense
+    assert r.error_bound <= tol * r.lambda_min
 
 
 # --------------------------------------------------------------- multigrid
@@ -154,19 +178,36 @@ def test_power_3d_eigenvalue_cluster_matches_dense():
 BAKHVALOV_32 = GradingParams(MeshFamily.BAKHVALOV, 32, eps=0.01)
 
 
-def test_multigrid_switch_path_matches_dense():
+def switch_step(preconditioner, sizes):
+    match = re.fullmatch(f"multigrid {sizes} from step (\\d+)", preconditioner)
+    assert match, preconditioner
+    return int(match.group(1))
+
+
+def check_multigrid_path(first_step, last_step):
     A = assemble(build_mesh(2, BAKHVALOV_32))
     tol = 1e-8
     lam_dense = lambda_min_dense(A)
     r = lambda_min_sparse(A, tol=tol)
-    assert r.iterations > spectra.MG_SWITCH_STEP
+    assert first_step <= switch_step(r.preconditioner, "961/234/63") <= last_step
     assert abs(r.lambda_min - lam_dense) <= 1e-10 * lam_dense
     assert abs(r.lambda_min - lam_dense) <= r.error_bound <= tol * r.lambda_min
     assert lambda_min_sparse(A, tol=tol) == r
 
 
+def test_multigrid_switch_path_matches_dense():
+    # the residual history predicts more than MG_SWITCH_STEP Jacobi steps
+    check_multigrid_path(spectra.MG_PROBE_STEP + 1, spectra.MG_SWITCH_STEP)
+
+
+def test_multigrid_fallback_switch_matches_dense(monkeypatch):
+    # with no step left to probe, the build waits for the fallback step
+    monkeypatch.setattr(spectra, "MG_PROBE_STEP", spectra.MG_SWITCH_STEP)
+    check_multigrid_path(spectra.MG_SWITCH_STEP + 1, spectra.MG_SWITCH_STEP + 1)
+
+
 def test_multigrid_step_count_internal_layer():
-    # Jacobi alone needs 1555 steps here
+    # Jacobi alone needs 1555 steps here, the switch at step 129 took 173
     A = assemble(
         build_mesh(
             2,
@@ -176,7 +217,8 @@ def test_multigrid_step_count_internal_layer():
         )
     )
     r = lambda_min_sparse(A)
-    assert spectra.MG_SWITCH_STEP < r.iterations <= 300
+    assert switch_step(r.preconditioner, "16129/3159/682/168/25") <= spectra.MG_SWITCH_STEP
+    assert r.iterations <= 90
     assert r.error_bound <= 1e-8 * r.lambda_min
 
 
@@ -208,12 +250,13 @@ def test_multigrid_not_built_without_coarsening():
 
 def test_convergence_error_names_preconditioner(monkeypatch):
     A = assemble(build_mesh(2, BAKHVALOV_32))
-    step = spectra.MG_SWITCH_STEP + 1
-    with pytest.raises(ConvergenceError, match=f"multigrid 961/234/63 from step {step}") as info:
+    preconditioner = lambda_min_sparse(A).preconditioner
+    step = switch_step(preconditioner, "961/234/63")
+    with pytest.raises(ConvergenceError, match=f"preconditioner {preconditioner},") as info:
         lambda_min_sparse(A, max_outer=step + 1)
     assert info.value.iterations == step + 1
     with pytest.raises(ConvergenceError, match="preconditioner Jacobi,"):
-        lambda_min_sparse(A, max_outer=spectra.MG_SWITCH_STEP)
+        lambda_min_sparse(A, max_outer=step - 1)
     monkeypatch.setattr(spectra._Multigrid, "build", classmethod(lambda cls, M: None))
     with pytest.raises(
         ConvergenceError, match=f"Jacobi \\(multigrid coarsening stalled at step {step}\\)"
@@ -227,8 +270,8 @@ def chain_with_hidden_negative_mode(n=100):
     The block's negative mode is (1, 1, -1, -1) on nodes with equal start
     vector entries; its rows hold the same values in the same order, so
     every Jacobi step keeps those entries bitwise equal and never sees the
-    mode.  The slow chain keeps LOBPCG going past the switch, where the
-    exact coarse solve of this <= 100-row matrix meets the mode.
+    mode.  The slow chain keeps LOBPCG going until the multigrid build, where
+    the exact coarse solve of this <= 100-row matrix meets the mode.
     """
     bits = spectra._index_hash(n) & np.uint64(0x80000000)
     block = [int(i) for i in np.flatnonzero(bits == bits[0])[:4]]
@@ -248,9 +291,10 @@ def chain_with_hidden_negative_mode(n=100):
 def test_indefinite_matrix_past_switch_raises_convergence_error():
     A = chain_with_hidden_negative_mode()
     assert lambda_min_dense(A) < 0.0
-    with pytest.raises(ConvergenceError, match="broke down") as info:
+    message = "broke down: a multigrid level is not positive definite \\(preconditioner Jacobi,"
+    with pytest.raises(ConvergenceError, match=message) as info:
         lambda_min_sparse(A)
-    assert info.value.iterations == spectra.MG_SWITCH_STEP + 1
+    assert spectra.MG_PROBE_STEP < info.value.iterations <= spectra.MG_SWITCH_STEP + 1
     assert info.value.lambda_estimate > 0.0 and info.value.residual is not None
 
 
