@@ -356,3 +356,20 @@ def test_csv_matches_golden_fixture(tmp_path):
     emit_csv(run_sweep(spec), fresh)
     golden = pathlib.Path(__file__).parent / "data" / "golden-shishkin-2d.csv"
     assert fresh.read_bytes() == golden.read_bytes()
+
+
+def test_csv_matches_golden_3d_fixture(tmp_path):
+    """Pins the 3D sum kernel and the 3D GM prefactor byte for byte."""
+    import pathlib
+
+    spec = SweepSpec(
+        dim=3,
+        base=GradingParams(MeshFamily.POWER, 6, beta=3.0),
+        axis=SweepAxis.N,
+        values=(4, 6),
+        calibration_ref=4,
+    )
+    fresh = tmp_path / "fresh.csv"
+    emit_csv(run_sweep(spec), fresh)
+    golden = pathlib.Path(__file__).parent / "data" / "golden-power-3d.csv"
+    assert fresh.read_bytes() == golden.read_bytes()
