@@ -7,9 +7,7 @@ from .bounds import (
     BoundReport,
     Calibration,
     calibrate,
-    estimate_gm,
-    estimate_khx,
-    estimate_new,
+    estimates,
 )
 from .fem import DiffusionTensor, SparseSPD, assemble, export_matrix_text, local_stiffness
 from .harness import (
@@ -63,9 +61,7 @@ __all__ = [
     "check_conforming",
     "emit_csv",
     "emit_svg_loglog",
-    "estimate_gm",
-    "estimate_khx",
-    "estimate_new",
+    "estimates",
     "export_matrix_text",
     "export_mesh_text",
     "graded_nodes",

@@ -14,6 +14,10 @@ reference mesh per dimension (known in closed form there), after which the
 estimators can be compared across families and sizes on equal footing.  The
 calibrated values are estimates, not lower bounds: on graded meshes they can
 exceed the exact eigenvalue.
+
+`estimates(patch_stats(mesh), calibrate(mesh.dim))` returns (new, gm, khx);
+calibration and estimation share one kernel table, `_kernels`, which
+`calibrate` divides by and `estimates` multiplies by.
 """
 
 from __future__ import annotations
@@ -83,57 +87,36 @@ class BoundReport:
                 raise ValueError(f"{name} must be positive")
 
 
-def _check_dim(dim: int, cal: Calibration) -> None:
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    if cal.dim != dim:
-        raise ValueError(f"calibration is for dim={cal.dim}, mesh has dim={dim}")
-
-
-def _kernel_new(stats: PatchStats, dim: int) -> float:
+def _volume_kernel(volumes: np.ndarray, dim: int) -> float:
+    """Shape shared by the new (patch) and KHX (cell) kernels: in 2D
+    1/(n(1 + |ln(n v_min)|)) with n volumes, in 3D (sum v^-1/2)^(-2/3)."""
     if dim == 2:
-        n = stats.n_free
-        return 1.0 / (n * (1.0 + abs(math.log(n * stats.omega_min))))
-    s = float(np.sum(stats.patch_volumes**-0.5))
-    return s ** (-2.0 / 3.0)
+        n = volumes.size
+        return 1.0 / (n * (1.0 + abs(math.log(n * float(volumes.min())))))
+    return float(np.sum(volumes**-0.5)) ** (-2.0 / 3.0)
 
 
-def _kernel_gm(stats: PatchStats, dim: int) -> float:
-    mh = stats.m_const * stats.h_const
-    if dim == 2:
-        n = stats.n_free
-        return 1.0 / (n * (1.0 + abs(math.log(n * stats.omega_min / mh))))
-    s = float(np.sum(stats.patch_volumes**-0.5))
-    return mh ** (-1.0 / 3.0) * s ** (-2.0 / 3.0)
-
-
-def _kernel_khx(volumes, dim: int) -> float:
-    v = np.asarray(volumes, dtype=float)
-    if v.size == 0 or np.any(v <= 0.0):
+def _kernels(stats: PatchStats) -> tuple[float, float, float]:
+    """Uncalibrated (new, gm, khx) kernels of one mesh; each estimate is its
+    calibration constant times its kernel."""
+    if stats.cell_volumes.size == 0 or np.any(stats.cell_volumes <= 0.0):
         raise ValueError("cell volumes must be a nonempty positive array")
-    if dim == 2:
-        n_ele = v.size
-        return 1.0 / (n_ele * (1.0 + abs(math.log(n_ele * float(v.min())))))
-    s = float(np.sum(v**-0.5))
-    return s ** (-2.0 / 3.0)
+    new = _volume_kernel(stats.patch_volumes, stats.dim)
+    mh = stats.m_const * stats.h_const
+    if stats.dim == 2:
+        n = stats.n_free
+        gm = 1.0 / (n * (1.0 + abs(math.log(n * stats.omega_min / mh))))
+    else:
+        gm = mh ** (-1.0 / 3.0) * new
+    return new, gm, _volume_kernel(stats.cell_volumes, stats.dim)
 
 
-def estimate_new(stats: PatchStats, dim: int, cal: Calibration) -> float:
-    """Patch-volume estimate; in 2D only N and the smallest patch enter."""
-    _check_dim(dim, cal)
-    return cal.c_new * _kernel_new(stats, dim)
-
-
-def estimate_gm(stats: PatchStats, dim: int, cal: Calibration) -> float:
-    """Patch-volume estimate penalized by the mesh constants M and H."""
-    _check_dim(dim, cal)
-    return cal.c_gm * _kernel_gm(stats, dim)
-
-
-def estimate_khx(volumes, dim: int, cal: Calibration) -> float:
-    """Element-volume estimate over all cells (N_ele = cell count)."""
-    _check_dim(dim, cal)
-    return cal.c_khx * _kernel_khx(volumes, dim)
+def estimates(stats: PatchStats, cal: Calibration) -> tuple[float, float, float]:
+    """Calibrated (new, gm, khx) estimates for the mesh `stats` describe."""
+    if cal.dim != stats.dim:
+        raise ValueError(f"calibration is for dim={cal.dim}, mesh has dim={stats.dim}")
+    new, gm, khx = _kernels(stats)
+    return cal.c_new * new, cal.c_gm * gm, cal.c_khx * khx
 
 
 def uniform_lambda_min(dim: int, n: int) -> float:
@@ -145,28 +128,15 @@ def uniform_lambda_min(dim: int, n: int) -> float:
     return 4.0 * dim * h ** (dim - 2) * math.sin(math.pi * h / 2.0) ** 2
 
 
-def calibrate(dim: int, n_ref: int | None = None, exact: float | None = None) -> Calibration:
-    """Fix the estimator constants on one uniform reference mesh.
-
-    `exact` is the smallest stiffness eigenvalue of the uniform mesh with
-    n_ref intervals per direction; when it is None the closed form
-    `uniform_lambda_min` supplies it.  Each constant is set so its estimator
-    returns exactly `exact` on that mesh.
-    """
+def calibrate(dim: int, n_ref: int | None = None) -> Calibration:
+    """Fix the estimator constants on the uniform mesh with n_ref intervals per
+    direction: each constant is set so its estimator returns that mesh's
+    closed-form eigenvalue `uniform_lambda_min` exactly."""
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if n_ref is None:
         n_ref = DEFAULT_REFERENCE_INTERVALS[dim]
-    if exact is not None and not (exact > 0.0 and math.isfinite(exact)):
-        raise ValueError(f"exact must be a positive finite eigenvalue, got {exact!r}")
-    mesh = build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref))
-    if exact is None:
-        exact = uniform_lambda_min(dim, n_ref)
-    stats = patch_stats(mesh)
-    return Calibration(
-        dim=dim,
-        c_new=exact / _kernel_new(stats, dim),
-        c_gm=exact / _kernel_gm(stats, dim),
-        c_khx=exact / _kernel_khx(stats.cell_volumes, dim),
-        n_ref=n_ref,
-    )
+    stats = patch_stats(build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref)))
+    exact = uniform_lambda_min(dim, n_ref)
+    c_new, c_gm, c_khx = (exact / k for k in _kernels(stats))
+    return Calibration(dim=dim, c_new=c_new, c_gm=c_gm, c_khx=c_khx, n_ref=n_ref)

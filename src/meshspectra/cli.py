@@ -57,16 +57,9 @@ def _add_mesh_args(p, required=True):
 
 
 def _grading_kwargs(eps, beta, c_sigma, layer):
-    kw = {}
-    if eps is not None:
-        kw["eps"] = eps
-    if beta is not None:
-        kw["beta"] = beta
-    if c_sigma is not None:
-        kw["c_sigma"] = c_sigma
-    if layer is not None:
-        kw["layer_position"] = LayerPosition(layer)
-    return kw
+    position = None if layer is None else LayerPosition(layer)
+    kw = dict(eps=eps, beta=beta, c_sigma=c_sigma, layer_position=position)
+    return {key: value for key, value in kw.items() if value is not None}
 
 
 def _params_from_args(args) -> GradingParams:
@@ -87,7 +80,8 @@ def _print_table(pairs):
         print(f"{key:<{width}}  {text}")
 
 
-def _read_config(path):
+def _read_config(path, keys):
+    """key = value settings from path; a key outside keys, or repeated, is an error."""
     settings = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -97,7 +91,12 @@ def _read_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
-            settings[key.strip()] = value.strip()
+            key = key.strip()
+            if key in settings:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; known: {', '.join(keys)}")
+            settings[key] = value.strip()
     return settings
 
 
@@ -164,7 +163,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _read_config(args.config) if args.config else {}
+    keys = [k for k in vars(args) if k not in ("command", "config", "func")]
+    config = _read_config(args.config, keys) if args.config else {}
 
     def pick(key, cast, default=None):
         flag = getattr(args, key)
@@ -187,8 +187,7 @@ def _cmd_sweep(args) -> int:
     out = require("out", str)
     tol = pick("tol", float, 1e-8)
     ref = pick("ref", int)
-    normalize = pick("normalize", _parse_bool)
-    normalize = bool(normalize) if normalize is not None else False
+    normalize = pick("normalize", _parse_bool, False)
     n = pick("n", int)
     kw = _grading_kwargs(
         pick("eps", float), pick("beta", float), pick("c_sigma", float), pick("layer", str)

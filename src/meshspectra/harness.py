@@ -17,14 +17,7 @@ import math
 import time
 from dataclasses import astuple, dataclass, replace
 
-from .bounds import (
-    BoundReport,
-    Calibration,
-    calibrate,
-    estimate_gm,
-    estimate_khx,
-    estimate_new,
-)
+from .bounds import BoundReport, Calibration, calibrate, estimates
 from .fem import assemble
 from .meshgen import (
     GradingParams,
@@ -33,6 +26,7 @@ from .meshgen import (
     SimplicialMesh,
     build_mesh,
     check_intervals,
+    graded_nodes,
     patch_stats,
 )
 from .spectra import ConvergenceError, lambda_min_sparse
@@ -77,20 +71,27 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise ValueError(f"a sweep needs at least 2 values, got {len(vals)}")
-        if any(not v > 0 for v in vals):
-            raise ValueError("sweep_values must be positive")
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError(f"sweep_values must be strictly monotone, got {vals}")
-        sizes = vals if self.axis is SweepAxis.N else (self.base.n,)
-        for n in sizes:
-            if int(n) != n:
-                raise ValueError(f"mesh sizes must be integers, got {n}")
-            check_intervals(self.dim, n)
+        _mesh_size(self.base.n)
+        # refuse a bad point before any is solved; the cap goes first so that no
+        # oversized node set is built
+        for value in vals:
+            p = self.params_at(value)
+            check_intervals(self.dim, p.n)
+            graded_nodes(p)
 
     def params_at(self, value) -> GradingParams:
-        cast = int if self.axis is SweepAxis.N else float
+        cast = _mesh_size if self.axis is SweepAxis.N else float
         return replace(self.base, **{self.axis.value: cast(value)})
+
+
+def _mesh_size(n) -> int:
+    """n as an int, or ValueError if it is not a whole number."""
+    if not float(n).is_integer():
+        raise ValueError(f"mesh sizes must be integers, got {n}")
+    return int(n)
 
 
 def analyze_mesh(
@@ -100,13 +101,14 @@ def analyze_mesh(
     recorded under the sweep value param, with wall_time 0.0."""
     stats = patch_stats(mesh)
     exact = lambda_min_sparse(assemble(mesh), tol=tol).lambda_min
+    new, gm, khx = estimates(stats, cal)
     return BoundReport(
         param=float(param),
         n_free=stats.n_free,
         lambda_exact=exact,
-        lambda_new=estimate_new(stats, mesh.dim, cal),
-        lambda_gm=estimate_gm(stats, mesh.dim, cal),
-        lambda_khx=estimate_khx(stats.cell_volumes, mesh.dim, cal),
+        lambda_new=new,
+        lambda_gm=gm,
+        lambda_khx=khx,
         omega_min=stats.omega_min,
         k_min=stats.k_min,
         m_const=stats.m_const,
@@ -296,7 +298,7 @@ def _spec(
         n = max(values)
     return SweepSpec(
         dim=dim,
-        base=GradingParams(family, int(n), **grading),
+        base=GradingParams(family, _mesh_size(n), **grading),
         axis=axis,
         values=tuple(values),
         tol=tol,

@@ -228,16 +228,17 @@ class PatchStats:
     whose closure contains it), indexed by matrix row.  m_const is the max number
     of cells sharing any single vertex; h_const the max volume ratio between two
     cells whose closures intersect.  cell_volumes holds the per-cell volumes the
-    statistics were computed from (None when the stats are built by hand).
+    statistics were computed from; dim is the mesh's dimension.
     """
 
+    dim: int
     patch_volumes: np.ndarray
     omega_min: float
     k_min: float
     m_const: int
     h_const: float
     n_free: int
-    cell_volumes: np.ndarray | None = None
+    cell_volumes: np.ndarray
 
 
 def _kuhn_permutations(dim: int) -> list[tuple[int, ...]]:
@@ -353,6 +354,7 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
 
     patch_free = patch_all[~mesh.boundary_mask]
     return PatchStats(
+        dim=mesh.dim,
         patch_volumes=patch_free,
         omega_min=float(patch_free.min()),
         k_min=float(vols.min()),

@@ -13,10 +13,7 @@ from meshspectra import (
     assemble,
     build_mesh,
     calibrate,
-    cell_volumes,
-    estimate_gm,
-    estimate_khx,
-    estimate_new,
+    estimates,
     lambda_min_sparse,
     patch_stats,
 )
@@ -25,10 +22,11 @@ from meshspectra.bounds import uniform_lambda_min
 from conftest import geo_form, holder_mean, lambda_min_dense
 
 
-def make_stats(patch_volumes, m_const=6, h_const=1.0, k_min=None):
+def make_stats(patch_volumes, m_const=6, h_const=1.0, k_min=None, dim=2):
     """Hand-built stats on the unit domain: two equal cells per free vertex."""
     pv = np.asarray(patch_volumes, dtype=float)
     return PatchStats(
+        dim=dim,
         patch_volumes=pv,
         omega_min=float(pv.min()),
         k_min=float(pv.min()) / 3.0 if k_min is None else k_min,
@@ -78,69 +76,73 @@ def test_holder_mean_monotone_in_p():
 def test_estimate_new_2d_hand_value():
     # N*omega_min = 1 kills the log, leaving c/N
     st = make_stats([0.25, 0.3, 0.5, 0.7], m_const=6)
-    assert math.isclose(estimate_new(st, 2, CAL2), 0.25, rel_tol=1e-15)
+    assert math.isclose(estimates(st, CAL2)[0], 0.25, rel_tol=1e-15)
     cal = dataclasses.replace(CAL2, c_new=7.0)
-    assert math.isclose(estimate_new(st, 2, cal), 7.0 * 0.25, rel_tol=1e-15)
+    assert math.isclose(estimates(st, cal)[0], 7.0 * 0.25, rel_tol=1e-15)
 
 
 def test_estimate_new_2d_log_penalty():
     st = make_stats([0.25 * math.exp(-1.0), 0.3, 0.5, 0.7])
-    assert math.isclose(estimate_new(st, 2, CAL2), 0.25 / 2.0, rel_tol=1e-14)
+    assert math.isclose(estimates(st, CAL2)[0], 0.25 / 2.0, rel_tol=1e-14)
 
 
 def test_estimate_new_3d_equal_patches():
     # equal patches w: (N w^-1/2)^(-2/3) = N^(-2/3) w^(1/3)
     w = 0.015625
-    st = make_stats([w] * 8)
-    assert math.isclose(estimate_new(st, 3, CAL3), 8.0 ** (-2.0 / 3.0) * w ** (1.0 / 3.0), rel_tol=1e-14)
+    st = make_stats([w] * 8, dim=3)
+    assert math.isclose(estimates(st, CAL3)[0], 8.0 ** (-2.0 / 3.0) * w ** (1.0 / 3.0), rel_tol=1e-14)
 
 
 def test_estimate_gm_2d_hand_value():
     # N*omega_min/(M*H) = 1 kills the log
     st = make_stats([1.5, 2.0], m_const=6, h_const=0.5)
-    assert math.isclose(estimate_gm(st, 2, CAL2), 0.5, rel_tol=1e-15)
+    assert math.isclose(estimates(st, CAL2)[1], 0.5, rel_tol=1e-15)
 
 
 def test_estimate_gm_3d_prefactor():
     w = 0.125
-    st = make_stats([w] * 4, m_const=24, h_const=2.0)
+    st = make_stats([w] * 4, m_const=24, h_const=2.0, dim=3)
     expect = 48.0 ** (-1.0 / 3.0) * (4.0 / math.sqrt(w)) ** (-2.0 / 3.0)
-    assert math.isclose(estimate_gm(st, 3, CAL3), expect, rel_tol=1e-14)
+    assert math.isclose(estimates(st, CAL3)[1], expect, rel_tol=1e-14)
+
+
+def khx(volumes, cal):
+    """KHX estimate of hand-built stats whose cells have the given volumes."""
+    st = make_stats([0.25, 0.5], dim=cal.dim)
+    return estimates(dataclasses.replace(st, cell_volumes=np.array(volumes, dtype=float)), cal)[2]
 
 
 def test_estimate_khx_hand_values():
-    assert math.isclose(estimate_khx([0.25, 0.3, 0.4, 0.6], 2, CAL2), 0.25, rel_tol=1e-15)
+    assert math.isclose(khx([0.25, 0.3, 0.4, 0.6], CAL2), 0.25, rel_tol=1e-15)
     vols = [0.125] * 8
     expect = (8.0 / math.sqrt(0.125)) ** (-2.0 / 3.0)
-    assert math.isclose(estimate_khx(vols, 3, CAL3), expect, rel_tol=1e-14)
+    assert math.isclose(khx(vols, CAL3), expect, rel_tol=1e-14)
     with pytest.raises(ValueError):
-        estimate_khx([], 2, CAL2)
+        khx([], CAL2)
     with pytest.raises(ValueError):
-        estimate_khx([0.1, -0.1], 2, CAL2)
+        khx([0.1, -0.1], CAL2)
 
 
 def test_new_2d_ignores_nonminimal_patches():
     st = make_stats([0.25, 0.3, 0.5, 0.7])
     bumped = dataclasses.replace(st, patch_volumes=np.array([0.25, 0.6, 0.5, 0.7]))
-    assert estimate_new(st, 2, CAL2) == estimate_new(bumped, 2, CAL2)
+    assert estimates(st, CAL2)[0] == estimates(bumped, CAL2)[0]
 
 
 def test_dim_mismatch_rejected():
-    st = make_stats([0.25, 0.5])
     with pytest.raises(ValueError):
-        estimate_new(st, 3, CAL2)
+        estimates(make_stats([0.25, 0.5], dim=3), CAL2)
     with pytest.raises(ValueError):
-        estimate_gm(st, 2, CAL3)
+        estimates(make_stats([0.25, 0.5]), CAL3)
     with pytest.raises(ValueError):
-        estimate_khx([0.1], 4, CAL2)
+        estimates(make_stats([0.1], dim=4), CAL2)
 
 
 def test_estimates_linear_in_calibration():
     st = make_stats([0.1, 0.2, 0.3])
     doubled = Calibration(dim=2, c_new=2.0, c_gm=2.0, c_khx=2.0, n_ref=64)
-    assert estimate_new(st, 2, doubled) == 2.0 * estimate_new(st, 2, CAL2)
-    assert estimate_gm(st, 2, doubled) == 2.0 * estimate_gm(st, 2, CAL2)
-    assert estimate_khx([0.3, 0.4], 2, doubled) == 2.0 * estimate_khx([0.3, 0.4], 2, CAL2)
+    assert estimates(st, doubled) == tuple(2.0 * e for e in estimates(st, CAL2))
+    assert khx([0.3, 0.4], doubled) == 2.0 * khx([0.3, 0.4], CAL2)
 
 
 # ------------------------------------------------------------- average form
@@ -158,7 +160,7 @@ def test_geo_form_matches_kernel_on_synthetic_stats():
 def test_geo_form_matches_kernel_on_meshes():
     for p in (GradingParams(MeshFamily.UNIFORM, 4), GradingParams(MeshFamily.POWER, 4, beta=2.0)):
         st = patch_stats(build_mesh(3, p))
-        assert math.isclose(geo_form(st, 3), estimate_new(st, 3, CAL3), rel_tol=1e-12)
+        assert math.isclose(geo_form(st, 3), estimates(st, CAL3)[0], rel_tol=1e-12)
 
 
 def test_geo_form_rejects_2d():
@@ -184,29 +186,25 @@ def test_calibrate_input_validation():
     with pytest.raises(ValueError):
         calibrate(4)
     with pytest.raises(ValueError):
-        calibrate(2, n_ref=8, exact=-2.0)
+        calibrate(2, n_ref=1)
+
+
+def check_fixed_point(dim, n_ref):
+    """Every calibrated estimate reproduces the reference mesh's eigenvalue."""
+    mesh = build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref))
+    exact = uniform_lambda_min(dim, n_ref)
+    cal = calibrate(dim, n_ref=n_ref)
+    assert cal.n_ref == n_ref and cal.dim == dim
+    for est in estimates(patch_stats(mesh), cal):
+        assert math.isclose(est, exact, rel_tol=1e-12)
 
 
 def test_calibration_fixed_point_2d():
-    n_ref = 8
-    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, n_ref))
-    exact = lambda_min_sparse(assemble(mesh), tol=1e-10).lambda_min
-    cal = calibrate(2, n_ref=n_ref, exact=exact)
-    st = patch_stats(mesh)
-    assert math.isclose(estimate_new(st, 2, cal), exact, rel_tol=1e-12)
-    assert math.isclose(estimate_gm(st, 2, cal), exact, rel_tol=1e-12)
-    assert math.isclose(estimate_khx(cell_volumes(mesh), 2, cal), exact, rel_tol=1e-12)
+    check_fixed_point(2, 8)
 
 
 def test_calibration_fixed_point_3d():
-    n_ref = 4
-    mesh = build_mesh(3, GradingParams(MeshFamily.UNIFORM, n_ref))
-    exact = lambda_min_sparse(assemble(mesh), tol=1e-10).lambda_min
-    cal = calibrate(3, n_ref=n_ref, exact=exact)
-    st = patch_stats(mesh)
-    assert math.isclose(estimate_new(st, 3, cal), exact, rel_tol=1e-12)
-    assert math.isclose(estimate_gm(st, 3, cal), exact, rel_tol=1e-12)
-    assert math.isclose(estimate_khx(cell_volumes(mesh), 3, cal), exact, rel_tol=1e-12)
+    check_fixed_point(3, 4)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 4), (2, 8), (2, 16), (3, 3), (3, 4), (3, 6)])
@@ -222,14 +220,8 @@ def test_calibrate_uses_closed_form_at_pinned_reference(dim):
     lam = uniform_lambda_min(dim, n_ref)
     A = assemble(build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref)))
     assert abs(lam - lambda_min_sparse(A).lambda_min) <= 1e-12 * lam
-    assert calibrate(dim) == calibrate(dim, n_ref, exact=lam)
-
-
-def test_calibrate_supplied_exact_short_circuits_solve():
-    cal = calibrate(2, n_ref=8, exact=1.0)
-    cal2 = calibrate(2, n_ref=8, exact=2.0)
-    assert math.isclose(cal2.c_new, 2.0 * cal.c_new, rel_tol=1e-15)
-    assert cal.n_ref == 8 and cal.dim == 2
+    assert calibrate(dim) == calibrate(dim, n_ref)
+    check_fixed_point(dim, n_ref)
 
 
 def test_recalibration_stability():
@@ -240,8 +232,8 @@ def test_recalibration_stability():
 
 
 def test_default_reference_sizes():
-    cal = calibrate(3, n_ref=None, exact=1.0)
-    assert cal.n_ref == 12
+    cal = calibrate(3, n_ref=None)
+    assert cal.n_ref == 12 and cal.dim == 3
 
 
 # ------------------------------------------------------------- whole meshes
@@ -259,14 +251,12 @@ def test_relabeling_invariance():
         cells=mesh.cells[perm],
         boundary_mask=mesh.boundary_mask,
     )
-    st0, st1 = patch_stats(mesh), patch_stats(shuffled)
     cal = calibrate(2, n_ref=8)
-    assert estimate_new(st0, 2, cal) == estimate_new(st1, 2, cal)
-    assert estimate_gm(st0, 2, cal) == estimate_gm(st1, 2, cal)
-    v0, v1 = cell_volumes(mesh), cell_volumes(shuffled)
-    assert math.isclose(
-        estimate_khx(v0, 2, cal), estimate_khx(v1, 2, cal), rel_tol=1e-14
-    )
+    new0, gm0, khx0 = estimates(patch_stats(mesh), cal)
+    new1, gm1, khx1 = estimates(patch_stats(shuffled), cal)
+    assert new0 == new1
+    assert gm0 == gm1
+    assert math.isclose(khx0, khx1, rel_tol=1e-14)
 
 
 def test_uniform_family_tracks_exact():
@@ -275,11 +265,7 @@ def test_uniform_family_tracks_exact():
         mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, n))
         st = patch_stats(mesh)
         exact = lambda_min_sparse(assemble(mesh), tol=1e-10).lambda_min
-        for est in (
-            estimate_new(st, 2, cal),
-            estimate_gm(st, 2, cal),
-            estimate_khx(cell_volumes(mesh), 2, cal),
-        ):
+        for est in estimates(st, cal):
             assert 0.5 * exact <= est <= 2.0 * exact
 
 

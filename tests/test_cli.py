@@ -275,3 +275,41 @@ def test_sweep_rejects_unparseable_values(tmp_path, capsys):
         "--values", "4,abc", "--out", str(tmp_path / "v"),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("bata = 4.0", "unknown key 'bata'"),
+    ("dim = 3", "repeated key 'dim'"),
+])
+def test_sweep_rejects_unknown_or_repeated_config_key(bad_line, message, tmp_path, capsys):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(
+        "dim = 2\nfamily = power\naxis = n\nvalues = 4, 8\n"
+        f"out = {tmp_path / 'k'}\n{bad_line}\n"
+    )
+    assert run_cli("sweep", "--config", str(conf)) == 1
+    assert f"{conf}:6: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "k.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--family", "bakhvalov", "--n", "128", "--axis", "eps", "--values", "0.01,1.5"),
+     "eps must lie in (0, 1), got 1.5"),
+    (("--family", "shishkin", "--n", "64", "--axis", "n", "--values", "64,65"),
+     "n must be even, got 65"),
+    (("--family", "shishkin", "--layer", "internal", "--axis", "n", "--values", "64,66"),
+     "needs n divisible by 4, got 66"),
+    (("--family", "uniform", "--axis", "n", "--values", "8,inf"),
+     "mesh sizes must be integers, got inf"),
+])
+def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkeypatch, capsys):
+    import meshspectra.harness as hz
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a sweep point was solved before the spec was checked")
+
+    monkeypatch.setattr(hz, "lambda_min_sparse", no_solve)
+    out = tmp_path / "B"
+    assert run_cli("sweep", "--dim", "2", *flags, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.with_name("B.csv").exists()

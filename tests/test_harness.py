@@ -80,6 +80,16 @@ def test_spec_validation():
         )
 
 
+def test_spec_refuses_infinite_mesh_size():
+    from meshspectra.harness import _spec
+
+    base2 = GradingParams(MeshFamily.UNIFORM, 8)
+    with pytest.raises(ValueError, match="mesh sizes must be integers, got inf"):
+        SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=(8, math.inf))
+    with pytest.raises(ValueError, match="mesh sizes must be integers, got inf"):
+        _spec(2, MeshFamily.UNIFORM, SweepAxis.N, (8.0, math.inf))
+
+
 def test_spec_allows_decreasing_values():
     spec = SweepSpec(
         dim=2,
