@@ -9,7 +9,7 @@ from .bounds import (
     calibrate,
     estimates,
 )
-from .fem import DiffusionTensor, SparseSPD, assemble, export_matrix_text, local_stiffness
+from .fem import DiffusionTensor, assemble, export_matrix_text, local_stiffness
 from .harness import (
     FIXTURES,
     SweepAxis,
@@ -50,7 +50,6 @@ __all__ = [
     "NodeSet1D",
     "PatchStats",
     "SimplicialMesh",
-    "SparseSPD",
     "SweepAxis",
     "SweepSpec",
     "analyze_mesh",

@@ -4,7 +4,8 @@ Assembles A_ij = integral of grad(phi_i) . D grad(phi_j) over the free vertices
 of a simplicial mesh, with homogeneous Dirichlet conditions imposed by
 eliminating boundary rows and columns.  Gradients of the P1 hat functions are
 constant on each cell, so the local matrix is |K| * G^T D G with G the matrix of
-barycentric-coordinate gradients.
+barycentric-coordinate gradients.  The result is a plain scipy CSR matrix; the
+eigensolver checks what it needs of it.
 
 All cells are processed as one batch: stacked edge matrices, one batched
 determinant and inverse, stacked local matrices, and a single COO scatter.
@@ -46,30 +47,16 @@ class DiffusionTensor:
         return DiffusionTensor(np.eye(dim))
 
 
-@dataclass(frozen=True)
-class SparseSPD:
-    """Symmetric positive definite matrix over free vertices, CSR storage.
-
-    Symmetry holds exactly: assembly fills the upper triangle and mirrors it.
-    """
-
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if np.any(m.diagonal() <= 0.0):
-            raise ValueError("diagonal entries must be strictly positive")
-
-
 def _local_matrices(pts: np.ndarray, D: DiffusionTensor) -> np.ndarray:
     """Element stiffness matrices of a stack of simplices.
 
     pts is (c, d+1, d); returns (c, d+1, d+1), each exactly symmetric.  Raises
-    on the first degenerate simplex.
+    when D is not d x d, and on the first degenerate simplex.
     """
     d = pts.shape[2]
+    if D.matrix.shape != (d, d):
+        m = D.matrix.shape[0]
+        raise ValueError(f"{d}D simplices need a {d}x{d} coefficient matrix, got {m}x{m}")
     edges = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)  # columns are edge vectors from vertex 0
     det = np.linalg.det(edges)
     scale = np.prod(np.linalg.norm(edges, axis=1), axis=1)
@@ -108,7 +95,7 @@ def local_stiffness(simplex_vertices: np.ndarray, D: DiffusionTensor) -> np.ndar
     return _local_matrices(pts[None], D)[0]
 
 
-def assemble(mesh: SimplicialMesh, D: DiffusionTensor | None = None) -> SparseSPD:
+def assemble(mesh: SimplicialMesh, D: DiffusionTensor | None = None) -> sp.csr_matrix:
     """Assemble the stiffness matrix over free vertices.
 
     Boundary rows/columns are eliminated (homogeneous Dirichlet): only pairs of
@@ -125,7 +112,7 @@ def assemble(mesh: SimplicialMesh, D: DiffusionTensor | None = None) -> SparseSP
 
     Returns
     -------
-    SparseSPD of dimension mesh.n_free.
+    CSR matrix of dimension mesh.n_free, exactly symmetric.
     """
     if D is None:
         D = DiffusionTensor.identity(mesh.dim)
@@ -140,13 +127,13 @@ def assemble(mesh: SimplicialMesh, D: DiffusionTensor | None = None) -> SparseSP
     rows, cols = np.broadcast_arrays(rows, cols)
     upper = sp.coo_matrix((k[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
     full = upper + sp.triu(upper, k=1).T
-    return SparseSPD(full.tocsr())
+    return full.tocsr()
 
 
-def export_matrix_text(A: SparseSPD, path) -> None:
+def export_matrix_text(M: sp.csr_matrix, path) -> None:
     """Coordinate-format dump 'i j value', 0-based, upper triangle only, in
     (i, j) order.  Values are written with %.17g, which round-trips float64."""
-    coo = sp.triu(A.matrix, k=0).tocoo()
+    coo = sp.triu(M, k=0).tocoo()
     order = np.lexsort((coo.col, coo.row))
     columns = (coo.row[order], coo.col[order], coo.data[order])
     with open(path, "w", newline="") as fh:

@@ -20,6 +20,7 @@ from dataclasses import astuple, dataclass, replace
 from .bounds import BoundReport, Calibration, calibrate, estimates
 from .fem import assemble
 from .meshgen import (
+    FAMILY_PARAMS,
     GradingParams,
     LayerPosition,
     MeshFamily,
@@ -31,12 +32,12 @@ from .meshgen import (
 )
 from .spectra import ConvergenceError, lambda_min_sparse
 
-# y-series selectable for plotting, with their legend labels
+# y-series selectable for plotting, with their legend labels and colours
 PLOT_COLUMNS = {
-    "lambda_exact": "λ_min",
-    "lambda_new": "λ̄",
-    "lambda_gm": "λ̄_GM",
-    "lambda_khx": "λ̄_KHX",
+    "lambda_exact": ("λ_min", "#000000"),
+    "lambda_new": ("λ̄", "#1f77b4"),
+    "lambda_gm": ("λ̄_GM", "#ff7f0e"),
+    "lambda_khx": ("λ̄_KHX", "#2ca02c"),
 }
 
 # CSV header, one name per BoundReport field in order
@@ -67,6 +68,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        family = self.base.family
+        if self.axis.value not in FAMILY_PARAMS[family]:
+            raise ValueError(f"{family.value} grading does not depend on {self.axis.value}")
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
@@ -199,13 +203,6 @@ def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
     def py(logy):
         return top + (y_hi - logy) / (y_hi - y_lo) * fh
 
-    colors = {
-        "lambda_exact": "#000000",
-        "lambda_new": "#1f77b4",
-        "lambda_gm": "#ff7f0e",
-        "lambda_khx": "#2ca02c",
-    }
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
@@ -245,30 +242,32 @@ def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
     )
 
     for col in columns:
+        color = PLOT_COLUMNS[col][1]
         pts = " ".join(
             f"{px(math.log10(x)):.2f},{py(math.log10(y)):.2f}"
             for x, y in zip(xs, series[col])
         )
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{colors[col]}" stroke-width="1.8"/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
         for x, y in zip(xs, series[col]):
             parts.append(
                 f'<circle cx="{px(math.log10(x)):.2f}" cy="{py(math.log10(y)):.2f}" '
-                f'r="3" fill="{colors[col]}"/>'
+                f'r="3" fill="{color}"/>'
             )
 
     legend_x = left + fw + 14.0
     legend_y = top + 10.0
     for i, col in enumerate(columns):
+        label, color = PLOT_COLUMNS[col]
         y = legend_y + 22.0 * i
         parts.append(
             f'<line x1="{legend_x:.2f}" y1="{y:.2f}" x2="{legend_x + 26:.2f}" y2="{y:.2f}" '
-            f'stroke="{colors[col]}" stroke-width="1.8"/>'
+            f'stroke="{color}" stroke-width="1.8"/>'
         )
         parts.append(
             f'<text x="{legend_x + 32:.2f}" y="{y + 4:.2f}" font-size="13" '
-            f'font-family="sans-serif">{PLOT_COLUMNS[col]}</text>'
+            f'font-family="sans-serif">{label}</text>'
         )
     y = legend_y + 22.0 * len(columns)
     parts.append(

@@ -58,9 +58,9 @@ class GradingParams:
             )
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"layer parameter eps must lie in (0, 1), got {self.eps}")
-        if self.beta < 1.0:
+        if not self.beta >= 1.0:
             raise ValueError(f"grading exponent beta must be >= 1, got {self.beta}")
-        if self.c_sigma <= 0.0:
+        if not self.c_sigma > 0.0:
             raise ValueError(f"transition constant c_sigma must be positive, got {self.c_sigma}")
         if self.layer_position is LayerPosition.INTERNAL and self.family not in (
             MeshFamily.SHISHKIN,
@@ -171,6 +171,15 @@ _NODE_BUILDERS = {
     MeshFamily.BAKHVALOV: bakhvalov_nodes,
     MeshFamily.POWER: power_nodes,
     MeshFamily.SINGLE_LAYER: single_layer_nodes,
+}
+
+# the GradingParams fields each family's node builder reads
+FAMILY_PARAMS = {
+    MeshFamily.UNIFORM: ("n",),
+    MeshFamily.SHISHKIN: ("n", "eps", "c_sigma"),
+    MeshFamily.BAKHVALOV: ("n", "eps", "c_sigma"),
+    MeshFamily.POWER: ("n", "beta"),
+    MeshFamily.SINGLE_LAYER: ("n", "eps"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Smallest-eigenvalue computation for the assembled SPD matrices.
+"""Smallest eigenvalue of an assembled SPD matrix, passed as plain scipy CSR.
 
 The production path is single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
 2001): each step does Rayleigh-Ritz on span{x, w, p}, where w is the
@@ -41,8 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .fem import SparseSPD
 
 # what building the multigrid hierarchy costs, in Jacobi LOBPCG steps: the
 # hierarchy is built once the Jacobi steps still needed, predicted from the
@@ -234,8 +232,9 @@ def _build_pays(history: list[float], target: float) -> bool:
     return q >= 1.0 or math.log(target / history[-1]) / math.log(q) > MG_SWITCH_STEP
 
 
-def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -> EigenResult:
-    """Smallest eigenvalue by preconditioned single-vector LOBPCG.
+def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 20000) -> EigenResult:
+    """Smallest eigenvalue of the symmetric CSR matrix M (A in the formulas
+    below) by preconditioned single-vector LOBPCG.
 
     Jacobi preconditioning until the residual history predicts more than
     MG_SWITCH_STEP further Jacobi steps (see _build_pays), the multigrid
@@ -247,12 +246,17 @@ def lambda_min_sparse(A: SparseSPD, tol: float = 1e-8, max_outer: int = 20000) -
     iterate when the cap is reached, when the basis degenerates, or when a
     Rayleigh quotient that is not positive and finite or a multigrid level
     that is not positive definite shows A is not SPD; the message names the
-    preconditioner in use.
+    preconditioner in use.  Raises ValueError before the first step when M is
+    not square or has a diagonal entry that is not positive.
     """
     if not 1e-14 < tol < 1e-2:
         raise ValueError(f"tol must lie in (1e-14, 1e-2), got {tol:g}")
-    M = A.matrix
-    dinv = 1.0 / M.diagonal()
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    d = M.diagonal()
+    if np.any(d <= 0.0):
+        raise ValueError("diagonal entries must be strictly positive")
+    dinv = 1.0 / d
     # rows x, w, p and their products; B[:3] @ B.T holds both Gram matrices
     B = np.zeros((6, M.shape[0]))
     x, w, p, Ax, Aw, Ap = B

@@ -17,7 +17,6 @@ from meshspectra import (
     NodeSet1D,
     PatchStats,
     SimplicialMesh,
-    SparseSPD,
     cell_volumes,
 )
 
@@ -53,12 +52,12 @@ def geo_form(stats: PatchStats, dim: int = 3) -> float:
     return mean ** (1.0 - 2.0 / d) * d ** ((d - 2.0) / d) / n
 
 
-def lambda_min_dense(A: SparseSPD) -> float:
+def lambda_min_dense(A: sp.csr_matrix) -> float:
     """Dense-oracle smallest eigenvalue (vetted symmetric eigensolver)."""
-    n = A.matrix.shape[0]
+    n = A.shape[0]
     if n > MAX_DENSE_DIM:
         raise ValueError(f"dense oracle capped at n <= {MAX_DENSE_DIM}, got {n}")
-    return float(np.linalg.eigvalsh(A.matrix.toarray())[0])
+    return float(np.linalg.eigvalsh(A.toarray())[0])
 
 
 def brute_tensor_mesh_2d(nx: NodeSet1D, ny: NodeSet1D) -> SimplicialMesh:
@@ -233,9 +232,9 @@ def brute_export_mesh_text(mesh: SimplicialMesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def brute_export_matrix_text(A: SparseSPD, path) -> None:
+def brute_export_matrix_text(A: sp.csr_matrix, path) -> None:
     """Entry-by-entry writer of the matrix text format."""
-    coo = sp.triu(A.matrix, k=0).tocoo()
+    coo = sp.triu(A, k=0).tocoo()
     order = np.lexsort((coo.col, coo.row))
     lines = [f"{coo.row[t]} {coo.col[t]} {format(coo.data[t], '.17g')}" for t in order]
     with open(path, "w", newline="") as fh:

@@ -81,7 +81,7 @@ def test_criterion_1_dense_oracle_equivalence():
         worst = 0.0
         for dim, p in small:
             A = assemble(build_mesh(dim, p))
-            assert A.matrix.shape[0] <= 400
+            assert A.shape[0] <= 400
             lam_dense = lambda_min_dense(A)
             lam_sparse = lambda_min_sparse(A, tol=1e-10).lambda_min
             worst = max(worst, abs(lam_sparse - lam_dense) / lam_dense)
@@ -156,7 +156,7 @@ def test_criterion_4_shishkin_layer_ratios(cal2):
     # The exact side of the comparison, checked against an independent solver
     # at n=128 (16129 unknowns, past the dense oracle's reach).
     A = assemble(meshes[-1])
-    lam_eigsh = float(eigsh(A.matrix.tocsc(), k=1, sigma=0, which="LM")[0][0])
+    lam_eigsh = float(eigsh(A.tocsc(), k=1, sigma=0, which="LM")[0][0])
     eigsh_gap = abs(last.lambda_exact - lam_eigsh) / lam_eigsh
 
     # The paper bounds lambda_min below by C / (N (1 + |ln(N |omega_min|)|))
@@ -294,11 +294,11 @@ def test_criterion_8_invariant_suite():
         # assembled matrices: exact symmetry and positive energies
         for mesh in meshes[:4]:
             A = assemble(mesh)
-            diff = (A.matrix - A.matrix.T).tocoo()
+            diff = (A - A.T).tocoo()
             assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
             for _ in range(5):
-                u = rng.standard_normal(A.matrix.shape[0])
-                assert u @ (A.matrix @ u) > 0.0
+                u = rng.standard_normal(A.shape[0])
+                assert u @ (A @ u) > 0.0
 
         # average-patch form agrees with the summed 3D kernel
         for name in ("power-3d-n", "single-layer-3d-n"):

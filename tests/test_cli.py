@@ -301,6 +301,23 @@ def test_sweep_rejects_unknown_or_repeated_config_key(bad_line, message, tmp_pat
      "needs n divisible by 4, got 66"),
     (("--family", "uniform", "--axis", "n", "--values", "8,inf"),
      "mesh sizes must be integers, got inf"),
+    (("--family", "shishkin", "--c-sigma", "nan", "--axis", "n", "--values", "8,16"),
+     "c_sigma must be positive, got nan"),
+    (("--family", "power", "--beta", "nan", "--axis", "n", "--values", "8,16"),
+     "beta must be >= 1, got nan"),
+    # an axis the family's nodes do not read: every point would be the same mesh
+    (("--family", "uniform", "--n", "32", "--axis", "eps", "--values", "0.2,0.1"),
+     "uniform grading does not depend on eps"),
+    (("--family", "uniform", "--n", "32", "--axis", "beta", "--values", "1,2"),
+     "uniform grading does not depend on beta"),
+    (("--family", "shishkin", "--n", "32", "--axis", "beta", "--values", "1,2"),
+     "shishkin grading does not depend on beta"),
+    (("--family", "bakhvalov", "--n", "32", "--axis", "beta", "--values", "1,2"),
+     "bakhvalov grading does not depend on beta"),
+    (("--family", "single_layer", "--n", "32", "--axis", "beta", "--values", "1,2"),
+     "single_layer grading does not depend on beta"),
+    (("--family", "power", "--n", "32", "--axis", "eps", "--values", "0.2,0.1,0.05"),
+     "power grading does not depend on eps"),
 ])
 def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkeypatch, capsys):
     import meshspectra.harness as hz

@@ -8,7 +8,6 @@ from meshspectra import (
     DiffusionTensor,
     GradingParams,
     MeshFamily,
-    SparseSPD,
     assemble,
     build_mesh,
     export_matrix_text,
@@ -98,13 +97,24 @@ def test_diffusion_tensor_validation():
     assert np.array_equal(DiffusionTensor.identity(3).matrix, np.eye(3))
 
 
+def test_coefficient_size_must_match_dimension():
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    message = "2D simplices need a 2x2 coefficient matrix, got 3x3"
+    with pytest.raises(ValueError, match=message):
+        assemble(mesh, I3)
+    with pytest.raises(ValueError, match=message):
+        local_stiffness(UNIT_TRI, I3)
+    with pytest.raises(ValueError, match="3D simplices need a 3x3 coefficient matrix, got 2x2"):
+        local_stiffness(UNIT_TET, I2)
+
+
 # ----------------------------------------------------------------- assembly
 
 
 def test_assemble_single_free_vertex():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 2)))
-    assert A.matrix.shape == (1, 1)
-    np.testing.assert_array_equal(A.matrix.toarray(), [[4.0]])
+    assert A.format == "csr" and A.shape == (1, 1)
+    np.testing.assert_array_equal(A.toarray(), [[4.0]])
 
 
 def _five_point_matrix(n):
@@ -126,15 +136,15 @@ def _five_point_matrix(n):
 @pytest.mark.parametrize("n", [4, 8])
 def test_assemble_uniform_2d_matches_stencil(n):
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, n))
-    A = assemble(mesh).matrix.toarray()
+    A = assemble(mesh).toarray()
     np.testing.assert_allclose(A, _five_point_matrix(n), rtol=0, atol=1e-13)
 
 
 def test_assemble_scalar_coefficient_scales_matrix():
     mesh = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1))
-    A1 = assemble(mesh).matrix.toarray()
+    A1 = assemble(mesh).toarray()
     for c in (2.0, 3.0):
-        Ac = assemble(mesh, DiffusionTensor(c * np.eye(2))).matrix.toarray()
+        Ac = assemble(mesh, DiffusionTensor(c * np.eye(2))).toarray()
         np.testing.assert_allclose(Ac, c * A1, rtol=1e-15)
 
 
@@ -155,7 +165,7 @@ def test_assemble_matches_cell_loop_bitwise(dim, p):
     coefficients = (np.eye(dim), np.diag([3.0, 5.0, 7.0][:dim]), _SPD_2D if dim == 2 else _SPD_3D)
     for m in coefficients:
         D = DiffusionTensor(m)
-        A = assemble(mesh, D).matrix
+        A = assemble(mesh, D)
         B = brute_assemble(mesh, D)
         np.testing.assert_array_equal(A.indptr, B.indptr)
         np.testing.assert_array_equal(A.indices, B.indices)
@@ -175,7 +185,7 @@ def test_assemble_exact_symmetry():
         (2, GradingParams(MeshFamily.BAKHVALOV, 8, eps=0.1)),
         (3, GradingParams(MeshFamily.POWER, 4, beta=2.0)),
     ):
-        A = assemble(build_mesh(dim, p)).matrix
+        A = assemble(build_mesh(dim, p))
         diff = (A - A.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
@@ -183,7 +193,7 @@ def test_assemble_exact_symmetry():
 def test_assemble_row_sums_nonnegative():
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 6))
     A = assemble(mesh)
-    s = A.matrix @ np.ones(A.matrix.shape[0])
+    s = A @ np.ones(A.shape[0])
     assert np.min(s) >= -1e-13
     assert np.max(s) > 0.1  # rows next to the boundary keep eliminated mass
 
@@ -193,38 +203,22 @@ def test_assemble_positive_definite_random_vectors():
     mesh = build_mesh(2, GradingParams(MeshFamily.POWER, 8, beta=3.0))
     A = assemble(mesh)
     for _ in range(20):
-        u = rng.standard_normal(A.matrix.shape[0])
-        assert u @ (A.matrix @ u) > 0.0
+        u = rng.standard_normal(A.shape[0])
+        assert u @ (A @ u) > 0.0
 
 
 def test_assemble_anisotropic_coefficient():
     # diag(a, b) on the diagonal-split uniform grid: axis couplings scale
     # separately, so the stencil becomes [2(a+b); -a twice; -b twice]
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 2))
-    A = assemble(mesh, DiffusionTensor(np.diag([3.0, 5.0]))).matrix.toarray()
+    A = assemble(mesh, DiffusionTensor(np.diag([3.0, 5.0]))).toarray()
     np.testing.assert_allclose(A, [[2.0 * (3.0 + 5.0)]], rtol=1e-14)
-
-
-# ------------------------------------------------------------ matrix wrapper
-
-
-def test_sparsespd_validation_and_scaling():
-    with pytest.raises(ValueError):
-        SparseSPD(sp.csr_matrix(np.zeros((2, 3))))
-    with pytest.raises(ValueError):
-        SparseSPD(sp.csr_matrix(np.diag([1.0, 0.0])))
-    A = SparseSPD(sp.csr_matrix(np.diag([1.0, 2.0])))
-    with pytest.raises(ValueError):
-        SparseSPD(A.matrix * -1.0)
-    np.testing.assert_array_equal(SparseSPD(A.matrix * 2.0).matrix.toarray(), np.diag([2.0, 4.0]))
-    np.testing.assert_array_equal(A.matrix.diagonal(), [1.0, 2.0])
-    assert A.matrix.shape == (2, 2) and A.matrix.nnz == 2
 
 
 def test_export_matrix_text_matches_entry_writer(tmp_path):
     # 13790 upper-triangle entries: three full 4096-row chunks and a partial one
     A = assemble(build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 64, eps=0.05)))
-    assert sp.triu(A.matrix).nnz == 13790
+    assert sp.triu(A).nnz == 13790
     export_matrix_text(A, tmp_path / "chunked.txt")
     brute_export_matrix_text(A, tmp_path / "entries.txt")
     assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "entries.txt").read_bytes()
@@ -236,7 +230,7 @@ def test_export_matrix_text_roundtrip(tmp_path):
     path = tmp_path / "matrix.txt"
     export_matrix_text(A, path)
     lines = path.read_text().splitlines()
-    dense = np.zeros(A.matrix.shape)
+    dense = np.zeros(A.shape)
     prev = None
     for line in lines:
         si, sj, sv = line.split()
@@ -246,4 +240,4 @@ def test_export_matrix_text_roundtrip(tmp_path):
         prev = (i, j)
         dense[i, j] = v
         dense[j, i] = v
-    np.testing.assert_array_equal(dense, A.matrix.toarray())  # %.17g round-trips
+    np.testing.assert_array_equal(dense, A.toarray())  # %.17g round-trips

@@ -22,6 +22,7 @@ from meshspectra import (
     tensor_mesh,
 )
 from meshspectra.meshgen import (
+    FAMILY_PARAMS,
     bakhvalov_nodes,
     internalize,
     power_nodes,
@@ -86,11 +87,23 @@ def test_uniform_nodes_rejects_tiny_n():
         dict(family=MeshFamily.SHISHKIN, n=8, c_sigma=0.0),
         dict(family=MeshFamily.POWER, n=8, layer_position=LayerPosition.INTERNAL),
         dict(family=MeshFamily.SINGLE_LAYER, n=8, layer_position=LayerPosition.INTERNAL),
+        dict(family=MeshFamily.POWER, n=8, beta=math.nan),
+        # a NaN c_sigma used to clamp the Shishkin transition to 1, the uniform mesh
+        dict(family=MeshFamily.SHISHKIN, n=8, c_sigma=math.nan),
     ],
 )
 def test_grading_params_validation(kw):
     with pytest.raises(ValueError):
         GradingParams(**kw)
+
+
+@pytest.mark.parametrize("family", list(MeshFamily))
+def test_family_params_lists_what_the_nodes_read(family):
+    base = GradingParams(family, 16, eps=0.05, beta=2.0, c_sigma=1.0)
+    nodes = graded_nodes(base).nodes
+    for field, value in (("eps", 0.1), ("beta", 3.0), ("c_sigma", 0.5)):
+        changed = graded_nodes(replace(base, **{field: value})).nodes
+        assert np.array_equal(changed, nodes) == (field not in FAMILY_PARAMS[family]), field
 
 
 def test_nodeset_validation():
@@ -325,7 +338,7 @@ def test_tensor_mesh_4d():
 def test_cell_volumes_rejects_dim_4():
     # assembly takes any dim; the volume closed forms exist for 2 and 3 only
     mesh = tensor_mesh(*[uniform_nodes(2)] * 4)
-    assert assemble(mesh).matrix.shape == (1, 1)
+    assert assemble(mesh).shape == (1, 1)
     for geometry in (cell_volumes, patch_stats):
         with pytest.raises(ValueError, match="dim 2 and 3, got dim 4"):
             geometry(mesh)

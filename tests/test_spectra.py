@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from meshspectra import (
     LayerPosition,
     MeshFamily,
     NodeSet1D,
-    SparseSPD,
     assemble,
     build_mesh,
     lambda_min_sparse,
@@ -27,7 +28,7 @@ from conftest import lambda_min_dense
 
 
 def spd(dense):
-    return SparseSPD(sp.csr_matrix(np.asarray(dense, dtype=float)))
+    return sp.csr_matrix(np.asarray(dense, dtype=float))
 
 
 def uniform_lambda(n):
@@ -64,7 +65,7 @@ def test_sparse_matches_dense_on_meshes():
     tol = 1e-10
     for dim, p in SMALL_MESHES:
         A = assemble(build_mesh(dim, p))
-        assert A.matrix.shape[0] <= 400
+        assert A.shape[0] <= 400
         lam_dense = lambda_min_dense(A)
         r = lambda_min_sparse(A, tol=tol)
         assert abs(r.lambda_min - lam_dense) <= 1e-8 * lam_dense
@@ -91,7 +92,7 @@ def test_scale_equivariance():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1)))
     base = lambda_min_sparse(A, tol=1e-10).lambda_min
     for c in (1e-6, 0.5, 2.0, 10.0, 1e4):
-        lam = lambda_min_sparse(SparseSPD(A.matrix * c), tol=1e-10).lambda_min
+        lam = lambda_min_sparse(A * c, tol=1e-10).lambda_min
         assert abs(lam - c * base) <= 1e-10 * c * base
 
 
@@ -102,6 +103,30 @@ def test_tol_validation():
             lambda_min_sparse(A, tol=tol)
 
 
+def test_matrix_validation_before_first_step(monkeypatch):
+    def no_step(n):
+        raise AssertionError("the solver started on a matrix it should refuse")
+
+    monkeypatch.setattr(spectra, "_start_vector", no_step)
+    with pytest.raises(ValueError, match=re.escape("matrix must be square, got shape (2, 3)")):
+        lambda_min_sparse(sp.csr_matrix(np.zeros((2, 3))))
+    for bad in (np.diag([1.0, 0.0]), -np.diag([1.0, 2.0])):
+        with pytest.raises(ValueError, match="diagonal entries must be strictly positive"):
+            lambda_min_sparse(spd(bad))
+
+
+def test_spectra_imports_no_package_module():
+    # the solver takes a plain CSR matrix and depends on no other layer
+    tree = ast.parse(Path(spectra.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert imported and not [m for m in imported if m.startswith((".", "meshspectra"))]
+
+
 def test_outer_convergence_error_carries_state():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 8)))
     with pytest.raises(ConvergenceError) as info:
@@ -109,7 +134,7 @@ def test_outer_convergence_error_carries_state():
     err = info.value
     assert err.iterations == 1
     assert err.lambda_estimate is not None and err.lambda_estimate > 0.0
-    assert err.vector is not None and err.vector.shape == (A.matrix.shape[0],)
+    assert err.vector is not None and err.vector.shape == (A.shape[0],)
 
 
 def test_not_positive_definite_raises_at_once():
@@ -127,7 +152,7 @@ def test_power_2d_hardest_fixture_point_converges():
     # beta=3.0, n=128 is the last point of both power-2d-n and power-2d-beta
     A = assemble(build_mesh(2, GradingParams(MeshFamily.POWER, 128, beta=3.0)))
     r = lambda_min_sparse(A)
-    ref = float(eigsh(A.matrix.tocsc(), k=1, sigma=0, which="LM")[0][0])
+    ref = float(eigsh(A.tocsc(), k=1, sigma=0, which="LM")[0][0])
     assert abs(r.lambda_min - ref) <= 1e-8 * ref
     assert r.error_bound <= 1e-8 * r.lambda_min
 
@@ -165,7 +190,7 @@ def fixture_points_2d(max_n):
 def test_small_2d_fixture_points_match_dense(params):
     # whichever preconditioner the switch rule picks
     A = assemble(build_mesh(2, params))
-    assert A.matrix.shape[0] <= 1000
+    assert A.shape[0] <= 1000
     tol = 1e-8
     lam_dense = lambda_min_dense(A)
     r = lambda_min_sparse(A, tol=tol)
@@ -230,7 +255,7 @@ def test_multigrid_step_count_internal_layer():
     ],
 )
 def test_vcycle_is_symmetric_positive_definite(dim, params, sizes):
-    M = assemble(build_mesh(dim, params)).matrix
+    M = assemble(build_mesh(dim, params))
     mg = spectra._Multigrid.build(M)
     assert mg.sizes == sizes
     V = np.column_stack([mg(e) for e in np.eye(M.shape[0])])
@@ -285,7 +310,7 @@ def chain_with_hidden_negative_mode(n=100):
     indptr = np.cumsum([0] + [len(rows[i]) for i in range(n)])
     indices = np.array([j for i in range(n) for j, _ in rows[i]])
     data = np.array([v for i in range(n) for _, v in rows[i]])
-    return SparseSPD(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def test_indefinite_matrix_past_switch_raises_convergence_error():
@@ -301,7 +326,7 @@ def test_indefinite_matrix_past_switch_raises_convergence_error():
 def test_dense_guard():
     big = sp.eye(5001, format="csr")
     with pytest.raises(ValueError):
-        lambda_min_dense(SparseSPD(big))
+        lambda_min_dense(big)
 
 
 def test_residual_contract():
