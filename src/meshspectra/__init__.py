@@ -9,7 +9,7 @@ from .bounds import (
     calibrate,
     estimates,
 )
-from .fem import DiffusionTensor, assemble, export_matrix_text, local_stiffness
+from .fem import assemble, local_stiffness
 from .harness import (
     FIXTURES,
     SweepAxis,
@@ -41,7 +41,6 @@ __all__ = [
     "Calibration",
     "ConvergenceError",
     "DEFAULT_REFERENCE_INTERVALS",
-    "DiffusionTensor",
     "EigenResult",
     "FIXTURES",
     "GradingParams",
@@ -61,7 +60,6 @@ __all__ = [
     "emit_csv",
     "emit_svg_loglog",
     "estimates",
-    "export_matrix_text",
     "export_mesh_text",
     "graded_nodes",
     "lambda_min_sparse",

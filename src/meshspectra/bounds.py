@@ -32,6 +32,7 @@ from .meshgen import (
     MeshFamily,
     PatchStats,
     build_mesh,
+    check_dim,
     patch_stats,
 )
 
@@ -132,8 +133,7 @@ def calibrate(dim: int, n_ref: int | None = None) -> Calibration:
     """Fix the estimator constants on the uniform mesh with n_ref intervals per
     direction: each constant is set so its estimator returns that mesh's
     closed-form eigenvalue `uniform_lambda_min` exactly."""
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    check_dim(dim)
     if n_ref is None:
         n_ref = DEFAULT_REFERENCE_INTERVALS[dim]
     stats = patch_stats(build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref)))

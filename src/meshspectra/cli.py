@@ -29,6 +29,7 @@ from .meshgen import (
     MeshFamily,
     build_mesh,
     check_conforming,
+    check_family_reads,
     export_mesh_text,
 )
 from .spectra import ConvergenceError
@@ -56,15 +57,21 @@ def _add_mesh_args(p, required=True):
     p.add_argument("--layer", choices=_LAYERS, default=None, help="layer placement")
 
 
-def _grading_kwargs(eps, beta, c_sigma, layer):
+def _grading_kwargs(family, eps, beta, c_sigma, layer):
+    """GradingParams keywords of the settings given; one the family's nodes do
+    not read is an error."""
+    for key, value in (("eps", eps), ("beta", beta), ("c_sigma", c_sigma)):
+        if value is not None:
+            check_family_reads(family, key)
     position = None if layer is None else LayerPosition(layer)
     kw = dict(eps=eps, beta=beta, c_sigma=c_sigma, layer_position=position)
     return {key: value for key, value in kw.items() if value is not None}
 
 
 def _params_from_args(args) -> GradingParams:
-    kw = _grading_kwargs(args.eps, args.beta, args.c_sigma, args.layer)
-    return GradingParams(MeshFamily(args.family), args.n, **kw)
+    family = MeshFamily(args.family)
+    kw = _grading_kwargs(family, args.eps, args.beta, args.c_sigma, args.layer)
+    return GradingParams(family, args.n, **kw)
 
 
 def _ensure_parent(path):
@@ -129,8 +136,9 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    params = _params_from_args(args)
     cal = calibrate(args.dim, args.ref)
-    mesh = build_mesh(args.dim, _params_from_args(args))
+    mesh = build_mesh(args.dim, params)
     report = analyze_mesh(mesh, cal, tol=args.tol, param=args.n)
     # the CSV columns between param and seconds
     columns = zip(CSV_COLUMNS[1:10], astuple(report)[1:10])
@@ -190,7 +198,7 @@ def _cmd_sweep(args) -> int:
     normalize = pick("normalize", _parse_bool, False)
     n = pick("n", int)
     kw = _grading_kwargs(
-        pick("eps", float), pick("beta", float), pick("c_sigma", float), pick("layer", str)
+        family, pick("eps", float), pick("beta", float), pick("c_sigma", float), pick("layer", str)
     )
     spec = _spec(dim, family, axis, values, n=n, tol=tol, calibration_ref=ref, **kw)
 

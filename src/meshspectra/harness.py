@@ -20,12 +20,13 @@ from dataclasses import astuple, dataclass, replace
 from .bounds import BoundReport, Calibration, calibrate, estimates
 from .fem import assemble
 from .meshgen import (
-    FAMILY_PARAMS,
     GradingParams,
     LayerPosition,
     MeshFamily,
     SimplicialMesh,
     build_mesh,
+    check_dim,
+    check_family_reads,
     check_intervals,
     graded_nodes,
     patch_stats,
@@ -66,11 +67,8 @@ class SweepSpec:
     calibration_ref: int | None = None
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        family = self.base.family
-        if self.axis.value not in FAMILY_PARAMS[family]:
-            raise ValueError(f"{family.value} grading does not depend on {self.axis.value}")
+        check_dim(self.dim)
+        check_family_reads(self.base.family, self.axis.value)
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
@@ -80,11 +78,17 @@ class SweepSpec:
             raise ValueError(f"sweep_values must be strictly monotone, got {vals}")
         _mesh_size(self.base.n)
         # refuse a bad point before any is solved; the cap goes first so that no
-        # oversized node set is built
+        # oversized node set is built.  Two values with equal node sets would
+        # solve the same mesh twice (a clamped Shishkin transition, say).
+        seen = {}
         for value in vals:
             p = self.params_at(value)
             check_intervals(self.dim, p.n)
-            graded_nodes(p)
+            nodes = graded_nodes(p).nodes.tobytes()
+            if nodes in seen:
+                axis = self.axis.value
+                raise ValueError(f"{axis}={seen[nodes]} and {axis}={value} build the same mesh")
+            seen[nodes] = value
 
     def params_at(self, value) -> GradingParams:
         cast = _mesh_size if self.axis is SweepAxis.N else float

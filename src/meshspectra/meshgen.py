@@ -183,6 +183,12 @@ FAMILY_PARAMS = {
 }
 
 
+def check_family_reads(family: MeshFamily, key: str) -> None:
+    """Raise unless the family's node builder reads the GradingParams field key."""
+    if key not in FAMILY_PARAMS[family]:
+        raise ValueError(f"{family.value} grading does not depend on {key}")
+
+
 def graded_nodes(p: GradingParams) -> NodeSet1D:
     """Dispatch to the family's node builder, applying internal-layer placement if set."""
     if p.layer_position is LayerPosition.INTERNAL:
@@ -297,8 +303,15 @@ def tensor_mesh(*node_sets: NodeSet1D) -> SimplicialMesh:
 MAX_INTERVALS = {2: 256, 3: 16}
 
 
+def check_dim(dim: int) -> None:
+    """Raise unless dim is a supported mesh dimension, a key of MAX_INTERVALS."""
+    if dim not in MAX_INTERVALS:
+        raise ValueError(f"dim must be {' or '.join(map(str, MAX_INTERVALS))}, got {dim}")
+
+
 def check_intervals(dim: int, n) -> None:
-    """Raise if n intervals per direction exceed the cap for dim."""
+    """Raise if dim is unsupported, or n intervals per direction exceed its cap."""
+    check_dim(dim)
     cap = MAX_INTERVALS[dim]
     if n > cap:
         raise ValueError(f"n={int(n)} exceeds the {dim}D cap of {cap} intervals")
@@ -310,8 +323,6 @@ def build_mesh(dim: int, p: GradingParams) -> SimplicialMesh:
     Shishkin/Bakhvalov/power gradings apply to every direction (product meshes);
     the single-layer family grades x only and keeps the other directions uniform.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
     check_intervals(dim, p.n)
     graded = graded_nodes(p)
     rest = uniform_nodes(p.n) if p.family is MeshFamily.SINGLE_LAYER else graded

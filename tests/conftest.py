@@ -1,8 +1,8 @@
 """Shared brute-force oracles: slow, independent recomputations of the tensor
 meshes, the mesh statistics, the stiffness matrix, the conformity check, the
-smallest eigenvalue and the mesh and matrix text formats, used to cross-check
-the vectorized implementations, plus the average-patch form of the 3D kernel
-that cross-checks the estimators."""
+smallest eigenvalue and the mesh text format, used to cross-check the
+vectorized implementations, plus the average-patch form of the 3D kernel that
+cross-checks the estimators."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from meshspectra import (
-    DiffusionTensor,
     NodeSet1D,
     PatchStats,
     SimplicialMesh,
@@ -165,7 +164,7 @@ def brute_m_const(mesh: SimplicialMesh) -> int:
     return max(counts.values())
 
 
-def brute_local_stiffness(simplex_vertices: np.ndarray, D: DiffusionTensor) -> np.ndarray:
+def brute_local_stiffness(simplex_vertices: np.ndarray) -> np.ndarray:
     """One cell's stiffness matrix from its own det/inv/matmul calls."""
     pts = np.asarray(simplex_vertices, dtype=float)
     d = pts.shape[1]
@@ -178,11 +177,11 @@ def brute_local_stiffness(simplex_vertices: np.ndarray, D: DiffusionTensor) -> n
     grads[:, 1:] = np.linalg.inv(edges).T
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
     vol = abs(det) / math.factorial(d)
-    k = vol * grads.T @ D.matrix @ grads
+    k = vol * grads.T @ grads
     return 0.5 * (k + k.T)
 
 
-def brute_assemble(mesh: SimplicialMesh, D: DiffusionTensor) -> sp.csr_matrix:
+def brute_assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
     """Cell-by-cell assembly: upper-triangle free pairs, then the mirror."""
     n = mesh.n_free
     d = mesh.dim
@@ -190,7 +189,7 @@ def brute_assemble(mesh: SimplicialMesh, D: DiffusionTensor) -> sp.csr_matrix:
     cols: list[int] = []
     vals: list[float] = []
     for cell in mesh.cells:
-        k = brute_local_stiffness(mesh.vertices[cell], D)
+        k = brute_local_stiffness(mesh.vertices[cell])
         gi = mesh.free_index[cell]
         for a in range(d + 1):
             ia = gi[a]
@@ -230,12 +229,3 @@ def brute_export_mesh_text(mesh: SimplicialMesh, path) -> None:
         lines.append(" ".join(str(int(i)) for i in cell))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def brute_export_matrix_text(A: sp.csr_matrix, path) -> None:
-    """Entry-by-entry writer of the matrix text format."""
-    coo = sp.triu(A, k=0).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.row[t]} {coo.col[t]} {format(coo.data[t], '.17g')}" for t in order]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -31,7 +31,6 @@ from meshspectra import (
     patch_stats,
     run_sweep,
 )
-from meshspectra.fem import DiffusionTensor
 
 from conftest import brute_patch_volumes, geo_form, holder_mean, lambda_min_dense
 
@@ -284,11 +283,10 @@ def test_criterion_8_invariant_suite():
 
         # local matrices of random nondegenerate simplices: zero row sums
         for dim in (2, 3):
-            D = DiffusionTensor.identity(dim)
             base = np.vstack([np.zeros(dim), np.eye(dim)])
             for _ in range(10):
                 coords = base + 0.25 * rng.standard_normal(base.shape)
-                k = local_stiffness(coords, D)
+                k = local_stiffness(coords)
                 assert np.max(np.abs(k.sum(axis=1))) <= 1e-14
 
         # assembled matrices: exact symmetry and positive energies

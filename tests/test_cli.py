@@ -58,6 +58,41 @@ def test_invalid_grading_parameters_exit_1(capsys):
     assert "meshspectra:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--family", "power", "--n", "16", "--eps", "0.3", "--c-sigma", "2"),
+     "power grading does not depend on eps"),
+    (("analyze", "--family", "shishkin", "--n", "16", "--beta", "2"),
+     "shishkin grading does not depend on beta"),
+    (("mesh", "--family", "single_layer", "--n", "16", "--c-sigma", "2", "--out", "m.txt"),
+     "single_layer grading does not depend on c_sigma"),
+    (("mesh", "--family", "uniform", "--n", "16", "--eps", "0.1", "--out", "m.txt"),
+     "uniform grading does not depend on eps"),
+])
+def test_unread_grading_flag_exits_1_before_any_work(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grading flags were checked")
+
+    for name in ("calibrate", "build_mesh"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv[0], "--dim", "2", *argv[1:]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unread_grading_key_in_config_exits_1(tmp_path, capsys):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(
+        "dim = 2\nfamily = power\naxis = n\nvalues = 8, 16\n"
+        f"out = {tmp_path / 'c'}\neps = 0.05\n"
+    )
+    assert run_cli("sweep", "--config", str(conf)) == 1
+    assert "power grading does not depend on eps" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_missing_config_file_exits_2(capsys):
     assert run_cli("sweep", "--config", "/nonexistent/sweep.conf") == 2
     assert "meshspectra:" in capsys.readouterr().err
@@ -318,6 +353,11 @@ def test_sweep_rejects_unknown_or_repeated_config_key(bad_line, message, tmp_pat
      "single_layer grading does not depend on beta"),
     (("--family", "power", "--n", "32", "--axis", "eps", "--values", "0.2,0.1,0.05"),
      "power grading does not depend on eps"),
+    (("--family", "power", "--c-sigma", "2", "--axis", "n", "--values", "8,16"),
+     "power grading does not depend on c_sigma"),
+    # the Shishkin transition clamps to 1 at both values: the same uniform mesh twice
+    (("--family", "shishkin", "--n", "8", "--axis", "eps", "--values", "0.9,0.6"),
+     "eps=0.9 and eps=0.6 build the same mesh"),
 ])
 def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkeypatch, capsys):
     import meshspectra.harness as hz

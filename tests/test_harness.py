@@ -80,6 +80,15 @@ def test_spec_validation():
         )
 
 
+def test_spec_refuses_two_values_with_the_same_mesh():
+    # tau = min(1, 2*c_sigma*eps*ln n) clamps to 1 at both values: two uniform meshes
+    base = GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1)
+    with pytest.raises(ValueError, match="eps=0.9 and eps=0.6 build the same mesh"):
+        SweepSpec(dim=2, base=base, axis=SweepAxis.EPS, values=(0.9, 0.6))
+    # one clamped value next to unclamped ones is a sweep
+    SweepSpec(dim=2, base=base, axis=SweepAxis.EPS, values=(0.9, 0.2, 0.1))
+
+
 def test_spec_refuses_infinite_mesh_size():
     from meshspectra.harness import _spec
 

@@ -24,6 +24,7 @@ from meshspectra import (
 from meshspectra.meshgen import (
     FAMILY_PARAMS,
     bakhvalov_nodes,
+    check_intervals,
     internalize,
     power_nodes,
     shishkin_nodes,
@@ -414,6 +415,13 @@ def test_build_mesh_grading_policy():
 def test_build_mesh_rejects_bad_dim():
     with pytest.raises(ValueError):
         build_mesh(4, params(MeshFamily.UNIFORM, 4))
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_check_intervals_rejects_unsupported_dim(dim):
+    # one dimension rule for build_mesh, SweepSpec and calibrate
+    with pytest.raises(ValueError, match=f"dim must be 2 or 3, got {dim}"):
+        check_intervals(dim, 8)
 
 
 # ---------------------------------------------------------------- statistics
