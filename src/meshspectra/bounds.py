@@ -51,8 +51,7 @@ class Calibration:
     n_ref: int
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        check_dim(self.dim)
         for name in ("c_new", "c_gm", "c_khx"):
             c = getattr(self, name)
             if not (c > 0.0 and math.isfinite(c)):

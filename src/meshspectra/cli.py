@@ -17,11 +17,11 @@ from .harness import (
     CSV_COLUMNS,
     PLOT_COLUMNS,
     SweepAxis,
-    _spec,
     analyze_mesh,
     emit_csv,
     emit_svg_loglog,
     run_sweep,
+    sweep_spec,
 )
 from .meshgen import (
     GradingParams,
@@ -32,7 +32,7 @@ from .meshgen import (
     check_family_reads,
     export_mesh_text,
 )
-from .spectra import ConvergenceError
+from .spectra import ConvergenceError, check_tol
 
 _FAMILIES = [f.value for f in MeshFamily]
 _LAYERS = [p.value for p in LayerPosition]
@@ -108,19 +108,19 @@ def _read_config(path, keys):
 
 
 def _parse_values(text):
-    tokens = [t.strip() for t in str(text).split(",") if t.strip()]
-    if not tokens:
-        raise ValueError(f"empty sweep value list {text!r}")
-    return tuple(float(t) for t in tokens)
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma separated list of numbers: {text!r}")
 
 
 def _parse_bool(text):
-    low = str(text).strip().lower()
+    low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"cannot read {text!r} as a boolean")
+    raise argparse.ArgumentTypeError(f"cannot read {text!r} as a boolean")
 
 
 def _cmd_mesh(args) -> int:
@@ -136,6 +136,7 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    check_tol(args.tol)
     params = _params_from_args(args)
     cal = calibrate(args.dim, args.ref)
     mesh = build_mesh(args.dim, params)
@@ -171,42 +172,19 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    keys = [k for k in vars(args) if k not in ("command", "config", "func")]
-    config = _read_config(args.config, keys) if args.config else {}
-
-    def pick(key, cast, default=None):
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        if key in config:
-            return cast(config[key])
-        return default
-
-    def require(key, cast):
-        value = pick(key, cast)
-        if value is None:
+    for key in ("dim", "family", "axis", "values", "out"):
+        if getattr(args, key) is None:
             raise ValueError(f"missing required setting '{key}' (flag or config)")
-        return value
-
-    dim = require("dim", int)
-    family = MeshFamily(require("family", str))
-    axis = SweepAxis(require("axis", str))
-    values = _parse_values(require("values", str))
-    out = require("out", str)
-    tol = pick("tol", float, 1e-8)
-    ref = pick("ref", int)
-    normalize = pick("normalize", _parse_bool, False)
-    n = pick("n", int)
-    kw = _grading_kwargs(
-        family, pick("eps", float), pick("beta", float), pick("c_sigma", float), pick("layer", str)
-    )
-    spec = _spec(dim, family, axis, values, n=n, tol=tol, calibration_ref=ref, **kw)
+    family = MeshFamily(args.family)
+    kw = _grading_kwargs(family, args.eps, args.beta, args.c_sigma, args.layer)
+    spec = sweep_spec(args.dim, family, SweepAxis(args.axis), args.values, n=args.n,
+                      tol=args.tol, calibration_ref=args.ref, **kw)
 
     rows = run_sweep(spec)
-    _ensure_parent(out)
-    csv_path, svg_path = out + ".csv", out + ".svg"
+    _ensure_parent(args.out)
+    csv_path, svg_path = args.out + ".csv", args.out + ".svg"
     emit_csv(rows, csv_path)
-    emit_svg_loglog(rows, list(PLOT_COLUMNS), svg_path, normalize=normalize)
+    emit_svg_loglog(rows, list(PLOT_COLUMNS), svg_path, normalize=args.normalize)
     print(f"sweep: {len(rows)} points -> {csv_path}, {svg_path}")
     return 0
 
@@ -230,13 +208,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run a parameter sweep, write CSV and SVG")
     p.add_argument("--config", default=None, help="key = value file; flags override")
     _add_mesh_args(p, required=False)
-    p.add_argument("--axis", choices=_AXES, default=None)
-    p.add_argument("--values", default=None, help="comma separated sweep values")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--axis", choices=_AXES)
+    p.add_argument("--values", type=_parse_values, help="comma separated sweep values")
+    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--ref", type=int, default=None)
-    p.add_argument("--normalize", action="store_true", default=None,
+    p.add_argument("--normalize", type=_parse_bool, nargs="?", const=True, default=False,
                    help="plot ratios to the 1/N decay instead of raw values")
-    p.add_argument("--out", default=None, help="output basename (.csv/.svg appended)")
+    p.add_argument("--out", help="output basename (.csv/.svg appended)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("calibrate", help="compute the reference-mesh constants")
@@ -251,15 +229,18 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's settings become flags between the subcommand and the
+            # command line's flags: argparse checks both alike, the last one wins
+            keys = [k for k in vars(args) if k not in ("command", "config", "func")]
+            settings = _read_config(args.config, keys)
+            flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
     except ConvergenceError as exc:
         print(f"meshspectra: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .meshgen import (
     graded_nodes,
     patch_stats,
 )
-from .spectra import ConvergenceError, lambda_min_sparse
+from .spectra import ConvergenceError, check_tol, lambda_min_sparse
 
 # y-series selectable for plotting, with their legend labels and colours
 PLOT_COLUMNS = {
@@ -68,6 +68,7 @@ class SweepSpec:
 
     def __post_init__(self):
         check_dim(self.dim)
+        check_tol(self.tol)
         check_family_reads(self.base.family, self.axis.value)
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
@@ -288,13 +289,16 @@ def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _spec(
+def sweep_spec(
     dim, family, axis, values, n=None, tol=1e-8, calibration_ref=None, **grading
 ) -> SweepSpec:
-    """Sweep spec from its settings; n defaults to the largest value of an n sweep.
+    """Sweep spec from its settings.  The values set the swept setting, which takes
+    no fixed value; n defaults to the largest value of an n sweep.
 
     grading holds the GradingParams keywords (eps, beta, c_sigma, layer_position).
     """
+    if dict(grading, n=n).get(axis.value) is not None:
+        raise ValueError(f"a sweep over '{axis.value}' takes no fixed '{axis.value}'")
     if n is None:
         if axis is not SweepAxis.N:
             raise ValueError(f"sweeping '{axis.value}' needs a fixed mesh size: set 'n'")
@@ -323,24 +327,24 @@ def _fixtures() -> dict[str, SweepSpec]:
     )
     inner = {"layer_position": LayerPosition.INTERNAL}
     return {
-        "uniform-2d-n": _spec(2, U, SweepAxis.N, N2),
-        "uniform-3d-n": _spec(3, U, SweepAxis.N, N3),
-        "shishkin-2d-n": _spec(2, S, SweepAxis.N, N2, eps=0.05),
-        "shishkin-2d-eps": _spec(2, S, SweepAxis.EPS, EPS2, n=128),
-        "shishkin-internal-2d-n": _spec(2, S, SweepAxis.N, N2, eps=0.05, **inner),
-        "shishkin-internal-2d-eps": _spec(2, S, SweepAxis.EPS, EPS2, n=128, **inner),
-        "bakhvalov-2d-n": _spec(2, B, SweepAxis.N, N2, eps=0.05),
-        "bakhvalov-2d-eps": _spec(2, B, SweepAxis.EPS, EPS2, n=128),
-        "bakhvalov-internal-2d-n": _spec(2, B, SweepAxis.N, N2, eps=0.05, **inner),
-        "bakhvalov-internal-2d-eps": _spec(2, B, SweepAxis.EPS, EPS2, n=128, **inner),
-        "power-2d-n": _spec(2, P, SweepAxis.N, N2, beta=3.0),
-        "power-2d-beta": _spec(2, P, SweepAxis.BETA, BETAS, n=128),
-        "single-layer-2d-n": _spec(2, L, SweepAxis.N, N2, eps=0.1),
-        "single-layer-2d-eps": _spec(2, L, SweepAxis.EPS, EPS2, n=128),
-        "power-3d-n": _spec(3, P, SweepAxis.N, N3, beta=3.0),
-        "power-3d-beta": _spec(3, P, SweepAxis.BETA, BETAS, n=12),
-        "single-layer-3d-n": _spec(3, L, SweepAxis.N, N3, eps=0.05),
-        "single-layer-3d-eps": _spec(3, L, SweepAxis.EPS, (0.1, 0.05, 0.02, 0.01), n=12),
+        "uniform-2d-n": sweep_spec(2, U, SweepAxis.N, N2),
+        "uniform-3d-n": sweep_spec(3, U, SweepAxis.N, N3),
+        "shishkin-2d-n": sweep_spec(2, S, SweepAxis.N, N2, eps=0.05),
+        "shishkin-2d-eps": sweep_spec(2, S, SweepAxis.EPS, EPS2, n=128),
+        "shishkin-internal-2d-n": sweep_spec(2, S, SweepAxis.N, N2, eps=0.05, **inner),
+        "shishkin-internal-2d-eps": sweep_spec(2, S, SweepAxis.EPS, EPS2, n=128, **inner),
+        "bakhvalov-2d-n": sweep_spec(2, B, SweepAxis.N, N2, eps=0.05),
+        "bakhvalov-2d-eps": sweep_spec(2, B, SweepAxis.EPS, EPS2, n=128),
+        "bakhvalov-internal-2d-n": sweep_spec(2, B, SweepAxis.N, N2, eps=0.05, **inner),
+        "bakhvalov-internal-2d-eps": sweep_spec(2, B, SweepAxis.EPS, EPS2, n=128, **inner),
+        "power-2d-n": sweep_spec(2, P, SweepAxis.N, N2, beta=3.0),
+        "power-2d-beta": sweep_spec(2, P, SweepAxis.BETA, BETAS, n=128),
+        "single-layer-2d-n": sweep_spec(2, L, SweepAxis.N, N2, eps=0.1),
+        "single-layer-2d-eps": sweep_spec(2, L, SweepAxis.EPS, EPS2, n=128),
+        "power-3d-n": sweep_spec(3, P, SweepAxis.N, N3, beta=3.0),
+        "power-3d-beta": sweep_spec(3, P, SweepAxis.BETA, BETAS, n=12),
+        "single-layer-3d-n": sweep_spec(3, L, SweepAxis.N, N3, eps=0.05),
+        "single-layer-3d-eps": sweep_spec(3, L, SweepAxis.EPS, (0.1, 0.05, 0.02, 0.01), n=12),
     }
 
 

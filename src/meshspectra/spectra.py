@@ -232,6 +232,12 @@ def _build_pays(history: list[float], target: float) -> bool:
     return q >= 1.0 or math.log(target / history[-1]) / math.log(q) > MG_SWITCH_STEP
 
 
+def check_tol(tol: float) -> None:
+    """Raise unless the relative residual target tol lies in (1e-14, 1e-2)."""
+    if not 1e-14 < tol < 1e-2:
+        raise ValueError(f"tol must lie in (1e-14, 1e-2), got {tol:g}")
+
+
 def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 20000) -> EigenResult:
     """Smallest eigenvalue of the symmetric CSR matrix M (A in the formulas
     below) by preconditioned single-vector LOBPCG.
@@ -246,11 +252,10 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     iterate when the cap is reached, when the basis degenerates, or when a
     Rayleigh quotient that is not positive and finite or a multigrid level
     that is not positive definite shows A is not SPD; the message names the
-    preconditioner in use.  Raises ValueError before the first step when M is
-    not square or has a diagonal entry that is not positive.
+    preconditioner in use.  Raises ValueError before the first step when tol
+    fails check_tol, M is not square or a diagonal entry is not positive.
     """
-    if not 1e-14 < tol < 1e-2:
-        raise ValueError(f"tol must lie in (1e-14, 1e-2), got {tol:g}")
+    check_tol(tol)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     d = M.diagonal()

@@ -172,7 +172,7 @@ def test_geo_form_rejects_2d():
 
 
 def test_calibration_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dim must be 2 or 3, got 4"):
         Calibration(dim=4, c_new=1.0, c_gm=1.0, c_khx=1.0, n_ref=64)
     with pytest.raises(ValueError):
         Calibration(dim=2, c_new=-1.0, c_gm=1.0, c_khx=1.0, n_ref=64)

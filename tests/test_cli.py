@@ -11,10 +11,11 @@ from meshspectra import (
     SweepSpec,
     calibrate,
     emit_csv,
+    emit_svg_loglog,
     run_sweep,
 )
 from meshspectra import cli
-from meshspectra.harness import CSV_COLUMNS
+from meshspectra.harness import CSV_COLUMNS, PLOT_COLUMNS
 
 
 def run_cli(*argv):
@@ -75,6 +76,31 @@ def test_unread_grading_flag_exits_1_before_any_work(
         raise AssertionError("work started before the grading flags were checked")
 
     for name in ("calibrate", "build_mesh"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv[0], "--dim", "2", *argv[1:]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--family", "uniform", "--n", "256", "--tol", "0"),
+     "tol must lie in (1e-14, 1e-2), got 0"),
+    (("sweep", "--family", "bakhvalov", "--n", "256", "--axis", "eps", "--values", "0.2,0.1",
+      "--tol", "0.5", "--out", "s"), "tol must lie in (1e-14, 1e-2), got 0.5"),
+    # the sweep values set the swept setting: a fixed value for it would be ignored
+    (("sweep", "--family", "shishkin", "--n", "16", "--axis", "eps", "--values", "0.2,0.1",
+      "--eps", "0.05", "--out", "s"), "a sweep over 'eps' takes no fixed 'eps'"),
+    (("sweep", "--family", "uniform", "--n", "16", "--axis", "n", "--values", "8,32",
+      "--out", "s"), "a sweep over 'n' takes no fixed 'n'"),
+    (("sweep", "--family", "power", "--n", "16", "--beta", "3", "--axis", "beta",
+      "--values", "1,2", "--out", "s"), "a sweep over 'beta' takes no fixed 'beta'"),
+])
+def test_refused_setting_exits_1_before_any_work(argv, message, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the settings were checked")
+
+    for name in ("calibrate", "build_mesh", "run_sweep"):
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv[0], "--dim", "2", *argv[1:]) == 1
@@ -327,10 +353,69 @@ def test_sweep_rejects_unknown_or_repeated_config_key(bad_line, message, tmp_pat
     assert not (tmp_path / "k.csv").exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("family = tetra", "argument --family: invalid choice: 'tetra'"),
+    ("family = uniform\ntol = abc", "argument --tol: invalid float value: 'abc'"),
+    ("family = uniform\ntol = 0.5", "tol must lie in (1e-14, 1e-2), got 0.5"),
+    ("family = uniform\nn = 16", "a sweep over 'n' takes no fixed 'n'"),
+    ("family = uniform\nnormalize = maybe", "argument --normalize: cannot read 'maybe'"),
+])
+def test_sweep_config_value_is_checked_as_its_flag(lines, message, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep started before its settings were checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"dim = 2\naxis = n\nvalues = 8, 16\nout = {tmp_path / 'c'}\n{lines}\n")
+    assert run_cli("sweep", "--config", str(conf)) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+# each case sets every key of one sweep; together they set every sweep setting
+@pytest.mark.parametrize("config, flags", [
+    ("dim = 2\nfamily = shishkin\nn = 16\nc_sigma = 1.5\nlayer = internal\naxis = eps\n"
+     "values = 0.1, 0.05\ntol = 1e-9\nref = 8\nnormalize = true\n",
+     ("--dim", "2", "--family", "shishkin", "--n", "16", "--c-sigma", "1.5", "--layer", "internal",
+      "--axis", "eps", "--values", "0.1,0.05", "--tol", "1e-9", "--ref", "8", "--normalize")),
+    ("dim = 2\nfamily = bakhvalov\neps = 0.05\nc_sigma = 0.5\nlayer = boundary\naxis = n\n"
+     "values = 8, 16\ntol = 1e-9\nref = 8\nnormalize = false\n",
+     ("--dim", "2", "--family", "bakhvalov", "--eps", "0.05", "--c-sigma", "0.5", "--layer",
+      "boundary", "--axis", "n", "--values", "8,16", "--tol", "1e-9", "--ref", "8",
+      "--normalize=false")),
+    ("dim = 2\nfamily = power\nbeta = 2.5\naxis = n\nvalues = 4, 8\nref = 8\n",
+     ("--dim", "2", "--family", "power", "--beta", "2.5", "--axis", "n", "--values", "4,8",
+      "--ref", "8")),
+], ids=["eps-sweep", "n-sweep", "beta"])
+def test_sweep_config_writes_the_bytes_of_the_same_flags(config, flags, tmp_path):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(config + f"out = {tmp_path / 'config'}\n")
+    assert run_cli("sweep", "--config", str(conf)) == 0
+    assert run_cli("sweep", *flags, "--out", str(tmp_path / "flags")) == 0
+    for ext in ("csv", "svg"):
+        assert (tmp_path / f"config.{ext}").read_bytes() == (tmp_path / f"flags.{ext}").read_bytes()
+
+
+def test_sweep_normalize_flag_and_config(tmp_path):
+    sweep = ("sweep", "--dim", "2", "--family", "uniform", "--axis", "n", "--values", "4,8",
+             "--ref", "8")
+    for name, extra in (("flag", ["--normalize"]), ("false", ["--normalize=false"]), ("off", [])):
+        assert run_cli(*sweep, *extra, "--out", str(tmp_path / name)) == 0
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"normalize = true\nout = {tmp_path / 'config'}\n")
+    assert run_cli(*sweep, "--config", str(conf)) == 0
+    spec = SweepSpec(dim=2, base=GradingParams(MeshFamily.UNIFORM, 8), axis=SweepAxis.N,
+                     values=(4.0, 8.0), calibration_ref=8)
+    emit_svg_loglog(run_sweep(spec), list(PLOT_COLUMNS), tmp_path / "direct.svg", normalize=True)
+    svg = {p.stem: p.read_bytes() for p in tmp_path.glob("*.svg")}
+    assert svg["flag"] == svg["config"] == svg["direct"]
+    assert svg["false"] == svg["off"] != svg["flag"]
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--family", "bakhvalov", "--n", "128", "--axis", "eps", "--values", "0.01,1.5"),
      "eps must lie in (0, 1), got 1.5"),
-    (("--family", "shishkin", "--n", "64", "--axis", "n", "--values", "64,65"),
+    (("--family", "shishkin", "--axis", "n", "--values", "64,65"),
      "n must be even, got 65"),
     (("--family", "shishkin", "--layer", "internal", "--axis", "n", "--values", "64,66"),
      "needs n divisible by 4, got 66"),

@@ -90,13 +90,13 @@ def test_spec_refuses_two_values_with_the_same_mesh():
 
 
 def test_spec_refuses_infinite_mesh_size():
-    from meshspectra.harness import _spec
+    from meshspectra.harness import sweep_spec
 
     base2 = GradingParams(MeshFamily.UNIFORM, 8)
     with pytest.raises(ValueError, match="mesh sizes must be integers, got inf"):
         SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=(8, math.inf))
     with pytest.raises(ValueError, match="mesh sizes must be integers, got inf"):
-        _spec(2, MeshFamily.UNIFORM, SweepAxis.N, (8.0, math.inf))
+        sweep_spec(2, MeshFamily.UNIFORM, SweepAxis.N, (8.0, math.inf))
 
 
 def test_spec_allows_decreasing_values():

@@ -127,6 +127,18 @@ def test_spectra_imports_no_package_module():
     assert imported and not [m for m in imported if m.startswith((".", "meshspectra"))]
 
 
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a name that another module needs is public where it is defined
+    private = []
+    for path in sorted(Path(spectra.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("meshspectra")
+            ):
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
 def test_outer_convergence_error_carries_state():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 8)))
     with pytest.raises(ConvergenceError) as info:
