@@ -17,11 +17,11 @@ from .harness import (
     CSV_COLUMNS,
     PLOT_COLUMNS,
     SweepAxis,
+    SweepSpec,
     analyze_mesh,
     emit_csv,
     emit_svg_loglog,
     run_sweep,
-    sweep_spec,
 )
 from .meshgen import (
     GradingParams,
@@ -29,7 +29,6 @@ from .meshgen import (
     MeshFamily,
     build_mesh,
     check_conforming,
-    check_family_reads,
     export_mesh_text,
 )
 from .spectra import ConvergenceError, check_tol
@@ -54,24 +53,12 @@ def _add_mesh_args(p, required=True):
     p.add_argument("--eps", type=float, default=None, help="layer width parameter")
     p.add_argument("--beta", type=float, default=None, help="power grading exponent")
     p.add_argument("--c-sigma", type=float, default=None, dest="c_sigma")
-    p.add_argument("--layer", choices=_LAYERS, default=None, help="layer placement")
-
-
-def _grading_kwargs(family, eps, beta, c_sigma, layer):
-    """GradingParams keywords of the settings given; one the family's nodes do
-    not read is an error."""
-    for key, value in (("eps", eps), ("beta", beta), ("c_sigma", c_sigma)):
-        if value is not None:
-            check_family_reads(family, key)
-    position = None if layer is None else LayerPosition(layer)
-    kw = dict(eps=eps, beta=beta, c_sigma=c_sigma, layer_position=position)
-    return {key: value for key, value in kw.items() if value is not None}
+    p.add_argument("--layer", choices=_LAYERS, default="boundary", help="layer placement")
 
 
 def _params_from_args(args) -> GradingParams:
-    family = MeshFamily(args.family)
-    kw = _grading_kwargs(family, args.eps, args.beta, args.c_sigma, args.layer)
-    return GradingParams(family, args.n, **kw)
+    return GradingParams(MeshFamily(args.family), args.n, eps=args.eps, beta=args.beta,
+                         c_sigma=args.c_sigma, layer_position=LayerPosition(args.layer))
 
 
 def _ensure_parent(path):
@@ -175,10 +162,10 @@ def _cmd_sweep(args) -> int:
     for key in ("dim", "family", "axis", "values", "out"):
         if getattr(args, key) is None:
             raise ValueError(f"missing required setting '{key}' (flag or config)")
-    family = MeshFamily(args.family)
-    kw = _grading_kwargs(family, args.eps, args.beta, args.c_sigma, args.layer)
-    spec = sweep_spec(args.dim, family, SweepAxis(args.axis), args.values, n=args.n,
-                      tol=args.tol, calibration_ref=args.ref, **kw)
+    spec = SweepSpec(args.dim, MeshFamily(args.family), SweepAxis(args.axis), args.values,
+                     n=args.n, eps=args.eps, beta=args.beta, c_sigma=args.c_sigma,
+                     layer_position=LayerPosition(args.layer), tol=args.tol,
+                     calibration_ref=args.ref)
 
     rows = run_sweep(spec)
     _ensure_parent(args.out)

@@ -26,7 +26,6 @@ from .meshgen import (
     SimplicialMesh,
     build_mesh,
     check_dim,
-    check_family_reads,
     check_intervals,
     graded_nodes,
     patch_stats,
@@ -57,27 +56,38 @@ class SweepAxis(enum.Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One family, one varying axis, everything else pinned."""
+    """One family, one varying axis, everything else pinned.  The values set the
+    swept setting, which takes no fixed value; an eps or beta sweep needs a fixed n."""
 
     dim: int
-    base: GradingParams
+    family: MeshFamily
     axis: SweepAxis
     values: tuple
+    n: int | None = None
+    eps: float | None = None
+    beta: float | None = None
+    c_sigma: float | None = None
+    layer_position: LayerPosition = LayerPosition.BOUNDARY
     tol: float = 1e-8
     calibration_ref: int | None = None
 
     def __post_init__(self):
+        axis = self.axis.value
+        if getattr(self, axis) is not None:
+            raise ValueError(f"a sweep over '{axis}' takes no fixed '{axis}'")
+        if self.n is None and self.axis is not SweepAxis.N:
+            raise ValueError(f"sweeping '{axis}' needs a fixed mesh size: set 'n'")
         check_dim(self.dim)
         check_tol(self.tol)
-        check_family_reads(self.base.family, self.axis.value)
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise ValueError(f"a sweep needs at least 2 values, got {len(vals)}")
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ValueError(f"sweep_values must be strictly monotone, got {vals}")
-        _mesh_size(self.base.n)
+            raise ValueError(f"'values' must be strictly monotone, got {vals}")
+        if self.n is not None:
+            object.__setattr__(self, "n", _mesh_size(self.n))
         # refuse a bad point before any is solved; the cap goes first so that no
         # oversized node set is built.  Two values with equal node sets would
         # solve the same mesh twice (a clamped Shishkin transition, say).
@@ -87,13 +97,14 @@ class SweepSpec:
             check_intervals(self.dim, p.n)
             nodes = graded_nodes(p).nodes.tobytes()
             if nodes in seen:
-                axis = self.axis.value
                 raise ValueError(f"{axis}={seen[nodes]} and {axis}={value} build the same mesh")
             seen[nodes] = value
 
     def params_at(self, value) -> GradingParams:
-        cast = _mesh_size if self.axis is SweepAxis.N else float
-        return replace(self.base, **{self.axis.value: cast(value)})
+        """The grading at one sweep value; a family that does not read the axis refuses it."""
+        settings = dict(n=self.n, eps=self.eps, beta=self.beta, c_sigma=self.c_sigma)
+        settings[self.axis.value] = _mesh_size(value) if self.axis is SweepAxis.N else float(value)
+        return GradingParams(self.family, layer_position=self.layer_position, **settings)
 
 
 def _mesh_size(n) -> int:
@@ -289,30 +300,6 @@ def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def sweep_spec(
-    dim, family, axis, values, n=None, tol=1e-8, calibration_ref=None, **grading
-) -> SweepSpec:
-    """Sweep spec from its settings.  The values set the swept setting, which takes
-    no fixed value; n defaults to the largest value of an n sweep.
-
-    grading holds the GradingParams keywords (eps, beta, c_sigma, layer_position).
-    """
-    if dict(grading, n=n).get(axis.value) is not None:
-        raise ValueError(f"a sweep over '{axis.value}' takes no fixed '{axis.value}'")
-    if n is None:
-        if axis is not SweepAxis.N:
-            raise ValueError(f"sweeping '{axis.value}' needs a fixed mesh size: set 'n'")
-        n = max(values)
-    return SweepSpec(
-        dim=dim,
-        base=GradingParams(family, _mesh_size(n), **grading),
-        axis=axis,
-        values=tuple(values),
-        tol=tol,
-        calibration_ref=calibration_ref,
-    )
-
-
 def _fixtures() -> dict[str, SweepSpec]:
     N2 = (8, 16, 32, 64, 128)
     N3 = (4, 6, 8, 10, 12)
@@ -327,24 +314,24 @@ def _fixtures() -> dict[str, SweepSpec]:
     )
     inner = {"layer_position": LayerPosition.INTERNAL}
     return {
-        "uniform-2d-n": sweep_spec(2, U, SweepAxis.N, N2),
-        "uniform-3d-n": sweep_spec(3, U, SweepAxis.N, N3),
-        "shishkin-2d-n": sweep_spec(2, S, SweepAxis.N, N2, eps=0.05),
-        "shishkin-2d-eps": sweep_spec(2, S, SweepAxis.EPS, EPS2, n=128),
-        "shishkin-internal-2d-n": sweep_spec(2, S, SweepAxis.N, N2, eps=0.05, **inner),
-        "shishkin-internal-2d-eps": sweep_spec(2, S, SweepAxis.EPS, EPS2, n=128, **inner),
-        "bakhvalov-2d-n": sweep_spec(2, B, SweepAxis.N, N2, eps=0.05),
-        "bakhvalov-2d-eps": sweep_spec(2, B, SweepAxis.EPS, EPS2, n=128),
-        "bakhvalov-internal-2d-n": sweep_spec(2, B, SweepAxis.N, N2, eps=0.05, **inner),
-        "bakhvalov-internal-2d-eps": sweep_spec(2, B, SweepAxis.EPS, EPS2, n=128, **inner),
-        "power-2d-n": sweep_spec(2, P, SweepAxis.N, N2, beta=3.0),
-        "power-2d-beta": sweep_spec(2, P, SweepAxis.BETA, BETAS, n=128),
-        "single-layer-2d-n": sweep_spec(2, L, SweepAxis.N, N2, eps=0.1),
-        "single-layer-2d-eps": sweep_spec(2, L, SweepAxis.EPS, EPS2, n=128),
-        "power-3d-n": sweep_spec(3, P, SweepAxis.N, N3, beta=3.0),
-        "power-3d-beta": sweep_spec(3, P, SweepAxis.BETA, BETAS, n=12),
-        "single-layer-3d-n": sweep_spec(3, L, SweepAxis.N, N3, eps=0.05),
-        "single-layer-3d-eps": sweep_spec(3, L, SweepAxis.EPS, (0.1, 0.05, 0.02, 0.01), n=12),
+        "uniform-2d-n": SweepSpec(2, U, SweepAxis.N, N2),
+        "uniform-3d-n": SweepSpec(3, U, SweepAxis.N, N3),
+        "shishkin-2d-n": SweepSpec(2, S, SweepAxis.N, N2, eps=0.05),
+        "shishkin-2d-eps": SweepSpec(2, S, SweepAxis.EPS, EPS2, n=128),
+        "shishkin-internal-2d-n": SweepSpec(2, S, SweepAxis.N, N2, eps=0.05, **inner),
+        "shishkin-internal-2d-eps": SweepSpec(2, S, SweepAxis.EPS, EPS2, n=128, **inner),
+        "bakhvalov-2d-n": SweepSpec(2, B, SweepAxis.N, N2, eps=0.05),
+        "bakhvalov-2d-eps": SweepSpec(2, B, SweepAxis.EPS, EPS2, n=128),
+        "bakhvalov-internal-2d-n": SweepSpec(2, B, SweepAxis.N, N2, eps=0.05, **inner),
+        "bakhvalov-internal-2d-eps": SweepSpec(2, B, SweepAxis.EPS, EPS2, n=128, **inner),
+        "power-2d-n": SweepSpec(2, P, SweepAxis.N, N2, beta=3.0),
+        "power-2d-beta": SweepSpec(2, P, SweepAxis.BETA, BETAS, n=128),
+        "single-layer-2d-n": SweepSpec(2, L, SweepAxis.N, N2, eps=0.1),
+        "single-layer-2d-eps": SweepSpec(2, L, SweepAxis.EPS, EPS2, n=128),
+        "power-3d-n": SweepSpec(3, P, SweepAxis.N, N3, beta=3.0),
+        "power-3d-beta": SweepSpec(3, P, SweepAxis.BETA, BETAS, n=12),
+        "single-layer-3d-n": SweepSpec(3, L, SweepAxis.N, N3, eps=0.05),
+        "single-layer-3d-eps": SweepSpec(3, L, SweepAxis.EPS, (0.1, 0.05, 0.02, 0.01), n=12),
     }
 
 

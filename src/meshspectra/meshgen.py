@@ -33,34 +33,55 @@ class LayerPosition(enum.Enum):
     INTERNAL = "internal"
 
 
+# the GradingParams fields each family's node builder reads
+FAMILY_PARAMS = {
+    MeshFamily.UNIFORM: ("n",),
+    MeshFamily.SHISHKIN: ("n", "eps", "c_sigma"),
+    MeshFamily.BAKHVALOV: ("n", "eps", "c_sigma"),
+    MeshFamily.POWER: ("n", "beta"),
+    MeshFamily.SINGLE_LAYER: ("n", "eps"),
+}
+
+# the value of a setting its family reads when it is not given
+_GRADING_DEFAULTS = {"eps": 0.05, "beta": 3.0, "c_sigma": 1.0}
+
+
 @dataclass(frozen=True)
 class GradingParams:
     """Parameters selecting one 1D grading.
 
     n counts intervals per direction.  eps is the layer width parameter for the
     layer-adapted families, beta the exponent of the power grading, c_sigma the
-    transition constant of the Shishkin/Bakhvalov constructions.
+    transition constant of the Shishkin/Bakhvalov constructions.  A setting the
+    family reads (FAMILY_PARAMS) defaults to eps=0.05, beta=3.0, c_sigma=1.0; one
+    it does not read stays None, and giving it is an error.
     """
 
     family: MeshFamily
     n: int
-    eps: float = 0.05
-    beta: float = 3.0
-    c_sigma: float = 1.0
+    eps: float | None = None
+    beta: float | None = None
+    c_sigma: float | None = None
     layer_position: LayerPosition = LayerPosition.BOUNDARY
 
     def __post_init__(self):
+        for key, default in _GRADING_DEFAULTS.items():
+            if key not in FAMILY_PARAMS[self.family]:
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{self.family.value} grading does not depend on {key}")
+            elif getattr(self, key) is None:
+                object.__setattr__(self, key, default)
         if self.n < 2:
             raise ValueError(f"need at least 2 intervals per direction, got n={self.n}")
         if self.family is not MeshFamily.UNIFORM and self.n % 2 != 0:
             raise ValueError(
                 f"{self.family.value} grading indexes half the intervals; n must be even, got {self.n}"
             )
-        if not 0.0 < self.eps < 1.0:
+        if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ValueError(f"layer parameter eps must lie in (0, 1), got {self.eps}")
-        if not self.beta >= 1.0:
+        if self.beta is not None and not self.beta >= 1.0:
             raise ValueError(f"grading exponent beta must be >= 1, got {self.beta}")
-        if not self.c_sigma > 0.0:
+        if self.c_sigma is not None and not self.c_sigma > 0.0:
             raise ValueError(f"transition constant c_sigma must be positive, got {self.c_sigma}")
         if self.layer_position is LayerPosition.INTERNAL and self.family not in (
             MeshFamily.SHISHKIN,
@@ -120,11 +141,15 @@ def bakhvalov_nodes(p: GradingParams) -> NodeSet1D:
 
     Fine nodes x_i = -c_sigma*eps*ln(1 - 2(1-eps)*i/n) for i = 0..n/2; the
     remaining n/2 steps split [x_{n/2}, 1] equidistantly.  The ln argument stays
-    positive because 2(1-eps)*(i/n) <= 1-eps < 1.
+    positive because 2(1-eps)*(i/n) <= 1-eps < 1, unless eps is so small
+    (about 5e-17) that the last argument rounds to 0; such an eps is refused.
     """
     half = p.n // 2
     i = np.arange(half + 1)
-    fine = -p.c_sigma * p.eps * np.log1p(-2.0 * (1.0 - p.eps) * i / p.n)
+    arg = -2.0 * (1.0 - p.eps) * i / p.n
+    if arg[-1] <= -1.0:
+        raise ValueError(f"eps={p.eps:g} is too small for bakhvalov grading: 1 - eps rounds to 1")
+    fine = -p.c_sigma * p.eps * np.log1p(arg)
     fine[0] = 0.0  # -0.0 from the i=0 evaluation
     if fine[-1] >= 1.0:
         raise ValueError(
@@ -172,22 +197,6 @@ _NODE_BUILDERS = {
     MeshFamily.POWER: power_nodes,
     MeshFamily.SINGLE_LAYER: single_layer_nodes,
 }
-
-# the GradingParams fields each family's node builder reads
-FAMILY_PARAMS = {
-    MeshFamily.UNIFORM: ("n",),
-    MeshFamily.SHISHKIN: ("n", "eps", "c_sigma"),
-    MeshFamily.BAKHVALOV: ("n", "eps", "c_sigma"),
-    MeshFamily.POWER: ("n", "beta"),
-    MeshFamily.SINGLE_LAYER: ("n", "eps"),
-}
-
-
-def check_family_reads(family: MeshFamily, key: str) -> None:
-    """Raise unless the family's node builder reads the GradingParams field key."""
-    if key not in FAMILY_PARAMS[family]:
-        raise ValueError(f"{family.value} grading does not depend on {key}")
-
 
 def graded_nodes(p: GradingParams) -> NodeSet1D:
     """Dispatch to the family's node builder, applying internal-layer placement if set."""
@@ -357,6 +366,12 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
     if mesh.n_free == 0:
         raise ValueError("mesh has no free vertices; nothing to bound")
     vols = cell_volumes(mesh)
+    # a volume below the smallest normal float has lost its digits, and H
+    # divides by it: refuse the mesh before the division overflows
+    tiny = np.finfo(float).tiny
+    if vols.min() < tiny:
+        raise ValueError(f"smallest cell volume {vols.min():.6g} is below {tiny:.6g}: "
+                         "the mesh is degenerate or too fine for double precision")
     nv = mesh.n_vertices
     corner = mesh.cells.ravel()
     vrep = np.repeat(vols, mesh.dim + 1)

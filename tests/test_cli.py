@@ -5,7 +5,6 @@ import pytest
 
 from meshspectra import (
     ConvergenceError,
-    GradingParams,
     MeshFamily,
     SweepAxis,
     SweepSpec,
@@ -137,6 +136,27 @@ def test_convergence_failure_exits_2(monkeypatch, capsys, tmp_path):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_bakhvalov_eps_below_rounding_exits_1_with_one_line(capsys):
+    # log1p(-1) would warn, then the transition would be inf (any warning fails the test)
+    assert run_cli("analyze", "--dim", "2", "--family", "bakhvalov", "--n", "64",
+                   "--eps", "1e-17") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "meshspectra: eps=1e-17 is too small for bakhvalov grading: 1 - eps rounds to 1"
+    ]
+
+
+def test_sweep_point_with_underflowed_cells_exits_1_with_one_line(tmp_path, capsys):
+    # eps=1e-300 makes the corner cells' volume 0; patch_stats refuses the point
+    # before it divides by it (any numpy warning fails the test)
+    out = tmp_path / "tiny"
+    assert run_cli("sweep", "--dim", "2", "--family", "shishkin", "--n", "16", "--axis", "eps",
+                   "--values", "0.2,1e-300", "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["meshspectra: smallest cell volume 0 is below 2.22507e-308: "
+                   "the mesh is degenerate or too fine for double precision"]
+    assert not out.with_name("tiny.csv").exists()
+
+
 # -------------------------------------------------------------------- mesh
 
 
@@ -256,7 +276,7 @@ def test_sweep_writes_csv_and_svg(tmp_path, capsys):
 
     spec = SweepSpec(
         dim=2,
-        base=GradingParams(MeshFamily.UNIFORM, 8),
+        family=MeshFamily.UNIFORM,
         axis=SweepAxis.N,
         values=(4.0, 8.0),
         calibration_ref=8,
@@ -404,7 +424,7 @@ def test_sweep_normalize_flag_and_config(tmp_path):
     conf = tmp_path / "sweep.conf"
     conf.write_text(f"normalize = true\nout = {tmp_path / 'config'}\n")
     assert run_cli(*sweep, "--config", str(conf)) == 0
-    spec = SweepSpec(dim=2, base=GradingParams(MeshFamily.UNIFORM, 8), axis=SweepAxis.N,
+    spec = SweepSpec(dim=2, family=MeshFamily.UNIFORM, axis=SweepAxis.N,
                      values=(4.0, 8.0), calibration_ref=8)
     emit_svg_loglog(run_sweep(spec), list(PLOT_COLUMNS), tmp_path / "direct.svg", normalize=True)
     svg = {p.stem: p.read_bytes() for p in tmp_path.glob("*.svg")}
@@ -443,6 +463,8 @@ def test_sweep_normalize_flag_and_config(tmp_path):
     # the Shishkin transition clamps to 1 at both values: the same uniform mesh twice
     (("--family", "shishkin", "--n", "8", "--axis", "eps", "--values", "0.9,0.6"),
      "eps=0.9 and eps=0.6 build the same mesh"),
+    (("--family", "bakhvalov", "--n", "64", "--axis", "eps", "--values", "0.2,1e-17"),
+     "eps=1e-17 is too small for bakhvalov grading"),
 ])
 def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkeypatch, capsys):
     import meshspectra.harness as hz

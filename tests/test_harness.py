@@ -9,7 +9,6 @@ from meshspectra import (
     BoundReport,
     ConvergenceError,
     FIXTURES,
-    GradingParams,
     MeshFamily,
     SweepAxis,
     SweepSpec,
@@ -25,7 +24,8 @@ CSV_HEADER = "param,n_free,lambda_exact,lambda_new,lambda_gm,lambda_khx,omega_mi
 
 SHISHKIN_SMALL = SweepSpec(
     dim=2,
-    base=GradingParams(MeshFamily.SHISHKIN, 16, eps=0.05),
+    family=MeshFamily.SHISHKIN,
+    eps=0.05,
     axis=SweepAxis.N,
     values=(8, 16),
 )
@@ -53,56 +53,87 @@ def make_row(param, n_free, lam, **over):
 
 
 def test_spec_validation():
-    base2 = GradingParams(MeshFamily.UNIFORM, 8)
+    uniform = dict(dim=2, family=MeshFamily.UNIFORM)
     with pytest.raises(ValueError):
-        SweepSpec(dim=4, base=base2, axis=SweepAxis.N, values=(4, 8))
+        SweepSpec(dim=4, family=MeshFamily.UNIFORM, axis=SweepAxis.N, values=(4, 8))
     with pytest.raises(ValueError):
-        SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=())
+        SweepSpec(**uniform, axis=SweepAxis.N, values=())
     with pytest.raises(ValueError, match="at least 2 values"):
-        SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=(8,))
+        SweepSpec(**uniform, axis=SweepAxis.N, values=(8,))
     with pytest.raises(ValueError):
-        SweepSpec(dim=2, base=base2, axis=SweepAxis.EPS, values=(0.1, -0.2))
+        SweepSpec(**uniform, n=8, axis=SweepAxis.EPS, values=(0.1, -0.2))
+    with pytest.raises(ValueError, match="'values' must be strictly monotone"):
+        SweepSpec(**uniform, axis=SweepAxis.N, values=(8, 4, 16))
     with pytest.raises(ValueError):
-        SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=(8, 4, 16))
+        SweepSpec(**uniform, axis=SweepAxis.N, values=(8, 12.5))
     with pytest.raises(ValueError):
-        SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=(8, 12.5))
+        SweepSpec(**uniform, axis=SweepAxis.N, values=(128, 512))
     with pytest.raises(ValueError):
-        SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=(128, 512))
-    with pytest.raises(ValueError):
-        SweepSpec(dim=3, base=GradingParams(MeshFamily.UNIFORM, 4), axis=SweepAxis.N, values=(8, 32))
+        SweepSpec(dim=3, family=MeshFamily.UNIFORM, axis=SweepAxis.N, values=(8, 32))
     # the cap also applies to the pinned size of a non-N sweep
     with pytest.raises(ValueError):
         SweepSpec(
             dim=2,
-            base=GradingParams(MeshFamily.SHISHKIN, 512, eps=0.1),
+            family=MeshFamily.SHISHKIN,
+            n=512,
             axis=SweepAxis.EPS,
             values=(0.2, 0.1),
         )
 
 
+@pytest.mark.parametrize("axis, fixed, values", [
+    (SweepAxis.N, dict(n=16), (8, 32)),
+    (SweepAxis.EPS, dict(n=16, eps=0.05), (0.2, 0.1)),
+    (SweepAxis.BETA, dict(n=16, beta=3.0), (1.0, 2.0)),
+])
+def test_spec_refuses_a_fixed_value_for_the_swept_setting(axis, fixed, values):
+    family = MeshFamily.POWER if axis is SweepAxis.BETA else MeshFamily.SHISHKIN
+    message = f"a sweep over '{axis.value}' takes no fixed '{axis.value}'"
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(dim=2, family=family, axis=axis, values=values, **fixed)
+
+
+@pytest.mark.parametrize("family, axis, values", [
+    (MeshFamily.SHISHKIN, SweepAxis.EPS, (0.2, 0.1)),
+    (MeshFamily.POWER, SweepAxis.BETA, (1.0, 2.0)),
+])
+def test_spec_refuses_a_sweep_without_a_mesh_size(family, axis, values):
+    with pytest.raises(ValueError, match=f"sweeping '{axis.value}' needs a fixed mesh size"):
+        SweepSpec(dim=2, family=family, axis=axis, values=values)
+
+
+@pytest.mark.parametrize("family, axis, values", [
+    (MeshFamily.UNIFORM, SweepAxis.EPS, (0.2, 0.1)),
+    (MeshFamily.POWER, SweepAxis.EPS, (0.2, 0.1)),
+    (MeshFamily.SHISHKIN, SweepAxis.BETA, (1.0, 2.0)),
+])
+def test_spec_refuses_an_axis_the_family_does_not_read(family, axis, values):
+    with pytest.raises(ValueError, match=f"{family.value} grading does not depend on {axis.value}"):
+        SweepSpec(dim=2, family=family, n=16, axis=axis, values=values)
+
+
 def test_spec_refuses_two_values_with_the_same_mesh():
     # tau = min(1, 2*c_sigma*eps*ln n) clamps to 1 at both values: two uniform meshes
-    base = GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1)
+    shishkin = dict(dim=2, family=MeshFamily.SHISHKIN, n=8, axis=SweepAxis.EPS)
     with pytest.raises(ValueError, match="eps=0.9 and eps=0.6 build the same mesh"):
-        SweepSpec(dim=2, base=base, axis=SweepAxis.EPS, values=(0.9, 0.6))
+        SweepSpec(**shishkin, values=(0.9, 0.6))
     # one clamped value next to unclamped ones is a sweep
-    SweepSpec(dim=2, base=base, axis=SweepAxis.EPS, values=(0.9, 0.2, 0.1))
+    SweepSpec(**shishkin, values=(0.9, 0.2, 0.1))
 
 
 def test_spec_refuses_infinite_mesh_size():
-    from meshspectra.harness import sweep_spec
-
-    base2 = GradingParams(MeshFamily.UNIFORM, 8)
     with pytest.raises(ValueError, match="mesh sizes must be integers, got inf"):
-        SweepSpec(dim=2, base=base2, axis=SweepAxis.N, values=(8, math.inf))
+        SweepSpec(dim=2, family=MeshFamily.UNIFORM, axis=SweepAxis.N, values=(8, math.inf))
     with pytest.raises(ValueError, match="mesh sizes must be integers, got inf"):
-        sweep_spec(2, MeshFamily.UNIFORM, SweepAxis.N, (8.0, math.inf))
+        SweepSpec(dim=2, family=MeshFamily.SHISHKIN, n=math.inf, axis=SweepAxis.EPS,
+                  values=(0.2, 0.1))
 
 
 def test_spec_allows_decreasing_values():
     spec = SweepSpec(
         dim=2,
-        base=GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1),
+        family=MeshFamily.SHISHKIN,
+        n=8,
         axis=SweepAxis.EPS,
         values=[0.2, 0.1, 0.05],
     )
@@ -116,7 +147,8 @@ def test_params_at():
 
     espec = SweepSpec(
         dim=2,
-        base=GradingParams(MeshFamily.SHISHKIN, 16, eps=0.1),
+        family=MeshFamily.SHISHKIN,
+        n=16,
         axis=SweepAxis.EPS,
         values=(0.2, 0.1),
     )
@@ -125,7 +157,8 @@ def test_params_at():
 
     bspec = SweepSpec(
         dim=2,
-        base=GradingParams(MeshFamily.POWER, 8, beta=2.0),
+        family=MeshFamily.POWER,
+        n=8,
         axis=SweepAxis.BETA,
         values=(1.0, 2.0),
     )
@@ -138,7 +171,7 @@ def test_params_at():
 def test_run_sweep_uniform_closed_form():
     spec = SweepSpec(
         dim=2,
-        base=GradingParams(MeshFamily.UNIFORM, 8),
+        family=MeshFamily.UNIFORM,
         axis=SweepAxis.N,
         values=(4, 8),
         calibration_ref=16,
@@ -171,7 +204,7 @@ def test_run_sweep_deterministic():
 def test_run_sweep_measure_time():
     spec = SweepSpec(
         dim=2,
-        base=GradingParams(MeshFamily.UNIFORM, 4),
+        family=MeshFamily.UNIFORM,
         axis=SweepAxis.N,
         values=(2, 4),
         calibration_ref=4,
@@ -193,7 +226,8 @@ def test_run_sweep_labels_convergence_failures(monkeypatch):
     monkeypatch.setattr(hz, "analyze_mesh", boom)
     spec = SweepSpec(
         dim=2,
-        base=GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1),
+        family=MeshFamily.SHISHKIN,
+        n=8,
         axis=SweepAxis.EPS,
         values=(0.2, 0.1),
         calibration_ref=4,
@@ -366,7 +400,8 @@ def test_csv_matches_golden_fixture(tmp_path):
 
     spec = SweepSpec(
         dim=2,
-        base=GradingParams(MeshFamily.SHISHKIN, 16, eps=0.1),
+        family=MeshFamily.SHISHKIN,
+        eps=0.1,
         axis=SweepAxis.N,
         values=(8, 16),
         calibration_ref=8,
@@ -383,7 +418,8 @@ def test_csv_matches_golden_3d_fixture(tmp_path):
 
     spec = SweepSpec(
         dim=3,
-        base=GradingParams(MeshFamily.POWER, 6, beta=3.0),
+        family=MeshFamily.POWER,
+        beta=3.0,
         axis=SweepAxis.N,
         values=(4, 6),
         calibration_ref=4,

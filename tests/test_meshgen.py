@@ -99,12 +99,36 @@ def test_grading_params_validation(kw):
 
 
 @pytest.mark.parametrize("family", list(MeshFamily))
+@pytest.mark.parametrize("key", ["eps", "beta", "c_sigma"])
+def test_grading_params_refuses_exactly_the_unread_settings(family, key):
+    value = {"eps": 0.1, "beta": 2.0, "c_sigma": 0.5}[key]
+    if key in FAMILY_PARAMS[family]:
+        assert getattr(GradingParams(family, 16, **{key: value}), key) == value
+    else:
+        with pytest.raises(ValueError, match=f"{family.value} grading does not depend on {key}"):
+            GradingParams(family, 16, **{key: value})
+        assert getattr(GradingParams(family, 16), key) is None
+
+
+def test_grading_params_defaults_the_settings_the_family_reads():
+    p = GradingParams(MeshFamily.SHISHKIN, 16)
+    assert (p.eps, p.beta, p.c_sigma) == (0.05, None, 1.0)
+    assert GradingParams(MeshFamily.POWER, 16).beta == 3.0
+    assert p == GradingParams(MeshFamily.SHISHKIN, 16, eps=0.05, c_sigma=1.0)
+
+
+@pytest.mark.parametrize("family", list(MeshFamily))
 def test_family_params_lists_what_the_nodes_read(family):
-    base = GradingParams(family, 16, eps=0.05, beta=2.0, c_sigma=1.0)
+    # each setting the family reads changes the nodes; each other one is refused
+    base = GradingParams(family, 16)
     nodes = graded_nodes(base).nodes
-    for field, value in (("eps", 0.1), ("beta", 3.0), ("c_sigma", 0.5)):
-        changed = graded_nodes(replace(base, **{field: value})).nodes
-        assert np.array_equal(changed, nodes) == (field not in FAMILY_PARAMS[family]), field
+    for field, value in (("eps", 0.1), ("beta", 2.0), ("c_sigma", 0.5)):
+        if field in FAMILY_PARAMS[family]:
+            changed = graded_nodes(replace(base, **{field: value})).nodes
+            assert not np.array_equal(changed, nodes), field
+        else:
+            with pytest.raises(ValueError, match="does not depend on"):
+                replace(base, **{field: value})
 
 
 def test_nodeset_validation():
@@ -160,6 +184,17 @@ def test_bakhvalov_rejects_far_transition():
     # -c_sigma*eps*ln(eps) = 3.47 >= 1: fine region would leave the domain
     with pytest.raises(ValueError):
         bakhvalov_nodes(params(MeshFamily.BAKHVALOV, 8, eps=0.5, c_sigma=10.0))
+
+
+@pytest.mark.parametrize("n", [4, 6, 64])
+@pytest.mark.parametrize("eps", [1e-17, 5e-17])
+def test_bakhvalov_refuses_eps_below_rounding(n, eps):
+    # 1 - eps rounds to 1, so the last ln argument is 0: log1p(-1) would warn and
+    # give an infinite transition
+    with pytest.raises(ValueError, match=f"eps={eps:g} is too small for bakhvalov grading"):
+        bakhvalov_nodes(params(MeshFamily.BAKHVALOV, n, eps=eps))
+    # the smallest eps whose 1 - eps is below 1 still grades
+    assert len(bakhvalov_nodes(params(MeshFamily.BAKHVALOV, n, eps=6e-17))) == n + 1
 
 
 def test_power_hand_values():
@@ -500,6 +535,21 @@ def test_patch_stats_requires_free_vertex():
     ns = NodeSet1D(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         patch_stats(tensor_mesh(ns, ns))
+
+
+@pytest.mark.parametrize("eps, smallest", [(1e-160, "6.0276e-322"), (1e-300, "0")])
+def test_patch_stats_refuses_underflowed_cell_volumes(eps, smallest):
+    # the corner cell is subnormal (1e-160) or zero (1e-300): H = max/min would
+    # overflow or divide by zero
+    mesh = build_mesh(2, params(MeshFamily.SHISHKIN, 16, eps=eps))
+    with pytest.raises(ValueError, match=f"smallest cell volume {smallest} is below"):
+        patch_stats(mesh)
+
+
+def test_patch_stats_measures_the_finest_normal_cells():
+    st = patch_stats(build_mesh(2, params(MeshFamily.SHISHKIN, 16, eps=1e-150)))
+    assert np.finfo(float).tiny < st.k_min < 1e-300
+    assert 1e299 < st.h_const < 2e299
 
 
 def test_export_mesh_text_roundtrip(tmp_path):
