@@ -141,7 +141,8 @@ def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[BoundReport]:
     """One BoundReport per sweep value, under a single shared calibration.
 
     measure_time=False (the default) records wall_time as 0.0, keeping the
-    emitted CSV byte-deterministic.
+    emitted CSV byte-deterministic.  A ConvergenceError or ValueError raised
+    while analyzing a point gets the prefix "sweep point <axis>=<value>".
     """
     cal = calibrate(spec.dim, spec.calibration_ref)
     rows = []
@@ -152,6 +153,9 @@ def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[BoundReport]:
             report = analyze_mesh(mesh, cal, tol=spec.tol, param=value)
         except ConvergenceError as exc:
             exc.args = (f"sweep point {spec.axis.value}={value} did not converge: {exc}",)
+            raise
+        except ValueError as exc:
+            exc.args = (f"sweep point {spec.axis.value}={value}: {exc}",)
             raise
         if measure_time:
             report = replace(report, wall_time=time.perf_counter() - start)

@@ -400,31 +400,65 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
     )
 
 
+def check_cell_indices(mesh: SimplicialMesh) -> None:
+    """Raise unless every cell's vertex indices lie in [0, n_vertices); the
+    error names the first cell that breaks the rule."""
+    cells, nv = mesh.cells, mesh.n_vertices
+    if cells.size and (cells.min() < 0 or cells.max() >= nv):
+        c = int(np.flatnonzero(((cells < 0) | (cells >= nv)).any(axis=1))[0])
+        raise ValueError(
+            f"cell {c} {tuple(cells[c].tolist())} has a vertex index outside [0, {nv})"
+        )
+
+
+def _face_vertices(keys: np.ndarray, nv: int, dim: int) -> np.ndarray:
+    """The sorted vertex tuples, one row per key, that check_conforming encoded."""
+    place = nv ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    return keys[:, None] // place % nv
+
+
 def check_conforming(mesh: SimplicialMesh) -> None:
-    """Raise if any codimension-1 face is shared by more than two cells, or a
-    once-counted face is not a boundary face.
+    """Raise if a cell names a vertex that does not exist, any codimension-1
+    face is shared by more than two cells, or a once-counted face is not a
+    boundary face.
 
     Faces are checked in order of first appearance (cell by cell, dropping
     vertex 0, 1, ...), and the error names the first offending face.
     """
-    nv = mesh.n_vertices
-    if nv**mesh.dim > np.iinfo(np.int64).max:
-        raise ValueError(f"{nv} vertices are too many to encode {mesh.dim}-vertex faces in int64")
-    # face k of a cell drops its vertex k; one row of local vertex indices per face
-    local = np.array([np.delete(np.arange(mesh.dim + 1), k) for k in range(mesh.dim + 1)])
-    faces = np.sort(mesh.cells[:, local], axis=2).reshape(-1, mesh.dim)
+    check_cell_indices(mesh)
+    nv, dim = mesh.n_vertices, mesh.dim
+    if nv**dim > np.iinfo(np.int64).max:
+        raise ValueError(f"{nv} vertices are too many to encode {dim}-vertex faces in int64")
+    # face k of a cell drops its vertex k; verts[j] is vertex j of every face
+    local = np.array([np.delete(np.arange(dim + 1), k) for k in range(dim + 1)])
+    verts = [mesh.cells[:, local[:, j]] for j in range(dim)]
+    # bubble-sort network of compare-exchanges: each face's vertices ascend in j
+    for top in range(dim - 1, 0, -1):
+        for j in range(top):
+            verts[j], verts[j + 1] = (np.minimum(verts[j], verts[j + 1]),
+                                      np.maximum(verts[j], verts[j + 1]))
     # mixed radix nv: one int64 per face, ordered like the sorted vertex tuples
-    keys = faces @ (nv ** np.arange(mesh.dim - 1, -1, -1, dtype=np.int64))
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    shared = counts > 2
-    lonely = (counts == 1) & ~mesh.boundary_mask[faces[first]].all(axis=1)
-    bad = np.flatnonzero(shared | lonely)
+    keys = verts[0]
+    for v in verts[1:]:
+        keys = keys * nv + v
+    keys = keys.ravel()
+    # run lengths of the sorted keys count each distinct face
+    ordered = np.sort(keys)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    distinct = ordered[starts]
+    counts = np.diff(starts, append=ordered.size)
+    lonely = distinct[counts == 1]
+    interior = ~mesh.boundary_mask[_face_vertices(lonely, nv, dim)].all(axis=1)
+    bad = np.concatenate([distinct[counts > 2], lonely[interior]])
     if bad.size == 0:
         return
-    u = bad[np.argmin(first[bad])]
-    face = tuple(faces[first[u]].tolist())
-    if shared[u]:
-        raise ValueError(f"face {face} shared by {counts[u]} cells")
+    key = keys[np.argmax(np.isin(keys, bad))]
+    face = tuple(_face_vertices(key[None], nv, dim)[0].tolist())
+    count = int(counts[np.searchsorted(distinct, key)])
+    if count > 2:
+        raise ValueError(f"face {face} shared by {count} cells")
     raise ValueError(f"interior face {face} belongs to only one cell")
 
 
@@ -432,15 +466,56 @@ def check_conforming(mesh: SimplicialMesh) -> None:
 EXPORT_CHUNK_ROWS = 4096
 
 
+def _float_tokens(values: np.ndarray) -> np.ndarray:
+    """%.17g of each value as a row of ASCII bytes, zero-padded, plus one zero column."""
+    # no float64 takes more than 24 characters in %.17g ("-1.2345678901234567e-308")
+    text = (("%-24.17g" * values.size) % tuple(values.tolist())).encode()
+    table = np.zeros((values.size, 25), dtype=np.uint8)
+    table[:, :-1] = np.frombuffer(text, np.uint8).reshape(values.size, 24)
+    table[table == ord(" ")] = 0
+    return table
+
+
+def _index_tokens(count: int) -> np.ndarray:
+    """Decimal digits of 0..count-1, one row each, leading zeros as zero bytes,
+    plus one zero column."""
+    width = len(str(max(count - 1, 0)))
+    table = np.zeros((count, width + 1), dtype=np.uint8)
+    for k, place in enumerate(10 ** np.arange(width - 1, -1, -1)):
+        # the digit at this place runs through '0'..'9', each held for place rows;
+        # rows below place have no digit there (except the ones digit of 0)
+        cycle = np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), place)
+        digits = np.resize(cycle, count)
+        lead = place if place > 1 else 0
+        table[lead:, k] = digits[lead:]
+    return table
+
+
+def _write_rows(fh, table: np.ndarray, index: np.ndarray) -> None:
+    """Write one line per row of index: its tokens from table, space separated.
+
+    The zero bytes that pad each token are dropped, and the zero column after
+    it carries the separator, so no line has a trailing space.
+    """
+    for start in range(0, index.shape[0], EXPORT_CHUNK_ROWS):
+        grid = table[index[start : start + EXPORT_CHUNK_ROWS]]
+        grid[:, :, -1] = ord(" ")
+        grid[:, -1, -1] = ord("\n")
+        flat = grid.ravel()
+        fh.write(flat[flat != 0])
+
+
 def export_mesh_text(mesh: SimplicialMesh, path) -> None:
     """Plain-text dump: 'dim n_vertices n_cells' header, vertex lines, 0-based cell lines.
 
-    Coordinates are written with %.17g, which round-trips float64.
+    Coordinates are written with %.17g, which round-trips float64; each
+    distinct coordinate bit pattern is formatted once, so -0.0 stays "-0".
+    Raises ValueError if a cell names a vertex that does not exist.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}\n")
-        for rows, fmt in ((mesh.vertices, "%.17g"), (mesh.cells, "%d")):
-            line = " ".join([fmt] * rows.shape[1]) + "\n"
-            for start in range(0, rows.shape[0], EXPORT_CHUNK_ROWS):
-                chunk = rows[start : start + EXPORT_CHUNK_ROWS]
-                fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    check_cell_indices(mesh)
+    bits = np.ascontiguousarray(mesh.vertices, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    with open(path, "wb") as fh:
+        fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}\n".encode())
+        _write_rows(fh, _float_tokens(distinct.view(float)), inverse.reshape(bits.shape))
+        _write_rows(fh, _index_tokens(mesh.n_vertices), mesh.cells)

@@ -152,9 +152,21 @@ def test_sweep_point_with_underflowed_cells_exits_1_with_one_line(tmp_path, caps
     assert run_cli("sweep", "--dim", "2", "--family", "shishkin", "--n", "16", "--axis", "eps",
                    "--values", "0.2,1e-300", "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["meshspectra: smallest cell volume 0 is below 2.22507e-308: "
-                   "the mesh is degenerate or too fine for double precision"]
+    assert err == ["meshspectra: sweep point eps=1e-300: smallest cell volume 0 is below "
+                   "2.22507e-308: the mesh is degenerate or too fine for double precision"]
     assert not out.with_name("tiny.csv").exists()
+
+
+def test_sweep_point_refused_by_assembly_names_the_point(tmp_path, capsys):
+    # eps=1e-150 passes patch_stats but assemble refuses its flattened corner cells
+    out = tmp_path / "flat"
+    assert run_cli("sweep", "--dim", "2", "--family", "shishkin", "--n", "16", "--axis", "eps",
+                   "--values", "0.2,1e-150", "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "meshspectra: sweep point eps=1e-150: "
+        "degenerate simplex (det 4.33e-152 vs edge scale 0.0156)"
+    ]
+    assert not out.with_name("flat.csv").exists()
 
 
 # -------------------------------------------------------------------- mesh

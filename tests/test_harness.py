@@ -241,6 +241,21 @@ def test_run_sweep_labels_convergence_failures(monkeypatch):
     assert info.value.vector is vector
 
 
+def test_run_sweep_labels_refused_points(monkeypatch):
+    import meshspectra.harness as hz
+
+    def refuse(mesh, cal, tol=1e-8, param=0.0):
+        if param == 0.1:
+            raise ValueError("degenerate simplex")
+        return "report"
+
+    monkeypatch.setattr(hz, "analyze_mesh", refuse)
+    spec = SweepSpec(dim=2, family=MeshFamily.SHISHKIN, n=8, axis=SweepAxis.EPS,
+                     values=(0.2, 0.1), calibration_ref=4)
+    with pytest.raises(ValueError, match=r"^sweep point eps=0\.1: degenerate simplex$"):
+        hz.run_sweep(spec)
+
+
 # --------------------------------------------------------------------- CSV
 
 

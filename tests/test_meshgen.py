@@ -22,6 +22,7 @@ from meshspectra import (
     tensor_mesh,
 )
 from meshspectra.meshgen import (
+    EXPORT_CHUNK_ROWS,
     FAMILY_PARAMS,
     bakhvalov_nodes,
     check_intervals,
@@ -405,6 +406,39 @@ def test_conforming_all_families():
             msg = _conforming_error(check_conforming, broken)
             assert msg is not None
             assert msg == _conforming_error(brute_check_conforming, broken)
+        # seeded random variants: cell i deleted, cell i duplicated in front of
+        # cell j, and cell i moved to the end (conforming on its own, broken
+        # once cell j is deleted too).  Deleting a cell whose vertices all lie
+        # on the boundary leaves only boundary-looking faces, which neither
+        # check flags, so only the messages' agreement is asserted per variant.
+        rng = np.random.default_rng(mesh.n_cells)
+        messages = []
+        for _ in range(6):
+            i, j = rng.choice(mesh.n_cells, size=2, replace=False)
+            moved = np.vstack([np.delete(mesh.cells, i, axis=0), mesh.cells[i : i + 1]])
+            assert _conforming_error(check_conforming, replace(mesh, cells=moved)) is None
+            for cells in (
+                np.delete(mesh.cells, i, axis=0),
+                np.insert(mesh.cells, j, mesh.cells[i], axis=0),
+                np.delete(moved, j - (j > i), axis=0),
+            ):
+                broken = replace(mesh, cells=cells)
+                msg = _conforming_error(check_conforming, broken)
+                assert msg == _conforming_error(brute_check_conforming, broken)
+                messages.append(msg)
+        assert sum(msg is not None for msg in messages) >= len(messages) // 2
+
+
+@pytest.mark.parametrize("index", [-1, 25])
+def test_conforming_refuses_a_vertex_index_outside_the_mesh(index):
+    # -1 used to wrap to the last vertex and name an unrelated face; 25 (the
+    # vertex count) used to escape as an IndexError
+    mesh = build_mesh(2, params(MeshFamily.UNIFORM, 4))
+    cells = mesh.cells.copy()
+    cells[5, 2] = index
+    with pytest.raises(ValueError, match=rf"^cell 5 \(2, 8, {index}\) has a vertex index "
+                                         rf"outside \[0, 25\)$"):
+        check_conforming(replace(mesh, cells=cells))
 
 
 def test_conforming_detects_duplicate_cell():
@@ -565,10 +599,90 @@ def test_export_mesh_text_roundtrip(tmp_path):
     np.testing.assert_array_equal(cells, mesh.cells)
 
 
+def assert_export_matches_row_writer(mesh, directory):
+    export_mesh_text(mesh, directory / "chunked.txt")
+    brute_export_mesh_text(mesh, directory / "rows.txt")
+    assert (directory / "chunked.txt").read_bytes() == (directory / "rows.txt").read_bytes()
+
+
 def test_export_mesh_text_matches_row_writer(tmp_path):
     # 5202 vertex rows and 26112 cell rows: neither is a multiple of the chunk size
     mesh = build_mesh(3, params(MeshFamily.SINGLE_LAYER, 16, eps=0.05))
     assert (mesh.n_vertices, mesh.n_cells) == (5202, 26112)
-    export_mesh_text(mesh, tmp_path / "chunked.txt")
-    brute_export_mesh_text(mesh, tmp_path / "rows.txt")
-    assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
+    assert_export_matches_row_writer(mesh, tmp_path)
+
+
+@pytest.mark.parametrize("index", [-1, 25])
+def test_export_mesh_text_refuses_a_vertex_index_outside_the_mesh(index, tmp_path):
+    # the token gather must not wrap -1 to the last vertex's token
+    mesh = build_mesh(2, params(MeshFamily.UNIFORM, 4))
+    cells = mesh.cells.copy()
+    cells[5, 2] = index
+    path = tmp_path / "mesh.txt"
+    with pytest.raises(ValueError, match=rf"^cell 5 \(2, 8, {index}\) has a vertex index "
+                                         rf"outside \[0, 25\)$"):
+        export_mesh_text(replace(mesh, cells=cells), path)
+    assert not path.exists()
+
+
+EXPORT_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+
+
+@EXPORT_SETTINGS
+@given(dim=st.sampled_from([2, 3]), n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_export_property_perturbed_vertices(dim, n, seed, tmp_path_factory):
+    # every interior coordinate moves, so no coordinate value repeats inside
+    mesh = build_mesh(dim, params(MeshFamily.UNIFORM, n))
+    vertices = mesh.vertices.copy()
+    inside = ~mesh.boundary_mask
+    shift = np.random.default_rng(seed).uniform(-0.25, 0.25, vertices[inside].shape)
+    vertices[inside] += shift / n
+    assert np.unique(vertices[inside]).size == vertices[inside].size
+    assert_export_matches_row_writer(replace(mesh, vertices=vertices), tmp_path_factory.mktemp("e"))
+
+
+@EXPORT_SETTINGS
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_export_property_signed_zeros(dim, seed, tmp_path_factory):
+    # -0.0 and 0.0 compare equal but print as "-0" and "0"
+    mesh = build_mesh(dim, params(MeshFamily.UNIFORM, 3))
+    vertices = mesh.vertices.copy()
+    zero = np.flatnonzero(vertices == 0.0)
+    flip = np.random.default_rng(seed).permutation(zero)[: 1 + seed % (zero.size - 1)]
+    vertices.flat[flip] = -0.0
+    negative = np.signbit(vertices[vertices == 0.0])
+    assert negative.any() and not negative.all()
+    directory = tmp_path_factory.mktemp("e")
+    assert_export_matches_row_writer(replace(mesh, vertices=vertices), directory)
+    tokens = (directory / "chunked.txt").read_text().split()[3 : 3 + vertices.size]
+    assert "-0" in tokens and "0" in tokens
+
+
+@st.composite
+def random_meshes(draw, n_vertices, n_cells):
+    """Unchecked meshes: vertices drawn from a pool of any floats, random cells
+    that name vertex n_vertices - 1."""
+    dim = draw(st.sampled_from([2, 3]))
+    nv, nc = draw(n_vertices), draw(n_cells)
+    pool = np.array(draw(st.lists(st.floats(width=64), min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vertices = rng.choice(pool, size=(nv, dim))
+    cells = rng.integers(0, nv, size=(nc, dim + 1))
+    cells[-1, -1] = nv - 1
+    return SimplicialMesh(dim=dim, vertices=vertices, cells=cells,
+                          boundary_mask=np.zeros(nv, dtype=bool))
+
+
+@EXPORT_SETTINGS
+@given(mesh=random_meshes(st.sampled_from([1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]),
+                          st.integers(1, 40)))
+def test_export_property_index_digit_widths(mesh, tmp_path_factory):
+    assert_export_matches_row_writer(mesh, tmp_path_factory.mktemp("e"))
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(mesh=random_meshes(st.sampled_from([2, 3]).map(lambda k: k * EXPORT_CHUNK_ROWS // 2 + 1),
+                          st.sampled_from([-1, 1, 7]).map(lambda r: 2 * EXPORT_CHUNK_ROWS + r)))
+def test_export_property_rows_off_the_chunk_size(mesh, tmp_path_factory):
+    assert mesh.n_vertices % EXPORT_CHUNK_ROWS and mesh.n_cells % EXPORT_CHUNK_ROWS
+    assert_export_matches_row_writer(mesh, tmp_path_factory.mktemp("e"))
