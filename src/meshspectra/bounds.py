@@ -63,11 +63,8 @@ class Calibration:
 @dataclass(frozen=True)
 class BoundReport:
     """One mesh's exact eigenvalue next to all three calibrated estimates and
-    the geometry they were computed from, one field per CSV column in order.
-
-    param is the sweep value the mesh stands for; wall_time is the seconds
-    spent on the mesh, 0.0 when not measured.
-    """
+    the geometry they were computed from, one field per CSV column before
+    seconds; param is the sweep value the mesh stands for."""
 
     param: float
     n_free: int
@@ -79,7 +76,6 @@ class BoundReport:
     k_min: float
     m_const: int
     h_const: float
-    wall_time: float
 
     def __post_init__(self):
         for name in ("lambda_exact", "lambda_new", "lambda_gm", "lambda_khx"):

@@ -5,17 +5,15 @@ width eps, or grading exponent beta).  Every sweep point builds the mesh,
 assembles the stiffness matrix, computes the exact smallest eigenvalue, and
 evaluates the three calibrated estimates; calibration is computed once per
 sweep from the pinned uniform reference mesh, whose eigenvalue is known in
-closed form.  Output is deterministic:
-wall_time is recorded as 0.0 unless timing is explicitly requested, so two
-runs of the same spec produce byte-identical CSV.
+closed form.  Output is deterministic: the CSV's seconds column is always 0,
+so two runs of the same spec produce byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 from .bounds import BoundReport, Calibration, calibrate, estimates
 from .fem import assemble
@@ -40,12 +38,12 @@ PLOT_COLUMNS = {
     "lambda_khx": ("λ̄_KHX", "#2ca02c"),
 }
 
-# CSV header, one name per BoundReport field in order
+# CSV header: one name per BoundReport field in order, then seconds, written as 0
 CSV_COLUMNS = (
     "param", "n_free", "lambda_exact", "lambda_new", "lambda_gm", "lambda_khx",
     "omega_min", "k_min", "M", "H", "seconds",
 )
-_CSV_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
+_CSV_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,0"
 
 
 class SweepAxis(enum.Enum):
@@ -118,7 +116,7 @@ def analyze_mesh(
     mesh: SimplicialMesh, cal: Calibration, tol: float = 1e-8, param: float = 0.0
 ) -> BoundReport:
     """Exact eigenvalue plus all three calibrated estimates for one mesh,
-    recorded under the sweep value param, with wall_time 0.0."""
+    recorded under the sweep value param."""
     stats = patch_stats(mesh)
     exact = lambda_min_sparse(assemble(mesh), tol=tol).lambda_min
     new, gm, khx = estimates(stats, cal)
@@ -133,22 +131,19 @@ def analyze_mesh(
         k_min=stats.k_min,
         m_const=stats.m_const,
         h_const=stats.h_const,
-        wall_time=0.0,
     )
 
 
-def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[BoundReport]:
+def run_sweep(spec: SweepSpec) -> list[BoundReport]:
     """One BoundReport per sweep value, under a single shared calibration.
 
-    measure_time=False (the default) records wall_time as 0.0, keeping the
-    emitted CSV byte-deterministic.  A ConvergenceError or ValueError raised
-    while analyzing a point gets the prefix "sweep point <axis>=<value>".
+    A ConvergenceError or ValueError raised while analyzing a point gets the
+    prefix "sweep point <axis>=<value>".
     """
     cal = calibrate(spec.dim, spec.calibration_ref)
     rows = []
     for value in spec.values:
         mesh = build_mesh(spec.dim, spec.params_at(value))
-        start = time.perf_counter()
         try:
             report = analyze_mesh(mesh, cal, tol=spec.tol, param=value)
         except ConvergenceError as exc:
@@ -157,8 +152,6 @@ def run_sweep(spec: SweepSpec, measure_time: bool = False) -> list[BoundReport]:
         except ValueError as exc:
             exc.args = (f"sweep point {spec.axis.value}={value}: {exc}",)
             raise
-        if measure_time:
-            report = replace(report, wall_time=time.perf_counter() - start)
         rows.append(report)
     return rows
 
@@ -167,7 +160,7 @@ def emit_csv(rows, path) -> None:
     """Write BoundReports as CSV with 17-significant-digit floats.
 
     The format round-trips floats bit-exactly and is byte-deterministic for
-    identical inputs.
+    identical inputs; the seconds column is always 0.
     """
     lines = [",".join(CSV_COLUMNS)] + [_CSV_ROW % astuple(r) for r in rows]
     with open(path, "w", newline="\n") as fh:

@@ -1,13 +1,14 @@
 """Graded 1D node families and Kuhn-subdivided tensor meshes of the unit box.
 
 Node sets live on [0, 1] and encode a grading family (uniform, Shishkin,
-Bakhvalov-type, power-graded, or a single thin slab).  tensor_mesh takes one
-node set per axis, in any dimension, and splits every grid box into d!
-simplices by the Kuhn subdivision (two triangles in 2D, six tetrahedra in 3D);
-the same pattern in every box keeps the mesh conforming.  patch_stats collects
-the geometric quantities the eigenvalue estimators consume: per-node patch
-volumes, the smallest cell, the max cells-per-vertex count M and the max volume
-ratio H between cells whose closures intersect.
+Bakhvalov-type, power-graded, or a single thin slab).  tensor_mesh takes one node
+set per axis, in any dimension, and splits every grid box into d! simplices by
+the Kuhn subdivision (two triangles in 2D, six tetrahedra in 3D); the same
+pattern in every box keeps the mesh conforming.  A mesh is its vertices and
+cells; its boundary vertices are those with a coordinate at 0 or 1.  patch_stats
+collects the geometric quantities the eigenvalue estimators consume: per-node
+patch volumes, the smallest cell, the max cells-per-vertex count M and the max
+volume ratio H between cells whose closures intersect.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,17 +213,25 @@ def graded_nodes(p: GradingParams) -> NodeSet1D:
 
 @dataclass(frozen=True)
 class SimplicialMesh:
-    """Conforming simplicial mesh of the unit box.
+    """Conforming simplicial mesh of the unit box: its vertices and cells.
 
     vertices is (n_vertices, dim); cells holds dim+1 vertex indices per simplex
-    with positive orientation.  boundary_mask flags vertices on the domain
-    boundary.  Instances are immutable and shareable.
+    with positive orientation.  boundary_mask, derived once from the vertices,
+    flags those with some coordinate exactly 0.0 or 1.0.  Instances are
+    immutable and shareable.
     """
 
-    dim: int
     vertices: np.ndarray
     cells: np.ndarray
-    boundary_mask: np.ndarray
+    boundary_mask: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        on_box = np.any((self.vertices == 0.0) | (self.vertices == 1.0), axis=1)
+        object.__setattr__(self, "boundary_mask", on_box)
+
+    @property
+    def dim(self) -> int:
+        return int(self.vertices.shape[1])
 
     @property
     def n_vertices(self) -> int:
@@ -292,7 +301,6 @@ def tensor_mesh(*node_sets: NodeSet1D) -> SimplicialMesh:
     index = np.indices(shape).reshape(dim, -1)
     vertices = np.column_stack([ns.nodes[i] for ns, i in zip(node_sets, index)])
     last = np.array(shape)[:, None] - 1
-    boundary_mask = np.any((index == 0) | (index == last), axis=0)
     # lower corner of every box, boxes in C order
     base = np.flatnonzero(np.all(index < last, axis=0))
     stride = np.array([math.prod(shape[k + 1 :]) for k in range(dim)])
@@ -305,7 +313,7 @@ def tensor_mesh(*node_sets: NodeSet1D) -> SimplicialMesh:
             corners[[1, 2]] = corners[[2, 1]]
         cells[t :: len(perms)] = corners.T
 
-    return SimplicialMesh(dim=dim, vertices=vertices, cells=cells, boundary_mask=boundary_mask)
+    return SimplicialMesh(vertices, cells)
 
 
 # most intervals per direction, per dimension: cells and unknowns grow as n^dim
@@ -341,11 +349,10 @@ def build_mesh(dim: int, p: GradingParams) -> SimplicialMesh:
 def cell_volumes(mesh: SimplicialMesh) -> np.ndarray:
     """Signed cell volumes; positive for the orientation the builders guarantee.
 
-    Implemented for dim 2 and 3 only: their closed forms set the digits of the
-    geometry columns.  Raises ValueError for any other dim.
+    Implemented for the dimensions check_dim accepts, 2 and 3: their closed
+    forms set the digits of the geometry columns.
     """
-    if mesh.dim not in (2, 3):
-        raise ValueError(f"cell volumes are implemented for dim 2 and 3, got dim {mesh.dim}")
+    check_dim(mesh.dim)
     pts = mesh.vertices[mesh.cells]
     e = pts[:, 1:, :] - pts[:, :1, :]
     if mesh.dim == 2:
@@ -419,8 +426,8 @@ def _face_vertices(keys: np.ndarray, nv: int, dim: int) -> np.ndarray:
 
 def check_conforming(mesh: SimplicialMesh) -> None:
     """Raise if a cell names a vertex that does not exist, any codimension-1
-    face is shared by more than two cells, or a once-counted face is not a
-    boundary face.
+    face is shared by more than two cells, or a once-counted face is off the box's
+    facets (a facet face has all its vertices at 0.0, or all at 1.0, on one axis).
 
     Faces are checked in order of first appearance (cell by cell, dropping
     vertex 0, 1, ...), and the error names the first offending face.
@@ -450,8 +457,10 @@ def check_conforming(mesh: SimplicialMesh) -> None:
     distinct = ordered[starts]
     counts = np.diff(starts, append=ordered.size)
     lonely = distinct[counts == 1]
-    interior = ~mesh.boundary_mask[_face_vertices(lonely, nv, dim)].all(axis=1)
-    bad = np.concatenate([distinct[counts > 2], lonely[interior]])
+    # coordinates of every lonely face: (face, vertex, axis)
+    coords = mesh.vertices[_face_vertices(lonely, nv, dim)]
+    on_facet = ((coords == 0.0).all(axis=1) | (coords == 1.0).all(axis=1)).any(axis=1)
+    bad = np.concatenate([distinct[counts > 2], lonely[~on_facet]])
     if bad.size == 0:
         return
     key = keys[np.argmax(np.isin(keys, bad))]

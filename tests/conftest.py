@@ -70,9 +70,6 @@ def brute_tensor_mesh_2d(nx: NodeSet1D, ny: NodeSet1D) -> SimplicialMesh:
     mx, my = x.size, y.size
     vertices = np.column_stack([np.repeat(x, my), np.tile(y, mx)])
 
-    ii, jj = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
-    boundary = (ii == 0) | (ii == mx - 1) | (jj == 0) | (jj == my - 1)
-
     ri, rj = np.meshgrid(np.arange(mx - 1), np.arange(my - 1), indexing="ij")
     v00 = (ri * my + rj).ravel()
     v10 = v00 + my
@@ -81,7 +78,7 @@ def brute_tensor_mesh_2d(nx: NodeSet1D, ny: NodeSet1D) -> SimplicialMesh:
     cells = np.empty((2 * v00.size, 3), dtype=np.int64)
     cells[0::2] = np.column_stack([v00, v10, v11])
     cells[1::2] = np.column_stack([v00, v11, v01])
-    return SimplicialMesh(dim=2, vertices=vertices, cells=cells, boundary_mask=boundary.ravel())
+    return SimplicialMesh(vertices, cells)
 
 
 # Kuhn subdivision: one tetrahedron per axis permutation, all sharing the main
@@ -104,11 +101,6 @@ def brute_tensor_mesh_3d(nx: NodeSet1D, ny: NodeSet1D, nz: NodeSet1D) -> Simplic
     xi, yi, zi = np.meshgrid(x, y, z, indexing="ij")
     vertices = np.column_stack([xi.ravel(), yi.ravel(), zi.ravel()])
 
-    ii, jj, kk = np.meshgrid(np.arange(mx), np.arange(my), np.arange(mz), indexing="ij")
-    boundary = (
-        (ii == 0) | (ii == mx - 1) | (jj == 0) | (jj == my - 1) | (kk == 0) | (kk == mz - 1)
-    )
-
     bi, bj, bk = np.meshgrid(
         np.arange(mx - 1), np.arange(my - 1), np.arange(mz - 1), indexing="ij"
     )
@@ -122,7 +114,7 @@ def brute_tensor_mesh_3d(nx: NodeSet1D, ny: NodeSet1D, nz: NodeSet1D) -> Simplic
         c3 = c2 + stride[perm[2]]
         tet = (c0, c2, c1, c3) if swap else (c0, c1, c2, c3)
         cells[t::6] = np.column_stack(tet)
-    return SimplicialMesh(dim=3, vertices=vertices, cells=cells, boundary_mask=boundary.ravel())
+    return SimplicialMesh(vertices, cells)
 
 
 def brute_free_index(mesh: SimplicialMesh) -> np.ndarray:
@@ -207,7 +199,9 @@ def brute_assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
 
 
 def brute_check_conforming(mesh: SimplicialMesh) -> None:
-    """Count every face with a Counter, then check counts in first-seen order."""
+    """Count every face with a Counter, then check counts in first-seen order;
+    a face counted once must lie on a facet of the box, with every vertex at
+    0.0, or every vertex at 1.0, on one axis."""
     faces = Counter()
     for cell in mesh.cells:
         for drop in range(mesh.dim + 1):
@@ -216,7 +210,11 @@ def brute_check_conforming(mesh: SimplicialMesh) -> None:
     for face, count in faces.items():
         if count > 2:
             raise ValueError(f"face {face} shared by {count} cells")
-        if count == 1 and not all(mesh.boundary_mask[v] for v in face):
+        if count == 1 and not any(
+            all(mesh.vertices[v][k] == side for v in face)
+            for k in range(mesh.dim)
+            for side in (0.0, 1.0)
+        ):
             raise ValueError(f"interior face {face} belongs to only one cell")
 
 

@@ -245,12 +245,7 @@ def test_relabeling_invariance():
     mesh = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1))
     rng = np.random.default_rng(41)
     perm = rng.permutation(mesh.n_cells)
-    shuffled = SimplicialMesh(
-        dim=2,
-        vertices=mesh.vertices,
-        cells=mesh.cells[perm],
-        boundary_mask=mesh.boundary_mask,
-    )
+    shuffled = SimplicialMesh(mesh.vertices, mesh.cells[perm])
     cal = calibrate(2, n_ref=8)
     new0, gm0, khx0 = estimates(patch_stats(mesh), cal)
     new1, gm1, khx1 = estimates(patch_stats(shuffled), cal)
@@ -272,7 +267,7 @@ def test_uniform_family_tracks_exact():
 def test_bound_report_validation():
     from meshspectra import BoundReport
 
-    geometry = dict(omega_min=0.25, k_min=0.1, m_const=6, h_const=1.0, wall_time=0.0)
+    geometry = dict(omega_min=0.25, k_min=0.1, m_const=6, h_const=1.0)
     with pytest.raises(ValueError):
         BoundReport(
             param=4.0,

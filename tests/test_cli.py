@@ -124,7 +124,7 @@ def test_missing_config_file_exits_2(capsys):
 
 
 def test_convergence_failure_exits_2(monkeypatch, capsys, tmp_path):
-    def boom(spec, measure_time=False):
+    def boom(spec):
         raise ConvergenceError("sweep point n=8 did not converge: stalled")
 
     monkeypatch.setattr(cli, "run_sweep", boom)

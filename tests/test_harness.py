@@ -43,7 +43,6 @@ def make_row(param, n_free, lam, **over):
         k_min=1e-4,
         m_const=6,
         h_const=1.0,
-        wall_time=0.0,
     )
     fields.update(over)
     return BoundReport(**fields)
@@ -182,7 +181,6 @@ def test_run_sweep_uniform_closed_form():
         assert r.n_free == (n - 1) ** 2
         lam = 8.0 * math.sin(math.pi / (2 * n)) ** 2
         assert abs(r.lambda_exact - lam) <= 1e-6 * lam
-        assert r.wall_time == 0.0
 
 
 def test_run_sweep_qualitative_ordering():
@@ -199,18 +197,6 @@ def test_run_sweep_deterministic():
     r1 = run_sweep(SHISHKIN_SMALL)
     r2 = run_sweep(SHISHKIN_SMALL)
     assert r1 == r2
-
-
-def test_run_sweep_measure_time():
-    spec = SweepSpec(
-        dim=2,
-        family=MeshFamily.UNIFORM,
-        axis=SweepAxis.N,
-        values=(2, 4),
-        calibration_ref=4,
-    )
-    rows = run_sweep(spec, measure_time=True)
-    assert all(r.wall_time > 0.0 for r in rows)
 
 
 def test_run_sweep_labels_convergence_failures(monkeypatch):
@@ -278,7 +264,7 @@ def test_csv_header_and_roundtrip(tmp_path):
         assert float(t[7]) == row.k_min
         assert int(t[8]) == row.m_const
         assert float(t[9]) == row.h_const
-        assert float(t[10]) == row.wall_time
+        assert t[10] == "0"
 
 
 def test_csv_byte_deterministic(tmp_path):

@@ -289,6 +289,17 @@ def test_boundary_mask_matches_coordinates_2d():
     np.testing.assert_array_equal(mesh.boundary_mask, on_edge)
 
 
+def test_boundary_vertex_count_matches_distinct_coordinates():
+    # a product grid with m_k distinct coordinates on axis k has prod(m_k - 2)
+    # vertices off the box's boundary
+    for dim, plist in ((2, ALL_FAMILIES_2D), (3, ALL_FAMILIES_3D)):
+        for p in plist:
+            mesh = build_mesh(dim, p)
+            m = np.array([np.unique(mesh.vertices[:, k]).size for k in range(dim)])
+            assert int(mesh.boundary_mask.sum()) == np.prod(m) - np.prod(m - 2)
+            assert mesh.n_free == np.prod(m - 2)
+
+
 # ---------------------------------------------------------------- 3D meshes
 
 
@@ -377,7 +388,7 @@ def test_cell_volumes_rejects_dim_4():
     mesh = tensor_mesh(*[uniform_nodes(2)] * 4)
     assert assemble(mesh).shape == (1, 1)
     for geometry in (cell_volumes, patch_stats):
-        with pytest.raises(ValueError, match="dim 2 and 3, got dim 4"):
+        with pytest.raises(ValueError, match=r"^dim must be 2 or 3, got 4$"):
             geometry(mesh)
 
 
@@ -408,11 +419,8 @@ def test_conforming_all_families():
             assert msg == _conforming_error(brute_check_conforming, broken)
         # seeded random variants: cell i deleted, cell i duplicated in front of
         # cell j, and cell i moved to the end (conforming on its own, broken
-        # once cell j is deleted too).  Deleting a cell whose vertices all lie
-        # on the boundary leaves only boundary-looking faces, which neither
-        # check flags, so only the messages' agreement is asserted per variant.
+        # once cell j is deleted too)
         rng = np.random.default_rng(mesh.n_cells)
-        messages = []
         for _ in range(6):
             i, j = rng.choice(mesh.n_cells, size=2, replace=False)
             moved = np.vstack([np.delete(mesh.cells, i, axis=0), mesh.cells[i : i + 1]])
@@ -424,9 +432,21 @@ def test_conforming_all_families():
             ):
                 broken = replace(mesh, cells=cells)
                 msg = _conforming_error(check_conforming, broken)
+                assert msg is not None
                 assert msg == _conforming_error(brute_check_conforming, broken)
-                messages.append(msg)
-        assert sum(msg is not None for msg in messages) >= len(messages) // 2
+
+
+@pytest.mark.parametrize("dim, n_cells", [(2, 32), (3, 384)])
+def test_conforming_refuses_every_single_cell_deletion(dim, n_cells):
+    # a deleted cell whose vertices all lie on the boundary still leaves faces
+    # inside the box that only one cell uses
+    mesh = build_mesh(dim, params(MeshFamily.UNIFORM, 4))
+    assert mesh.n_cells == n_cells
+    for c in range(n_cells):
+        broken = replace(mesh, cells=np.delete(mesh.cells, c, axis=0))
+        msg = _conforming_error(check_conforming, broken)
+        assert msg is not None and msg.startswith("interior face ")
+        assert msg == _conforming_error(brute_check_conforming, broken)
 
 
 @pytest.mark.parametrize("index", [-1, 25])
@@ -458,12 +478,7 @@ def test_conforming_detects_missing_cell():
 def test_conforming_rejects_unencodable_vertex_count():
     # 2.1e6**3 exceeds int64; the broadcast view allocates no coordinates
     mesh = build_mesh(3, params(MeshFamily.UNIFORM, 2))
-    huge = SimplicialMesh(
-        dim=3,
-        vertices=np.broadcast_to(0.0, (2_100_000, 3)),
-        cells=mesh.cells,
-        boundary_mask=np.ones(2_100_000, dtype=bool),
-    )
+    huge = SimplicialMesh(np.broadcast_to(0.0, (2_100_000, 3)), mesh.cells)
     with pytest.raises(ValueError, match="too many to encode"):
         check_conforming(huge)
 
@@ -669,8 +684,7 @@ def random_meshes(draw, n_vertices, n_cells):
     vertices = rng.choice(pool, size=(nv, dim))
     cells = rng.integers(0, nv, size=(nc, dim + 1))
     cells[-1, -1] = nv - 1
-    return SimplicialMesh(dim=dim, vertices=vertices, cells=cells,
-                          boundary_mask=np.zeros(nv, dtype=bool))
+    return SimplicialMesh(vertices, cells)
 
 
 @EXPORT_SETTINGS
