@@ -9,7 +9,7 @@ from .bounds import (
     calibrate,
     estimates,
 )
-from .fem import assemble, local_stiffness
+from .fem import assemble
 from .harness import (
     FIXTURES,
     SweepAxis,
@@ -63,7 +63,6 @@ __all__ = [
     "export_mesh_text",
     "graded_nodes",
     "lambda_min_sparse",
-    "local_stiffness",
     "patch_stats",
     "run_sweep",
     "tensor_mesh",

@@ -1,17 +1,15 @@
 """P1 stiffness matrix assembly for the Dirichlet Laplacian.
 
 Assembles A_ij = integral of grad(phi_i) . grad(phi_j) over the free vertices
-of a simplicial mesh, with homogeneous Dirichlet conditions imposed by
-eliminating boundary rows and columns.  Gradients of the P1 hat functions are
-constant on each cell, so the local matrix is |K| * G^T G with G the matrix of
-barycentric-coordinate gradients.  The result is a plain scipy CSR matrix; the
-eigensolver checks what it needs of it.
-
-All cells are processed as one batch: stacked edge matrices, one batched
-determinant and inverse, stacked local matrices, and a single COO scatter.
-Every per-cell operation is the same numpy/LAPACK call a one-cell computation
-makes, in the same order, so the matrix does not depend on how cells are
-grouped; local_stiffness is the one-cell case of the same kernel.
+of a simplicial mesh; homogeneous Dirichlet conditions eliminate the boundary
+rows and columns.  On each cell the gradient of vertex a's hat function is
+c_a / det, with det and the cofactor vectors c_a from meshgen.simplex_cofactors
+(the kernel whose determinants cell_volumes returns), so the local entry
+|K| grad_a . grad_b is (c_a . c_b) / (d! |det|): closed form for d <= 3, no
+inverse.  All cells form one batch of array expressions and one COO scatter.
+On Kuhn tensor meshes every coupling that is zero in exact arithmetic is a sum
+of products with a zero factor, so it comes out as an exact zero and is not
+stored.  The result is a plain scipy CSR matrix.
 """
 
 from __future__ import annotations
@@ -21,72 +19,45 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .meshgen import SimplicialMesh
+from .meshgen import SimplicialMesh, simplex_cofactors
 
 
-def _local_matrices(pts: np.ndarray) -> np.ndarray:
-    """Element stiffness matrices of a stack of simplices.
-
-    pts is (c, d+1, d); returns (c, d+1, d+1), each exactly symmetric.  Raises
-    on the first degenerate simplex.
-    """
-    d = pts.shape[2]
-    edges = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)  # columns are edge vectors from vertex 0
-    det = np.linalg.det(edges)
-    scale = np.prod(np.linalg.norm(edges, axis=1), axis=1)
+def _local_entries(mesh: SimplicialMesh, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry (a[p], b[p]) of every cell's local matrix, (n_cells, len(a)), from
+    whole cofactor rows; raises on the first degenerate simplex.  A function of
+    its own, so the geometry arrays are freed before assemble scatters."""
+    pts = mesh.vertices[mesh.cells]
+    edges = pts[:, 1:] - pts[:, :1]
+    det, cof = simplex_cofactors(edges)
+    scale = np.prod(np.linalg.norm(edges, axis=2), axis=1)
     bad = (scale == 0.0) | (np.abs(det) < 1e-14 * scale)
     if bad.any():
         c = int(np.argmax(bad))
         raise ValueError(f"degenerate simplex (det {det[c]:.3g} vs edge scale {scale[c]:.3g})")
-    grads = np.empty((pts.shape[0], d, d + 1))
-    grads[:, :, 1:] = np.linalg.inv(edges).transpose(0, 2, 1)
-    grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
-    vol = np.abs(det) / math.factorial(d)
-    k = vol[:, None, None] * grads.transpose(0, 2, 1) @ grads
-    # exact symmetry so the mirrored assembly is bit-identical
-    return 0.5 * (k + k.transpose(0, 2, 1))
-
-
-def local_stiffness(simplex_vertices: np.ndarray) -> np.ndarray:
-    """Element stiffness matrix of one simplex.
-
-    Parameters
-    ----------
-    simplex_vertices : (d+1, d) array
-        Vertex coordinates.
-
-    Returns
-    -------
-    (d+1, d+1) symmetric positive semidefinite matrix with zero row sums
-    (constants lie in the kernel of the gradient).
-    """
-    pts = np.asarray(simplex_vertices, dtype=float)
-    d = pts.shape[1]
-    if pts.shape != (d + 1, d):
-        raise ValueError(f"expected {d + 1} vertices of dimension {d}, got shape {pts.shape}")
-    return _local_matrices(pts[None])[0]
+    vals = np.empty((det.size, a.size))
+    for p, (i, j) in enumerate(zip(a, b)):
+        vals[:, p] = sum(cof[i, k] * cof[j, k] for k in range(mesh.dim))
+    vals /= (math.factorial(mesh.dim) * np.abs(det))[:, None]
+    return vals
 
 
 def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
     """Assemble the stiffness matrix over free vertices.
 
-    Boundary rows/columns are eliminated (homogeneous Dirichlet): only pairs of
-    free vertices are scattered.  Only upper-triangle entries (by global row)
-    are accumulated; the transpose is mirrored afterwards, which makes the
-    matrix exactly symmetric.  Entries are scattered in (cell, a, b) order, so
-    duplicates are summed in a fixed order.
-
-    Returns the CSR matrix of dimension mesh.n_free, exactly symmetric.
-    """
+    Each cell's local pairs (a, b), a <= b, go to the upper triangle in (cell,
+    a, b) order, so duplicates are summed in a fixed order; its mirror makes
+    the matrix exactly symmetric, and entries that sum to exactly zero are dropped."""
     n = mesh.n_free
     if n == 0:
         raise ValueError("mesh has no free vertices; the Dirichlet system is empty")
-    k = _local_matrices(mesh.vertices[mesh.cells])
-    gi = mesh.free_index[mesh.cells]
-    rows = gi[:, :, None]
-    cols = gi[:, None, :]
-    keep = (rows >= 0) & (cols >= rows)  # lower triangle comes from the mirror
-    rows, cols = np.broadcast_arrays(rows, cols)
-    upper = sp.coo_matrix((k[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    full = upper + sp.triu(upper, k=1).T
-    return full.tocsr()
+    a, b = np.triu_indices(mesh.dim + 1)
+    vals = _local_entries(mesh, a, b)
+    # int32, scipy's own index type below 2**31 rows, so the COO keeps these arrays
+    gi = mesh.free_index[mesh.cells].astype(np.int32)
+    rows, cols = np.minimum(gi[:, a], gi[:, b]), np.maximum(gi[:, a], gi[:, b])
+    keep = rows >= 0  # pairs with a boundary vertex are eliminated
+    vals, rows, cols = vals[keep], rows[keep], cols[keep]
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    full = (upper + sp.triu(upper, k=1).T).tocsr()
+    full.eliminate_zeros()
+    return full

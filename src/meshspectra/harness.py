@@ -1,12 +1,13 @@
 """Parameter sweeps over mesh families, CSV tables, and log-log SVG plots.
 
 A sweep fixes one grading family and varies a single axis (mesh size n, layer
-width eps, or grading exponent beta).  Every sweep point builds the mesh,
-assembles the stiffness matrix, computes the exact smallest eigenvalue, and
-evaluates the three calibrated estimates; calibration is computed once per
-sweep from the pinned uniform reference mesh, whose eigenvalue is known in
-closed form.  Output is deterministic: the CSV's seconds column is always 0,
-so two runs of the same spec produce byte-identical CSV.
+width eps, or grading exponent beta).  A sweep first builds every point's mesh,
+its statistics and its stiffness matrix; then it computes each point's exact
+smallest eigenvalue and evaluates the three calibrated estimates.  Calibration
+is computed once per sweep from the pinned uniform reference mesh, whose
+eigenvalue is known in closed form.  Output is deterministic: the CSV's
+seconds column is always 0, so two runs of the same spec produce
+byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .meshgen import (
     GradingParams,
     LayerPosition,
     MeshFamily,
+    PatchStats,
     SimplicialMesh,
     build_mesh,
     check_dim,
@@ -117,42 +119,40 @@ def analyze_mesh(
 ) -> BoundReport:
     """Exact eigenvalue plus all three calibrated estimates for one mesh,
     recorded under the sweep value param."""
-    stats = patch_stats(mesh)
-    exact = lambda_min_sparse(assemble(mesh), tol=tol).lambda_min
+    return _report(patch_stats(mesh), assemble(mesh), cal, tol, param)
+
+
+def _report(stats: PatchStats, A, cal: Calibration, tol: float, param) -> BoundReport:
+    """Solve the assembled matrix A and estimate from the mesh's stats."""
+    exact = lambda_min_sparse(A, tol=tol).lambda_min
     new, gm, khx = estimates(stats, cal)
-    return BoundReport(
-        param=float(param),
-        n_free=stats.n_free,
-        lambda_exact=exact,
-        lambda_new=new,
-        lambda_gm=gm,
-        lambda_khx=khx,
-        omega_min=stats.omega_min,
-        k_min=stats.k_min,
-        m_const=stats.m_const,
-        h_const=stats.h_const,
-    )
+    # positional in field (CSV column) order
+    return BoundReport(float(param), stats.n_free, exact, new, gm, khx,
+                       stats.omega_min, stats.k_min, stats.m_const, stats.h_const)
 
 
 def run_sweep(spec: SweepSpec) -> list[BoundReport]:
     """One BoundReport per sweep value, under a single shared calibration.
 
-    A ConvergenceError or ValueError raised while analyzing a point gets the
-    prefix "sweep point <axis>=<value>".
+    Every point's statistics and matrix are computed, and its mesh dropped,
+    before any point is solved, so a mesh that patch_stats or assemble refuses
+    costs no solve.  A ConvergenceError or ValueError raised for a point gets
+    the prefix "sweep point <axis>=<value>".
     """
     cal = calibrate(spec.dim, spec.calibration_ref)
-    rows = []
-    for value in spec.values:
-        mesh = build_mesh(spec.dim, spec.params_at(value))
-        try:
-            report = analyze_mesh(mesh, cal, tol=spec.tol, param=value)
-        except ConvergenceError as exc:
-            exc.args = (f"sweep point {spec.axis.value}={value} did not converge: {exc}",)
-            raise
-        except ValueError as exc:
-            exc.args = (f"sweep point {spec.axis.value}={value}: {exc}",)
-            raise
-        rows.append(report)
+    built, rows = [], []
+    try:
+        for value in spec.values:
+            mesh = build_mesh(spec.dim, spec.params_at(value))
+            built.append((value, patch_stats(mesh), assemble(mesh)))
+        for value, stats, A in built:
+            rows.append(_report(stats, A, cal, spec.tol, value))
+    except ConvergenceError as exc:
+        exc.args = (f"sweep point {spec.axis.value}={value} did not converge: {exc}",)
+        raise
+    except ValueError as exc:
+        exc.args = (f"sweep point {spec.axis.value}={value}: {exc}",)
+        raise
     return rows
 
 

@@ -215,10 +215,10 @@ def graded_nodes(p: GradingParams) -> NodeSet1D:
 class SimplicialMesh:
     """Conforming simplicial mesh of the unit box: its vertices and cells.
 
-    vertices is (n_vertices, dim); cells holds dim+1 vertex indices per simplex
-    with positive orientation.  boundary_mask, derived once from the vertices,
-    flags those with some coordinate exactly 0.0 or 1.0.  Instances are
-    immutable and shareable.
+    vertices is (n_vertices, dim); cells, an integer (n_cells, dim+1) array,
+    holds each simplex's vertex indices with positive orientation.  boundary_mask,
+    derived once from the vertices, flags those with some coordinate exactly 0.0
+    or 1.0.  Instances are immutable and shareable.
     """
 
     vertices: np.ndarray
@@ -226,6 +226,10 @@ class SimplicialMesh:
     boundary_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        cells, dim = self.cells, self.dim
+        if cells.dtype.kind not in "iu" or cells.ndim != 2 or cells.shape[1] != dim + 1:
+            raise ValueError(f"cells of a {dim}D mesh must be an integer (n_cells, {dim + 1}) "
+                             f"array, got {cells.dtype} of shape {cells.shape}")
         on_box = np.any((self.vertices == 0.0) | (self.vertices == 1.0), axis=1)
         object.__setattr__(self, "boundary_mask", on_box)
 
@@ -346,20 +350,46 @@ def build_mesh(dim: int, p: GradingParams) -> SimplicialMesh:
     return tensor_mesh(graded, *[rest] * (dim - 1))
 
 
-def cell_volumes(mesh: SimplicialMesh) -> np.ndarray:
-    """Signed cell volumes; positive for the orientation the builders guarantee.
+def simplex_cofactors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed determinant and cofactor vectors of a stack of simplices.
 
-    Implemented for the dimensions check_dim accepts, 2 and 3: their closed
-    forms set the digits of the geometry columns.
+    e is (c, d, d), row k of e[i] the edge from vertex 0 to vertex k+1 of cell
+    i.  Returns det (c,) and cof (d+1, d, c): cof[a, :, i] is det[i] times the
+    gradient of vertex a's barycentric coordinate on cell i.  For a >= 1 it is
+    row a-1 of the cofactor matrix of e[i] (a rotated edge in 2D, a cross
+    product of edges in 3D, det * inv(e)^T beyond); cof[0] is minus their sum.
     """
+    c, d, _ = e.shape
+    comp = e.transpose(1, 2, 0)  # comp[k, i]: component i of edge k, every cell
+    cof = np.empty((d + 1, d, c))
+    if d == 2:
+        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+        cof[1, 0], cof[2, 1] = comp[1, 1], comp[0, 0]
+        np.negative(comp[1, 0], out=cof[1, 1])
+        np.negative(comp[0, 1], out=cof[2, 0])
+    elif d == 3:
+        # c_1 = e_1 x e_2, c_2 = e_2 x e_0, c_3 = e_0 x e_1, as np.cross forms them
+        cyclic = ((1, 2), (2, 0), (0, 1))
+        for a, (j, k) in enumerate(cyclic, 1):
+            for i, (i1, i2) in enumerate(cyclic):
+                cof[a, i] = comp[j, i1] * comp[k, i2] - comp[j, i2] * comp[k, i1]
+        # einsum's summation order, on the layout np.cross returns, set the digits
+        det = np.einsum("ci,ci->c", e[:, 0], np.ascontiguousarray(cof[1].T))
+    else:
+        det = np.linalg.det(e)
+        cof[1:] = (det[:, None, None] * np.linalg.inv(e)).transpose(2, 1, 0)
+    np.negative(cof[1:].sum(axis=0), out=cof[0])
+    return det, cof
+
+
+def cell_volumes(mesh: SimplicialMesh) -> np.ndarray:
+    """Signed cell volumes det / d! from simplex_cofactors; positive for the
+    orientation the builders guarantee.  Implemented for the dimensions
+    check_dim accepts, 2 and 3, whose closed forms set the geometry digits."""
     check_dim(mesh.dim)
     pts = mesh.vertices[mesh.cells]
-    e = pts[:, 1:, :] - pts[:, :1, :]
-    if mesh.dim == 2:
-        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
-        return det / 2.0
-    det = np.einsum("ci,ci->c", e[:, 0], np.cross(e[:, 1], e[:, 2]))
-    return det / 6.0
+    det, _ = simplex_cofactors(pts[:, 1:] - pts[:, :1])
+    return det / math.factorial(mesh.dim)
 
 
 def patch_stats(mesh: SimplicialMesh) -> PatchStats:

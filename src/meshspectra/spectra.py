@@ -17,10 +17,10 @@ and the hierarchy is built as soon as that exceeds MG_SWITCH_STEP, or at step
 MG_SWITCH_STEP + 1 at the latest.  A solve that Jacobi is predicted to finish
 sooner stays on Jacobi, which also keeps the mesh's symmetry: on 3D power
 meshes with beta >= 3 the six lowest eigenvalues form a cluster (relative
-spread 3.4e-7 at n=8, 1.1e-8 at n=10 and 8.8e-10 at n=12 for beta=3, 3e-13 at
+spread 3.4e-7 at n=8, 1.1e-8 at n=10 and 8.8e-10 at n=12 for beta=3, 1.4e-13 at
 n=12 for beta=4; the next eigenvalue is 12-37% higher), which the symmetric
 start vector and Jacobi steps resolve to the dense oracle within 1.3e-13
-(6.1e-15 at n=10), while hash-ordered aggregation breaks the symmetry and
+(8.7e-15 at n=10), while hash-ordered aggregation breaks the symmetry and
 moved the n=10 result by 6.3e-12.
 
 The iteration stops on the relative residual ||Ax - theta x|| <= tol * theta,

@@ -27,12 +27,11 @@ from meshspectra import (
     cell_volumes,
     graded_nodes,
     lambda_min_sparse,
-    local_stiffness,
     patch_stats,
     run_sweep,
 )
 
-from conftest import brute_patch_volumes, geo_form, holder_mean, lambda_min_dense
+from conftest import brute_patch_volumes, geo_form, holder_mean, lambda_min_dense, local_stiffness
 
 
 def announce(num, ok, detail):

@@ -157,8 +157,13 @@ def test_sweep_point_with_underflowed_cells_exits_1_with_one_line(tmp_path, caps
     assert not out.with_name("tiny.csv").exists()
 
 
-def test_sweep_point_refused_by_assembly_names_the_point(tmp_path, capsys):
-    # eps=1e-150 passes patch_stats but assemble refuses its flattened corner cells
+def test_sweep_point_refused_by_assembly_names_the_point(tmp_path, monkeypatch, capsys):
+    # eps=1e-150 passes patch_stats but assemble refuses its flattened corner
+    # cells, before the eps=0.2 point is solved
+    import meshspectra.harness as hz
+
+    solved = []
+    monkeypatch.setattr(hz, "lambda_min_sparse", lambda *args, **kwargs: solved.append(args))
     out = tmp_path / "flat"
     assert run_cli("sweep", "--dim", "2", "--family", "shishkin", "--n", "16", "--axis", "eps",
                    "--values", "0.2,1e-150", "--out", str(out)) == 1
@@ -167,6 +172,7 @@ def test_sweep_point_refused_by_assembly_names_the_point(tmp_path, capsys):
         "degenerate simplex (det 4.33e-152 vs edge scale 0.0156)"
     ]
     assert not out.with_name("flat.csv").exists()
+    assert solved == []
 
 
 # -------------------------------------------------------------------- mesh

@@ -3,9 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meshspectra import GradingParams, MeshFamily, assemble, build_mesh, local_stiffness
+from meshspectra import (
+    GradingParams, MeshFamily, NodeSet1D, SimplicialMesh, assemble, build_mesh, tensor_mesh,
+)
+from meshspectra.meshgen import uniform_nodes
 
-from conftest import brute_assemble
+from conftest import brute_assemble, local_stiffness
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -91,8 +94,11 @@ def _five_point_matrix(n):
 @pytest.mark.parametrize("n", [4, 8])
 def test_assemble_uniform_2d_matches_stencil(n):
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, n))
-    A = assemble(mesh).toarray()
-    np.testing.assert_allclose(A, _five_point_matrix(n), rtol=0, atol=1e-13)
+    A = assemble(mesh)
+    stencil = _five_point_matrix(n)
+    np.testing.assert_array_equal(A.toarray(), stencil)
+    # the Kuhn diagonals couple nothing: only the five-point entries are stored
+    assert A.nnz == np.count_nonzero(stencil) == (n - 1) ** 2 + 4 * (n - 1) * (n - 2)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +118,57 @@ def test_assemble_matches_cell_loop_bitwise(dim, p):
     np.testing.assert_array_equal(A.indptr, B.indptr)
     np.testing.assert_array_equal(A.indices, B.indices)
     assert A.data.tobytes() == B.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim, p",
+    [
+        (2, GradingParams(MeshFamily.BAKHVALOV, 16, eps=0.01)),
+        (2, GradingParams(MeshFamily.POWER, 16, beta=4.0)),
+        (3, GradingParams(MeshFamily.POWER, 6, beta=3.0)),
+        (3, GradingParams(MeshFamily.SINGLE_LAYER, 6, eps=0.01)),
+    ],
+)
+def test_assemble_matches_det_inv_reference(dim, p):
+    # the cell loop over det/inv local matrices, independent of the cofactors
+    mesh = build_mesh(dim, p)
+    A = assemble(mesh)
+    R = brute_assemble(mesh, local=local_stiffness)
+    scale = np.max(np.abs(R.data))
+    assert np.max(np.abs((A - R).data), initial=0.0) <= 1e-14 * scale
+    # what the reference stores at rounding level is zero in exact arithmetic
+    # on a Kuhn mesh, and assemble stores none of it
+    ref = R.tocoo()
+    diag = R.diagonal()
+    noise = np.abs(ref.data) < 1e-12 * np.sqrt(diag[ref.row] * diag[ref.col])
+    assert noise.any()
+    n = A.shape[0]
+    stored = A.tocoo()
+    assert not np.isin(ref.row[noise] * n + ref.col[noise], stored.row * n + stored.col).any()
+
+
+def test_assemble_4d_matches_det_inv_reference():
+    # beyond 3D the cofactors are det * inv(e)^T
+    skewed = NodeSet1D(np.array([0.0, 0.3, 0.55, 1.0]))
+    mesh = tensor_mesh(skewed, uniform_nodes(3), skewed, uniform_nodes(2))
+    A = assemble(mesh)
+    R = brute_assemble(mesh, local=local_stiffness)
+    assert A.shape == (mesh.n_free, mesh.n_free) == (8, 8)
+    np.testing.assert_allclose(A.toarray(), R.toarray(), rtol=0,
+                               atol=1e-14 * np.max(np.abs(R.data)))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (3, 4)])
+def test_assemble_matches_det_inv_reference_on_perturbed_mesh(dim, n):
+    # every interior vertex moved: general simplices, no right angles
+    mesh = build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n))
+    shift = 0.1 / n * np.random.default_rng(dim).uniform(-1.0, 1.0, mesh.vertices.shape)
+    shift[mesh.boundary_mask] = 0.0
+    mesh = SimplicialMesh(mesh.vertices + shift, mesh.cells)
+    A = assemble(mesh)
+    R = brute_assemble(mesh, local=local_stiffness)
+    assert A.nnz == R.nnz
+    assert np.max(np.abs((A - R).data), initial=0.0) <= 1e-14 * np.max(np.abs(R.data))
 
 
 def test_assemble_rejects_degenerate_cell():

@@ -13,6 +13,7 @@ from meshspectra import (
     SweepAxis,
     SweepSpec,
     analyze_mesh,
+    assemble,
     build_mesh,
     calibrate,
     emit_csv,
@@ -204,12 +205,12 @@ def test_run_sweep_labels_convergence_failures(monkeypatch):
 
     vector = np.ones(4)
 
-    def boom(mesh, cal, tol=1e-8, param=0.0):
+    def boom(A, tol=1e-8):
         raise ConvergenceError(
             "inner solve stalled", lambda_estimate=7.5, vector=vector, iterations=3, residual=0.5
         )
 
-    monkeypatch.setattr(hz, "analyze_mesh", boom)
+    monkeypatch.setattr(hz, "lambda_min_sparse", boom)
     spec = SweepSpec(
         dim=2,
         family=MeshFamily.SHISHKIN,
@@ -230,12 +231,19 @@ def test_run_sweep_labels_convergence_failures(monkeypatch):
 def test_run_sweep_labels_refused_points(monkeypatch):
     import meshspectra.harness as hz
 
-    def refuse(mesh, cal, tol=1e-8, param=0.0):
-        if param == 0.1:
-            raise ValueError("degenerate simplex")
-        return "report"
+    assembled = []
 
-    monkeypatch.setattr(hz, "analyze_mesh", refuse)
+    def refuse(mesh):
+        assembled.append(mesh)
+        if len(assembled) == 2:
+            raise ValueError("degenerate simplex")
+        return assemble(mesh)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a point was solved before every point was assembled")
+
+    monkeypatch.setattr(hz, "assemble", refuse)
+    monkeypatch.setattr(hz, "lambda_min_sparse", no_solve)
     spec = SweepSpec(dim=2, family=MeshFamily.SHISHKIN, n=8, axis=SweepAxis.EPS,
                      values=(0.2, 0.1), calibration_ref=4)
     with pytest.raises(ValueError, match=r"^sweep point eps=0\.1: degenerate simplex$"):

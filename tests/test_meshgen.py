@@ -29,6 +29,7 @@ from meshspectra.meshgen import (
     internalize,
     power_nodes,
     shishkin_nodes,
+    simplex_cofactors,
     single_layer_nodes,
     uniform_nodes,
 )
@@ -369,6 +370,32 @@ def test_tensor_mesh_property(sets):
     vols = cell_volumes(mesh)
     assert np.all(vols > 0.0)
     assert abs(vols.sum() - 1.0) <= 1e-12
+
+
+def test_mesh_refuses_cells_of_the_wrong_shape():
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    wide = np.hstack([mesh.cells, mesh.cells[:, :1]])
+    message = r"^cells of a 2D mesh must be an integer \(n_cells, 3\) array, got int64 of shape \(32, 4\)$"
+    with pytest.raises(ValueError, match=message):
+        SimplicialMesh(mesh.vertices, wide)
+    with pytest.raises(ValueError, match=message):
+        replace(mesh, cells=wide)
+    with pytest.raises(ValueError, match=r"got float64 of shape \(32, 3\)$"):
+        SimplicialMesh(mesh.vertices, mesh.cells.astype(float))
+    with pytest.raises(ValueError, match=r"got int64 of shape \(96,\)$"):
+        SimplicialMesh(mesh.vertices, mesh.cells.ravel())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_simplex_cofactors_invert_the_edges(dim):
+    rng = np.random.default_rng(dim)
+    e = np.eye(dim) + 0.3 * rng.standard_normal((50, dim, dim))
+    det, cof = simplex_cofactors(e)
+    np.testing.assert_allclose(det, np.linalg.det(e), rtol=1e-13)
+    # e_k . c_(j+1) = det * delta_kj, and the d+1 vectors sum to zero
+    np.testing.assert_allclose(e @ cof[1:].transpose(2, 1, 0),
+                               det[:, None, None] * np.eye(dim), atol=1e-13)
+    np.testing.assert_allclose(cof.sum(axis=0), 0.0, atol=1e-14)
 
 
 def test_tensor_mesh_4d():
