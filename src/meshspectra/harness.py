@@ -145,6 +145,7 @@ def run_sweep(spec: SweepSpec) -> list[BoundReport]:
         for value in spec.values:
             mesh = build_mesh(spec.dim, spec.params_at(value))
             built.append((value, patch_stats(mesh), assemble(mesh)))
+        del mesh  # and its geometry, before the solves
         for value, stats, A in built:
             rows.append(_report(stats, A, cal, spec.tol, value))
     except ConvergenceError as exc:

@@ -5,10 +5,12 @@ Bakhvalov-type, power-graded, or a single thin slab).  tensor_mesh takes one nod
 set per axis, in any dimension, and splits every grid box into d! simplices by
 the Kuhn subdivision (two triangles in 2D, six tetrahedra in 3D); the same
 pattern in every box keeps the mesh conforming.  A mesh is its vertices and
-cells; its boundary vertices are those with a coordinate at 0 or 1.  patch_stats
-collects the geometric quantities the eigenvalue estimators consume: per-node
-patch volumes, the smallest cell, the max cells-per-vertex count M and the max
-volume ratio H between cells whose closures intersect.
+cells; its boundary vertices are those with a coordinate at 0 or 1.  Its cell
+geometry (determinants and cofactor vectors, from simplex_cofactors) is
+computed once, on first use, and shared by cell_volumes and fem.assemble.
+patch_stats collects the geometric quantities the eigenvalue estimators
+consume: per-node patch volumes, the smallest cell, the max cells-per-vertex
+count M and the max volume ratio H between cells whose closures intersect.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -218,7 +221,10 @@ class SimplicialMesh:
     vertices is (n_vertices, dim); cells, an integer (n_cells, dim+1) array,
     holds each simplex's vertex indices with positive orientation.  boundary_mask,
     derived once from the vertices, flags those with some coordinate exactly 0.0
-    or 1.0.  Instances are immutable and shareable.
+    or 1.0; geometry, derived on first use, holds simplex_cofactors of the
+    cells.  Instances are immutable and shareable: since both are derived once,
+    neither the mesh's arrays nor the geometry's may be modified in place
+    (dataclasses.replace makes a new mesh, with its own).
     """
 
     vertices: np.ndarray
@@ -232,6 +238,13 @@ class SimplicialMesh:
                              f"array, got {cells.dtype} of shape {cells.shape}")
         on_box = np.any((self.vertices == 0.0) | (self.vertices == 1.0), axis=1)
         object.__setattr__(self, "boundary_mask", on_box)
+
+    @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(det, cof, scale) of every cell, from simplex_cofactors; the cell
+        indices are checked first, so a bad one raises instead of wrapping."""
+        check_cell_indices(self)
+        return simplex_cofactors(self.vertices, self.cells)
 
     @property
     def dim(self) -> int:
@@ -350,20 +363,26 @@ def build_mesh(dim: int, p: GradingParams) -> SimplicialMesh:
     return tensor_mesh(graded, *[rest] * (dim - 1))
 
 
-def simplex_cofactors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed determinant and cofactor vectors of a stack of simplices.
+def simplex_cofactors(vertices: np.ndarray, cells: np.ndarray):
+    """Signed determinant, cofactor vectors and edge-length product of every cell.
 
-    e is (c, d, d), row k of e[i] the edge from vertex 0 to vertex k+1 of cell
-    i.  Returns det (c,) and cof (d+1, d, c): cof[a, :, i] is det[i] times the
-    gradient of vertex a's barycentric coordinate on cell i.  For a >= 1 it is
-    row a-1 of the cofactor matrix of e[i] (a rotated edge in 2D, a cross
-    product of edges in 3D, det * inv(e)^T beyond); cof[0] is minus their sum.
+    The edges run from vertex 0 of a cell to its vertices 1..d; they are
+    gathered component-major, so every edge component, cofactor component and
+    determinant is one contiguous row over the cells.  Returns det (c,), cof
+    (d+1, d, c) and scale (c,): cof[a, :, i] is det[i] times the gradient of
+    vertex a's barycentric coordinate on cell i.  For a >= 1 it is row a-1 of
+    the cofactor matrix of the edges (a rotated edge in 2D, a cross product of
+    edges in 3D, det * inv(e)^T beyond); cof[0] is minus their sum.  scale[i]
+    is the product of cell i's edge lengths, the size a degenerate det is
+    judged against.  The indices in cells must lie in [0, len(vertices)).
     """
-    c, d, _ = e.shape
-    comp = e.transpose(1, 2, 0)  # comp[k, i]: component i of edge k, every cell
-    cof = np.empty((d + 1, d, c))
+    d = vertices.shape[1]
+    pts = np.ascontiguousarray(vertices.T).take(cells.T, axis=1)  # [i, k]: component i of vertex k
+    comp = (pts[:, 1:] - pts[:, :1]).transpose(1, 0, 2)  # comp[k, i]: component i of edge k
+    del pts
+    cof = np.empty((d + 1, d, cells.shape[0]))
     if d == 2:
-        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+        det = comp[0, 0] * comp[1, 1] - comp[0, 1] * comp[1, 0]
         cof[1, 0], cof[2, 1] = comp[1, 1], comp[0, 0]
         np.negative(comp[1, 0], out=cof[1, 1])
         np.negative(comp[0, 1], out=cof[2, 0])
@@ -373,23 +392,23 @@ def simplex_cofactors(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for a, (j, k) in enumerate(cyclic, 1):
             for i, (i1, i2) in enumerate(cyclic):
                 cof[a, i] = comp[j, i1] * comp[k, i2] - comp[j, i2] * comp[k, i1]
-        # einsum's summation order, on the layout np.cross returns, set the digits
-        det = np.einsum("ci,ci->c", e[:, 0], np.ascontiguousarray(cof[1].T))
+        # e_0 . c_1 summed as (x + z) + y, the order that set the geometry digits
+        det = (comp[0, 0] * cof[1, 0] + comp[0, 2] * cof[1, 2]) + comp[0, 1] * cof[1, 1]
     else:
+        e = comp.transpose(2, 0, 1)  # e[c, k, i], the stack linalg takes
         det = np.linalg.det(e)
         cof[1:] = (det[:, None, None] * np.linalg.inv(e)).transpose(2, 1, 0)
     np.negative(cof[1:].sum(axis=0), out=cof[0])
-    return det, cof
+    scale = np.sqrt((comp * comp).sum(axis=1)).prod(axis=0)
+    return det, cof, scale
 
 
 def cell_volumes(mesh: SimplicialMesh) -> np.ndarray:
-    """Signed cell volumes det / d! from simplex_cofactors; positive for the
+    """Signed cell volumes det / d! from the mesh's geometry; positive for the
     orientation the builders guarantee.  Implemented for the dimensions
     check_dim accepts, 2 and 3, whose closed forms set the geometry digits."""
     check_dim(mesh.dim)
-    pts = mesh.vertices[mesh.cells]
-    det, _ = simplex_cofactors(pts[:, 1:] - pts[:, :1])
-    return det / math.factorial(mesh.dim)
+    return mesh.geometry[0] / math.factorial(mesh.dim)
 
 
 def patch_stats(mesh: SimplicialMesh) -> PatchStats:

@@ -75,7 +75,6 @@ class EigenResult:
     "multigrid <level sizes> from step k"."""
 
     lambda_min: float
-    residual: float
     iterations: int
     error_bound: float
     preconditioner: str
@@ -292,7 +291,6 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
             if exact:
                 return EigenResult(
                     lambda_min=theta,
-                    residual=resid,
                     iterations=it,
                     error_bound=resid,
                     preconditioner=preconditioner,

@@ -203,9 +203,8 @@ def brute_local_stiffness(simplex_vertices: np.ndarray) -> np.ndarray:
         cof = [[e[1][1], -e[1][0]], [-e[0][1], e[0][0]]]
     elif d == 3:
         cof = [_cross(e[1], e[2]), _cross(e[2], e[0]), _cross(e[0], e[1])]
-        # left to right; einsum, in cell_volumes, may pair the terms otherwise,
-        # which cannot matter on Kuhn cells, whose first edge lies on an axis
-        det = e[0][0] * cof[0][0] + e[0][1] * cof[0][1] + e[0][2] * cof[0][2]
+        # summed as (x + z) + y, the order of meshgen.simplex_cofactors
+        det = (e[0][0] * cof[0][0] + e[0][2] * cof[0][2]) + e[0][1] * cof[0][1]
     else:
         raise ValueError(f"the scalar cofactor formula is written for d = 2 and 3, got {d}")
     scale = float(np.prod(np.linalg.norm(np.array(e), axis=1)))

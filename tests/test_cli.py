@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -495,3 +498,21 @@ def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkey
     assert run_cli("sweep", "--dim", "2", *flags, "--out", str(out)) == 1
     assert message in capsys.readouterr().err
     assert not out.with_name("B.csv").exists()
+
+
+# ---------------------------------------------------------------- imports
+
+
+def test_importing_the_cli_loads_no_dense_or_iterative_solver():
+    # every command pays for what importing the CLI loads; the package needs
+    # neither module, which together add about a sixth to the import time
+    import meshspectra
+
+    src = os.path.dirname(os.path.dirname(meshspectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = ("import sys, meshspectra.cli; "
+             "print(*sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == ""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from meshspectra import (
     assemble,
     build_mesh,
     calibrate,
+    cell_volumes,
     emit_csv,
     emit_svg_loglog,
     run_sweep,
@@ -371,6 +373,26 @@ def test_fixture_meshes_build(name):
     assert mesh.n_free >= 1
 
 
+# SHA-256 of every FIXTURES point's stiffness matrix and cell volumes, written
+# when assembly and cell_volumes still gathered cell-major coordinates
+FIXTURE_DIGEST = "90bc27c0fe80e923114ea6900f5d3808d27cc9a81e1b546ed4eeb70f901a0d35"
+
+
+def test_fixture_matrices_and_volumes_are_bit_identical():
+    digest = hashlib.sha256()
+    points = 0
+    for spec in FIXTURES.values():
+        for value in spec.values:
+            mesh = build_mesh(spec.dim, spec.params_at(value))
+            A = assemble(mesh)
+            for arr, dtype in ((A.indptr, np.int64), (A.indices, np.int64),
+                               (A.data, np.float64), (cell_volumes(mesh), np.float64)):
+                digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+            points += 1
+    assert points == 89
+    assert digest.hexdigest() == FIXTURE_DIGEST
+
+
 def test_analyze_mesh_consistent_with_run_sweep():
     cal = calibrate(2, n_ref=SHISHKIN_SMALL.calibration_ref)
     mesh = build_mesh(2, SHISHKIN_SMALL.params_at(8))
@@ -402,6 +424,24 @@ def test_analyze_mesh_computes_cell_volumes_once(monkeypatch):
     assert len(calls) == 1  # calibrate reuses the volumes patch_stats computed
     analyze_mesh(build_mesh(2, SHISHKIN_SMALL.params_at(8)), cal)
     assert len(calls) == 2
+
+
+def test_run_sweep_computes_each_mesh_geometry_once(monkeypatch):
+    import meshspectra.meshgen as mg
+
+    calls = []
+    original = mg.simplex_cofactors
+
+    def counted(vertices, cells):
+        calls.append(cells.shape[0])
+        return original(vertices, cells)
+
+    monkeypatch.setattr(mg, "simplex_cofactors", counted)
+    spec = SweepSpec(dim=3, family=MeshFamily.POWER, beta=3.0, axis=SweepAxis.N,
+                     values=(4, 6, 8), calibration_ref=4)
+    run_sweep(spec)
+    # patch_stats and assemble share each point's geometry; calibrate has no matrix
+    assert calls == [6 * 4**3, 6 * 4**3, 6 * 6**3, 6 * 8**3]
 
 
 def test_csv_matches_golden_fixture(tmp_path):

@@ -386,16 +386,60 @@ def test_mesh_refuses_cells_of_the_wrong_shape():
         SimplicialMesh(mesh.vertices, mesh.cells.ravel())
 
 
+def _random_simplices(dim, count, seed):
+    """A mesh of count unconnected random simplices, one per cell: vertex 0 of
+    each anywhere, its edges a random perturbation of the unit vectors."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((count, 1, dim))
+    tips = base + np.eye(dim) + 0.3 * rng.standard_normal((count, dim, dim))
+    vertices = np.concatenate([base, tips], axis=1).reshape(-1, dim)
+    return SimplicialMesh(vertices, np.arange(count * (dim + 1)).reshape(count, dim + 1))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_simplex_cofactors_invert_the_edges(dim):
-    rng = np.random.default_rng(dim)
-    e = np.eye(dim) + 0.3 * rng.standard_normal((50, dim, dim))
-    det, cof = simplex_cofactors(e)
+    mesh = _random_simplices(dim, 50, dim)
+    pts = mesh.vertices[mesh.cells]
+    e = pts[:, 1:] - pts[:, :1]
+    det, cof, scale = simplex_cofactors(mesh.vertices, mesh.cells)
     np.testing.assert_allclose(det, np.linalg.det(e), rtol=1e-13)
     # e_k . c_(j+1) = det * delta_kj, and the d+1 vectors sum to zero
     np.testing.assert_allclose(e @ cof[1:].transpose(2, 1, 0),
                                det[:, None, None] * np.eye(dim), atol=1e-13)
     np.testing.assert_allclose(cof.sum(axis=0), 0.0, atol=1e-14)
+    np.testing.assert_allclose(scale, np.prod(np.linalg.norm(e, axis=2), axis=1), rtol=1e-15)
+    # every result is one contiguous row per component, over the cells
+    assert all(x.flags.c_contiguous for x in (det, cof, scale)) and cof.shape == (dim + 1, dim, 50)
+
+
+def test_mesh_geometry_is_computed_once_and_not_shared_by_a_replaced_mesh():
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    assert mesh.geometry is mesh.geometry
+    np.testing.assert_array_equal(cell_volumes(mesh), mesh.geometry[0] / 2)
+    # move the center vertex: the cells around it change
+    moved = mesh.vertices.copy()
+    moved[12] += [0.05, 0.0]
+    other = replace(mesh, vertices=moved)
+    assert other.geometry is not mesh.geometry
+    for got, want in zip(other.geometry, simplex_cofactors(moved, mesh.cells)):
+        np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(other.geometry[0], mesh.geometry[0])
+    assert math.isclose(cell_volumes(other).sum(), 1.0, rel_tol=1e-14)
+    assert not np.array_equal(patch_stats(other).patch_volumes, patch_stats(mesh).patch_volumes)
+    assert not np.array_equal(assemble(other).data, assemble(mesh).data)
+
+
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_bad_cell_index_is_refused_by_patch_stats_and_assemble(bad):
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    cells = mesh.cells.copy()
+    cells[0, 1] = bad
+    message = (rf"^cell 0 \({cells[0, 0]}, {bad}, {cells[0, 2]}\) "
+               rf"has a vertex index outside \[0, 25\)$")
+    for reader in (patch_stats, assemble):
+        # a fresh mesh each time, whose geometry is not computed yet
+        with pytest.raises(ValueError, match=message):
+            reader(SimplicialMesh(mesh.vertices, cells))
 
 
 def test_tensor_mesh_4d():
