@@ -222,9 +222,9 @@ class SimplicialMesh:
     holds each simplex's vertex indices with positive orientation.  boundary_mask,
     derived once from the vertices, flags those with some coordinate exactly 0.0
     or 1.0; geometry, derived on first use, holds simplex_cofactors of the
-    cells.  Instances are immutable and shareable: since both are derived once,
-    neither the mesh's arrays nor the geometry's may be modified in place
-    (dataclasses.replace makes a new mesh, with its own).
+    cells, as read-only arrays.  Instances are immutable and shareable: since
+    both are derived once, the mesh's arrays may not be modified in place
+    (dataclasses.replace makes a new mesh, with its own geometry).
     """
 
     vertices: np.ndarray
@@ -241,10 +241,14 @@ class SimplicialMesh:
 
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(det, cof, scale) of every cell, from simplex_cofactors; the cell
-        indices are checked first, so a bad one raises instead of wrapping."""
+        """(det, cof, scale) of every cell, from simplex_cofactors, read-only
+        since every reader shares them; the cell indices are checked first, so
+        a bad one raises instead of wrapping."""
         check_cell_indices(self)
-        return simplex_cofactors(self.vertices, self.cells)
+        geometry = simplex_cofactors(self.vertices, self.cells)
+        for a in geometry:
+            a.setflags(write=False)
+        return geometry
 
     @property
     def dim(self) -> int:

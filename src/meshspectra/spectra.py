@@ -3,15 +3,18 @@
 The production path is single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
 2001): each step does Rayleigh-Ritz on span{x, w, p}, where w is the
 preconditioned residual and p the previous search direction.  It starts with
-the Jacobi preconditioner: diagonal scaling removes the effect of mesh
-nonuniformity on the conditioning (Kamenski-Huang-Xu, Math. Comp. 83, 2014),
-which is enough for most 3D meshes, but on strongly graded 2D meshes the step
-count grows into the thousands (Bakhvalov eps=0.01 n=128: 1159 steps).  There
-a smoothed-aggregation multigrid hierarchy, built from the matrix once, gives
-a V-cycle preconditioner that needs far fewer steps (the same mesh: 84).
+the Jacobi preconditioner: diagonal scaling reduces the effect of mesh
+nonuniformity on the conditioning (Kamenski-Huang-Xu, Math. Comp. 83, 2014)
+but does not remove it (N^(2/d) lambda_min(D^-1/2 A D^-1/2) spreads by a
+factor of 187 over the 2D fixture points and 47 over the 3D ones).  That is
+enough for most 3D meshes, but on strongly graded 2D meshes the step count
+grows into the thousands (Bakhvalov eps=0.01 n=128: 1159 steps).  There a
+smoothed-aggregation multigrid hierarchy, built from the matrix once with
+prolongators smoothed by the filtered matrix, gives a V-cycle preconditioner
+that needs far fewer steps (the same mesh: 81, at operator complexity 1.52).
 
-The build costs about MG_SWITCH_STEP Jacobi steps, so the solve's own residual
-history decides when it pays: after MG_PROBE_STEP steps, the reduction of
+The build costs at most about MG_SWITCH_STEP Jacobi steps, so the solve's own
+residual history decides when it pays: after MG_PROBE_STEP steps, the reduction of
 ||r|| over the last few Jacobi steps predicts how many more Jacobi would need,
 and the hierarchy is built as soon as that exceeds MG_SWITCH_STEP, or at step
 MG_SWITCH_STEP + 1 at the latest.  A solve that Jacobi is predicted to finish
@@ -44,7 +47,11 @@ import scipy.sparse as sp
 
 # what building the multigrid hierarchy costs, in Jacobi LOBPCG steps: the
 # hierarchy is built once the Jacobi steps still needed, predicted from the
-# residual history, exceed it, and at step MG_SWITCH_STEP + 1 at the latest
+# residual history, exceed it, and at step MG_SWITCH_STEP + 1 at the latest.
+# Measured (median of 21 adjacent build/step timings, one BLAS thread), a
+# build costs 76-79 steps at 16,129 unknowns, 57 on 3D single-layer n=12 and
+# 38-40 at 225-961 unknowns.  Set to 79, it would move 2D Shishkin eps=0.1
+# n=16 (81 Jacobi steps) off Jacobi and change that golden-CSV row's bytes
 MG_SWITCH_STEP = 128
 # the first step at which the prediction is made; it reads the residual
 # reduction over the last MG_PROBE_STEP // 2 steps
@@ -95,29 +102,56 @@ def _start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _strength_graph(M: sp.csr_matrix) -> np.ndarray:
-    """(k, n) table of the strong connections of every row plus the row itself.
+def _strong_entries(M: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row index of every stored entry of M, and which entries are strong.
 
     i-j is strong when a_ij^2 >= MG_STRENGTH^2 m_i m_j, m_i being row i's
-    largest off-diagonal magnitude; the test is symmetric in i and j.  Rows
-    with fewer than k entries are padded with their own index, so a maximum
-    over a column of the gathered table is the maximum over the row's
+    largest off-diagonal magnitude; the test is symmetric in i and j, and the
+    diagonal is never strong.
+    """
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    cols = M.indices
+    mag = np.where(rows == cols, 0.0, np.abs(M.data))
+    m = np.maximum.reduceat(mag, M.indptr[:-1])
+    return rows, (mag > 0.0) & (mag * mag >= MG_STRENGTH**2 * m[rows] * m[cols])
+
+
+def _strength_graph(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(k, n) table of the strong connections (rows[e], cols[e]) of every row
+    plus the row itself.
+
+    Rows with fewer than k entries are padded with their own index, so a
+    maximum over a column of the gathered table is the maximum over the row's
     neighbourhood.
     """
-    n = M.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(M.indptr))
-    cols = M.indices
-    diag = rows == cols
-    mag = np.where(diag, 0.0, np.abs(M.data))
-    m = np.maximum.reduceat(mag, M.indptr[:-1])
-    strong = (mag > 0.0) & (mag * mag >= MG_STRENGTH**2 * m[rows] * m[cols])
-    rows, cols = rows[strong], cols[strong]
     counts = np.bincount(rows, minlength=n)
     table = np.tile(np.arange(n), (int(counts.max()) + 1, 1))
     # rows are sorted, so an entry's slot is its offset within its row
     starts = np.cumsum(counts) - counts
     table[1 + np.arange(rows.size) - starts[rows], rows] = cols
     return table
+
+
+def _filtered(M: sp.csr_matrix, rows: np.ndarray, strong: np.ndarray) -> sp.csr_matrix:
+    """M with its weak off-diagonal entries lumped onto the diagonal, which
+    M stores in every row.
+
+    Every row keeps its strong entries and its row sum, so the filtered
+    matrix has M's near-nullspace.  A row whose lumped diagonal would not be
+    positive keeps all its entries unfiltered; that happens on coarse levels
+    (15 rows in the hierarchies of 5 of the 55 fixture points that build
+    one), and then the filtered matrix is not symmetric.
+    """
+    n = M.shape[0]
+    diag = rows == M.indices
+    weak = ~(strong | diag)
+    d = M.diagonal()
+    lumped = d + np.bincount(rows[weak], weights=M.data[weak], minlength=n)
+    filtered = lumped > 0.0
+    keep = ~(weak & filtered[rows])
+    data = np.where(diag, np.where(filtered, lumped, d)[rows], M.data)[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
+    return sp.csr_matrix((data, M.indices[keep], indptr), shape=M.shape)
 
 
 def _aggregate(table: np.ndarray) -> np.ndarray:
@@ -148,16 +182,37 @@ def _aggregate(table: np.ndarray) -> np.ndarray:
     return agg
 
 
+def _damped_inverse_diagonal(A: sp.csr_matrix) -> np.ndarray:
+    """4/(3 rho) D^-1, rho the Gershgorin bound on D^-1 A: the weighted
+    D^-1 A has spectral radius at most 4/3.  Raises np.linalg.LinAlgError
+    when a diagonal entry is not positive."""
+    d = A.diagonal()
+    if not np.all(d > 0.0):
+        raise np.linalg.LinAlgError("nonpositive diagonal entry")
+    dinv = 1.0 / d
+    rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) * dinv))
+    return dinv * (4.0 / (3.0 * rho))
+
+
 class _Multigrid:
     """Smoothed-aggregation V-cycle (Vanek-Mandel-Brezina, Computing 56, 1996).
 
     Levels are Galerkin products P^T A P of smoothed piecewise-constant
     prolongators until one has at most MG_COARSE_ROWS rows, which is solved
-    exactly through its Cholesky factor.  One damped-Jacobi sweep of weight
-    4/(3 rho) before and after each coarse correction, rho the Gershgorin
-    bound on D^-1 A, so that the weighted D^-1 A has spectral radius at most
-    4/3 < 2: the cycle stays symmetric positive definite.  Raises
-    np.linalg.LinAlgError when a level is not positive definite.
+    exactly through its Cholesky factor.  Each tentative prolongator T is
+    smoothed with the filtered matrix A_F, whose weak entries are lumped onto
+    its diagonal: P = T - omega D_F^-1 A_F T with omega = 4/(3 rho_F), rho_F
+    the Gershgorin bound on D_F^-1 A_F.  A_F has A's row sums, so P keeps the
+    near-nullspace, but P A P^T is far sparser than with A itself: on 2D
+    Bakhvalov eps=0.01 n=128 the levels are 16129/3331/688/184/41 with
+    operator complexity 1.52 (sum of level nnz, the coarsest level dense,
+    over nnz(A)), against 16129/3331/689/187/44 and 2.18.  The one strength
+    pass per level feeds both the aggregation and A_F.  One damped-Jacobi
+    sweep with the true A, of weight 4/(3 rho) before and after each coarse
+    correction, rho the Gershgorin bound on D^-1 A, so that the weighted
+    D^-1 A has spectral radius at most 4/3 < 2: the cycle stays symmetric
+    positive definite whatever P is.  Raises np.linalg.LinAlgError when a
+    level is not positive definite.
     """
 
     def __init__(self, levels, coarse_inv):
@@ -170,20 +225,18 @@ class _Multigrid:
         levels = []
         A = M
         while A.shape[0] > MG_COARSE_ROWS:
-            d = A.diagonal()
-            if not np.all(d > 0.0):
-                raise np.linalg.LinAlgError("nonpositive diagonal entry")
-            dinv = 1.0 / d
-            rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) * dinv))
-            wdinv = dinv * (4.0 / (3.0 * rho))
-            agg = _aggregate(_strength_graph(A))
-            n, n_agg = A.shape[0], int(agg.max()) + 1
+            wdinv = _damped_inverse_diagonal(A)
+            rows, strong = _strong_entries(A)
+            n = A.shape[0]
+            agg = _aggregate(_strength_graph(n, rows[strong], A.indices[strong]))
+            n_agg = int(agg.max()) + 1
             if 2 * n_agg > n:
                 return None
             size = np.bincount(agg, minlength=n_agg)
             T = sp.csr_matrix((1.0 / np.sqrt(size[agg]), agg, np.arange(n + 1)), shape=(n, n_agg))
-            AT = A @ T
-            AT.data *= np.repeat(wdinv, np.diff(AT.indptr))
+            AF = _filtered(A, rows, strong)
+            AT = AF @ T
+            AT.data *= np.repeat(_damped_inverse_diagonal(AF), np.diff(AT.indptr))
             P = T - AT
             PT = P.T.tocsr()
             levels.append((A, wdinv, P, PT))

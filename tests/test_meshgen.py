@@ -429,6 +429,16 @@ def test_mesh_geometry_is_computed_once_and_not_shared_by_a_replaced_mesh():
     assert not np.array_equal(assemble(other).data, assemble(mesh).data)
 
 
+def test_mesh_geometry_is_read_only():
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    volumes, matrix = cell_volumes(mesh), assemble(mesh)
+    for array in mesh.geometry:
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] *= 2
+    np.testing.assert_array_equal(cell_volumes(mesh), volumes)
+    assert (assemble(mesh) != matrix).nnz == 0
+
+
 @pytest.mark.parametrize("bad", [-1, 99])
 def test_bad_cell_index_is_refused_by_patch_stats_and_assemble(bad):
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
