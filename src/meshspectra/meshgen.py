@@ -472,9 +472,40 @@ def check_cell_indices(mesh: SimplicialMesh) -> None:
 
 
 def _face_vertices(keys: np.ndarray, nv: int, dim: int) -> np.ndarray:
-    """The sorted vertex tuples, one row per key, that check_conforming encoded."""
+    """The sorted vertex tuples, one row per key, that _face_keys encoded."""
     place = nv ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     return keys[:, None] // place % nv
+
+
+def _face_keys(cells: np.ndarray, nv: int) -> np.ndarray:
+    """One int64 key per face, as an (n_cells, dim+1) array in cell order: column
+    k holds the face that drops vertex k, its vertex indices ascending and read
+    as digits in radix nv, so keys order like the sorted vertex tuples.
+
+    Built one face slot at a time, so the only temporaries are dim+1 int64
+    columns over the cells; the indices are widened to int64 before any
+    arithmetic, so int32 cells do not overflow.
+    """
+    n_cells, dim = cells.shape[0], cells.shape[1] - 1
+    keys = np.empty((n_cells, dim + 1), dtype=np.int64)
+    verts = [np.empty(n_cells, dtype=np.int64) for _ in range(dim)]
+    low = np.empty(n_cells, dtype=np.int64)
+    for k in range(dim + 1):
+        for j, c in enumerate(c for c in range(dim + 1) if c != k):
+            verts[j][:] = cells[:, c]
+        # bubble-sort network of compare-exchanges: each face's vertices ascend in j
+        for top in range(dim - 1, 0, -1):
+            for j in range(top):
+                np.minimum(verts[j], verts[j + 1], out=low)
+                np.maximum(verts[j], verts[j + 1], out=verts[j + 1])
+                # the minimum becomes vertex j; the old column is the next scratch
+                verts[j], low = low, verts[j]
+        key = keys[:, k]
+        key[:] = verts[0]
+        for v in verts[1:]:
+            key *= nv
+            key += v
+    return keys
 
 
 def check_conforming(mesh: SimplicialMesh) -> None:
@@ -483,42 +514,34 @@ def check_conforming(mesh: SimplicialMesh) -> None:
     facets (a facet face has all its vertices at 0.0, or all at 1.0, on one axis).
 
     Faces are checked in order of first appearance (cell by cell, dropping
-    vertex 0, 1, ...), and the error names the first offending face.
+    vertex 0, 1, ...), and the error names the first offending face.  Memory:
+    one int64 key per face, sorted in place, plus O(n_cells) bytes of work
+    columns and masks; a mesh that fails builds its keys once more, in cell
+    order, to name the face.
     """
     check_cell_indices(mesh)
     nv, dim = mesh.n_vertices, mesh.dim
     if nv**dim > np.iinfo(np.int64).max:
         raise ValueError(f"{nv} vertices are too many to encode {dim}-vertex faces in int64")
-    # face k of a cell drops its vertex k; verts[j] is vertex j of every face
-    local = np.array([np.delete(np.arange(dim + 1), k) for k in range(dim + 1)])
-    verts = [mesh.cells[:, local[:, j]] for j in range(dim)]
-    # bubble-sort network of compare-exchanges: each face's vertices ascend in j
-    for top in range(dim - 1, 0, -1):
-        for j in range(top):
-            verts[j], verts[j + 1] = (np.minimum(verts[j], verts[j + 1]),
-                                      np.maximum(verts[j], verts[j + 1]))
-    # mixed radix nv: one int64 per face, ordered like the sorted vertex tuples
-    keys = verts[0]
-    for v in verts[1:]:
-        keys = keys * nv + v
-    keys = keys.ravel()
-    # run lengths of the sorted keys count each distinct face
-    ordered = np.sort(keys)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(first)
-    distinct = ordered[starts]
-    counts = np.diff(starts, append=ordered.size)
-    lonely = distinct[counts == 1]
+    ordered = _face_keys(mesh.cells, nv).reshape(-1)
+    ordered.sort()
+    # edge[i]: a run of equal keys ends before ordered[i] (and at both ends)
+    edge = np.ones(ordered.size + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+    # a key alone in its run is a face one cell uses; one equal to both of its
+    # neighbours is a face that more than two cells share
+    crowded = np.unique(ordered[~(edge[:-1] | edge[1:])])
+    lonely = ordered[edge[:-1] & edge[1:]]
     # coordinates of every lonely face: (face, vertex, axis)
     coords = mesh.vertices[_face_vertices(lonely, nv, dim)]
     on_facet = ((coords == 0.0).all(axis=1) | (coords == 1.0).all(axis=1)).any(axis=1)
-    bad = np.concatenate([distinct[counts > 2], lonely[~on_facet]])
+    bad = np.concatenate([crowded, lonely[~on_facet]])
     if bad.size == 0:
         return
+    keys = _face_keys(mesh.cells, nv).reshape(-1)
     key = keys[np.argmax(np.isin(keys, bad))]
     face = tuple(_face_vertices(key[None], nv, dim)[0].tolist())
-    count = int(counts[np.searchsorted(distinct, key)])
+    count = int(np.searchsorted(ordered, key, "right") - np.searchsorted(ordered, key))
     if count > 2:
         raise ValueError(f"face {face} shared by {count} cells")
     raise ValueError(f"interior face {face} belongs to only one cell")
@@ -572,12 +595,15 @@ def export_mesh_text(mesh: SimplicialMesh, path) -> None:
 
     Coordinates are written with %.17g, which round-trips float64; each
     distinct coordinate bit pattern is formatted once, so -0.0 stays "-0".
-    Raises ValueError if a cell names a vertex that does not exist.
+    Raises ValueError if a cell names a vertex that does not exist.  Memory:
+    beyond the mesh, one sorted copy of the coordinates and then one int64
+    index per coordinate, plus one row of tokens per distinct value and per
+    vertex index and EXPORT_CHUNK_ROWS lines of text at a time.
     """
     check_cell_indices(mesh)
     bits = np.ascontiguousarray(mesh.vertices, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct = np.unique(bits)
     with open(path, "wb") as fh:
         fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_cells}\n".encode())
-        _write_rows(fh, _float_tokens(distinct.view(float)), inverse.reshape(bits.shape))
+        _write_rows(fh, _float_tokens(distinct.view(float)), np.searchsorted(distinct, bits))
         _write_rows(fh, _index_tokens(mesh.n_vertices), mesh.cells)

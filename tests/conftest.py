@@ -1,8 +1,8 @@
 """Shared brute-force oracles: slow, independent recomputations of the tensor
-meshes, the mesh statistics, the stiffness matrix, the conformity check, the
-smallest eigenvalue and the mesh text format, used to cross-check the
-vectorized implementations, plus the average-patch form of the 3D kernel that
-cross-checks the estimators."""
+meshes, the mesh statistics, the stiffness matrix, the conformity check (by
+counting, and in the sort-and-run-length form), the smallest eigenvalue and the
+mesh text format, used to cross-check the vectorized implementations, plus the
+average-patch form of the 3D kernel that cross-checks the estimators."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from meshspectra import (
     SimplicialMesh,
     cell_volumes,
 )
+from meshspectra.meshgen import check_cell_indices
 
 MAX_DENSE_DIM = 5000
 
@@ -266,6 +267,48 @@ def brute_check_conforming(mesh: SimplicialMesh) -> None:
             for side in (0.0, 1.0)
         ):
             raise ValueError(f"interior face {face} belongs to only one cell")
+
+
+def run_length_check_conforming(mesh: SimplicialMesh) -> None:
+    """The sort-and-run-length form of meshgen.check_conforming: every face key
+    built at once from gathered vertex columns, distinct faces and their counts
+    from the run lengths of a sorted copy, and the first offending key found in
+    cell order; the same messages, from several full-size temporaries."""
+    check_cell_indices(mesh)
+    nv, dim = mesh.n_vertices, mesh.dim
+    if nv**dim > np.iinfo(np.int64).max:
+        raise ValueError(f"{nv} vertices are too many to encode {dim}-vertex faces in int64")
+    place = nv ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    cells = mesh.cells.astype(np.int64)
+    # face k of a cell drops its vertex k; verts[j] is vertex j of every face
+    local = np.array([np.delete(np.arange(dim + 1), k) for k in range(dim + 1)])
+    verts = [cells[:, local[:, j]] for j in range(dim)]
+    for top in range(dim - 1, 0, -1):
+        for j in range(top):
+            verts[j], verts[j + 1] = (np.minimum(verts[j], verts[j + 1]),
+                                      np.maximum(verts[j], verts[j + 1]))
+    keys = verts[0]
+    for v in verts[1:]:
+        keys = keys * nv + v
+    keys = keys.ravel()
+    ordered = np.sort(keys)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    distinct = ordered[starts]
+    counts = np.diff(starts, append=ordered.size)
+    lonely = distinct[counts == 1]
+    coords = mesh.vertices[lonely[:, None] // place % nv]
+    on_facet = ((coords == 0.0).all(axis=1) | (coords == 1.0).all(axis=1)).any(axis=1)
+    bad = np.concatenate([distinct[counts > 2], lonely[~on_facet]])
+    if bad.size == 0:
+        return
+    key = keys[np.argmax(np.isin(keys, bad))]
+    face = tuple((key // place % nv).tolist())
+    count = int(counts[np.searchsorted(distinct, key)])
+    if count > 2:
+        raise ValueError(f"face {face} shared by {count} cells")
+    raise ValueError(f"interior face {face} belongs to only one cell")
 
 
 def brute_export_mesh_text(mesh: SimplicialMesh, path) -> None:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshspectra import (
+    FIXTURES,
     GradingParams,
     LayerPosition,
     MeshFamily,
@@ -43,6 +46,7 @@ from conftest import (
     brute_patch_volumes,
     brute_tensor_mesh_2d,
     brute_tensor_mesh_3d,
+    run_length_check_conforming,
 )
 
 
@@ -481,11 +485,33 @@ def _conforming_error(check, mesh):
     return None
 
 
+def _checked_error(mesh):
+    """check_conforming's message on mesh (None if it passes), asserted equal to
+    the sort-and-run-length reference's."""
+    msg = _conforming_error(check_conforming, mesh)
+    assert msg == _conforming_error(run_length_check_conforming, mesh)
+    return msg
+
+
+def _traced_peak_mib(fn, *args):
+    """Peak bytes, in MiB, that fn(*args) allocates beyond what is live before it."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def test_conforming_all_families():
     meshes = [build_mesh(2, p) for p in ALL_FAMILIES_2D]
     meshes += [build_mesh(3, p) for p in ALL_FAMILIES_3D]
     for mesh in meshes:
-        check_conforming(mesh)
+        assert _checked_error(mesh) is None
         brute_check_conforming(mesh)
         # broken variants: both checks name the same first offending face
         mid = mesh.n_cells // 2
@@ -495,7 +521,7 @@ def test_conforming_all_families():
             np.vstack([mesh.cells[mid:], mesh.cells[:mid], mesh.cells[-1:]]),
         ):
             broken = replace(mesh, cells=cells)
-            msg = _conforming_error(check_conforming, broken)
+            msg = _checked_error(broken)
             assert msg is not None
             assert msg == _conforming_error(brute_check_conforming, broken)
         # seeded random variants: cell i deleted, cell i duplicated in front of
@@ -505,14 +531,14 @@ def test_conforming_all_families():
         for _ in range(6):
             i, j = rng.choice(mesh.n_cells, size=2, replace=False)
             moved = np.vstack([np.delete(mesh.cells, i, axis=0), mesh.cells[i : i + 1]])
-            assert _conforming_error(check_conforming, replace(mesh, cells=moved)) is None
+            assert _checked_error(replace(mesh, cells=moved)) is None
             for cells in (
                 np.delete(mesh.cells, i, axis=0),
                 np.insert(mesh.cells, j, mesh.cells[i], axis=0),
                 np.delete(moved, j - (j > i), axis=0),
             ):
                 broken = replace(mesh, cells=cells)
-                msg = _conforming_error(check_conforming, broken)
+                msg = _checked_error(broken)
                 assert msg is not None
                 assert msg == _conforming_error(brute_check_conforming, broken)
 
@@ -525,7 +551,7 @@ def test_conforming_refuses_every_single_cell_deletion(dim, n_cells):
     assert mesh.n_cells == n_cells
     for c in range(n_cells):
         broken = replace(mesh, cells=np.delete(mesh.cells, c, axis=0))
-        msg = _conforming_error(check_conforming, broken)
+        msg = _checked_error(broken)
         assert msg is not None and msg.startswith("interior face ")
         assert msg == _conforming_error(brute_check_conforming, broken)
 
@@ -540,6 +566,7 @@ def test_conforming_refuses_a_vertex_index_outside_the_mesh(index):
     with pytest.raises(ValueError, match=rf"^cell 5 \(2, 8, {index}\) has a vertex index "
                                          rf"outside \[0, 25\)$"):
         check_conforming(replace(mesh, cells=cells))
+    assert _checked_error(replace(mesh, cells=cells)) is not None
 
 
 def test_conforming_detects_duplicate_cell():
@@ -547,6 +574,7 @@ def test_conforming_detects_duplicate_cell():
     broken = replace(mesh, cells=np.vstack([mesh.cells, mesh.cells[:1]]))
     with pytest.raises(ValueError, match=r"^face \(3, 4\) shared by 3 cells$"):
         check_conforming(broken)
+    assert _checked_error(broken) is not None
 
 
 def test_conforming_detects_missing_cell():
@@ -554,6 +582,40 @@ def test_conforming_detects_missing_cell():
     broken = replace(mesh, cells=mesh.cells[1:])
     with pytest.raises(ValueError, match=r"^interior face \(0, 4\) belongs to only one cell$"):
         check_conforming(broken)
+
+
+def test_conforming_passes_every_fixture_mesh():
+    for spec in FIXTURES.values():
+        for value in spec.values:
+            assert _checked_error(build_mesh(spec.dim, spec.params_at(value))) is None
+
+
+def test_conforming_takes_int32_cells():
+    # face keys are built in int64: at n=256, 66049**2 overflows int32
+    mesh = build_mesh(2, params(MeshFamily.UNIFORM, 256))
+    narrow = replace(mesh, cells=mesh.cells.astype(np.int32))
+    check_conforming(narrow)
+    mid = mesh.n_cells // 2
+    msg = _conforming_error(check_conforming, replace(mesh, cells=np.delete(mesh.cells, mid, axis=0)))
+    assert msg is not None and msg.startswith("interior face ")
+    assert msg == _conforming_error(
+        check_conforming, replace(narrow, cells=np.delete(narrow.cells, mid, axis=0))
+    )
+
+
+# peak MiB allocated by check_conforming on each mesh: one int64 key per face
+# (3.0 and 0.75 MiB) plus per-slot work columns; the run-length form took 18.4
+# and 5.4 MiB
+CONFORMING_PEAK_MIB = [
+    (2, params(MeshFamily.SHISHKIN, 256, eps=0.05), 7.0),
+    (3, params(MeshFamily.POWER, 16, beta=3.0), 1.8),
+]
+
+
+@pytest.mark.parametrize("dim, p, bound", CONFORMING_PEAK_MIB, ids=["shishkin-2d", "power-3d"])
+def test_conforming_memory_is_one_key_per_face(dim, p, bound):
+    mesh = build_mesh(dim, p)
+    assert _traced_peak_mib(check_conforming, mesh) <= bound
 
 
 def test_conforming_rejects_unencodable_vertex_count():
@@ -699,6 +761,29 @@ def assert_export_matches_row_writer(mesh, directory):
     export_mesh_text(mesh, directory / "chunked.txt")
     brute_export_mesh_text(mesh, directory / "rows.txt")
     assert (directory / "chunked.txt").read_bytes() == (directory / "rows.txt").read_bytes()
+
+
+# SHA-256 of the exported text, pinned before the exporter's token index moved
+# from np.unique(return_inverse=True) to np.searchsorted
+EXPORT_DIGESTS = [
+    (2, params(MeshFamily.SHISHKIN, 256, eps=0.05),
+     "c70e07a150fcc86d48681f50969591321744cd5b4c29f91a15198a18c93cfee8"),
+    (3, params(MeshFamily.POWER, 16, beta=3.0),
+     "21c0d5084f3145159b2aeccb82d164f732766595420b508420eaeccf9ad526ba"),
+]
+
+
+@pytest.mark.parametrize("dim, p, digest", EXPORT_DIGESTS, ids=["shishkin-2d", "power-3d"])
+def test_export_mesh_text_bytes_are_pinned(dim, p, digest, tmp_path):
+    path = tmp_path / "mesh.txt"
+    export_mesh_text(build_mesh(dim, p), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_export_mesh_text_memory(tmp_path):
+    # the return_inverse form took 5.2 MiB on this mesh
+    mesh = build_mesh(2, params(MeshFamily.SHISHKIN, 256, eps=0.05))
+    assert _traced_peak_mib(export_mesh_text, mesh, tmp_path / "mesh.txt") <= 2.0
 
 
 def test_export_mesh_text_matches_row_writer(tmp_path):
