@@ -1,11 +1,13 @@
 """Shared brute-force oracles: slow, independent recomputations of the tensor
-meshes, the mesh statistics, the stiffness matrix, the conformity check (by
-counting, and in the sort-and-run-length form), the smallest eigenvalue and the
-mesh text format, used to cross-check the vectorized implementations, plus the
-average-patch form of the 3D kernel that cross-checks the estimators."""
+meshes (and the index-grid form of the any-dimension builder), the mesh
+statistics, the stiffness matrix, the conformity check (by counting, and in the
+sort-and-run-length form), the smallest eigenvalue and the mesh text format,
+used to cross-check the vectorized implementations, plus the average-patch form
+of the 3D kernel that cross-checks the estimators."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -18,7 +20,7 @@ from meshspectra import (
     SimplicialMesh,
     cell_volumes,
 )
-from meshspectra.meshgen import check_cell_indices
+from meshspectra.meshgen import _kuhn_permutations, check_cell_indices
 
 MAX_DENSE_DIM = 5000
 
@@ -122,6 +124,30 @@ def brute_tensor_mesh_3d(nx: NodeSet1D, ny: NodeSet1D, nz: NodeSet1D) -> Simplic
         c3 = c2 + stride[perm[2]]
         tet = (c0, c2, c1, c3) if swap else (c0, c1, c2, c3)
         cells[t::6] = np.column_stack(tet)
+    return SimplicialMesh(vertices, cells)
+
+
+def index_grid_tensor_mesh(*node_sets: NodeSet1D) -> SimplicialMesh:
+    """The index-grid form of meshgen.tensor_mesh, in any dimension: one
+    np.indices grid over the axes gives the vertices (gathered per axis and
+    column-stacked) and the lower corner of every box, and each Kuhn
+    permutation's corners are built as one array and written, C-ordered, to
+    every len(perms)-th cell row."""
+    shape = tuple(len(ns) for ns in node_sets)
+    dim = len(shape)
+    index = np.indices(shape).reshape(dim, -1)
+    vertices = np.column_stack([ns.nodes[i] for ns, i in zip(node_sets, index)])
+    last = np.array(shape)[:, None] - 1
+    base = np.flatnonzero(np.all(index < last, axis=0))
+    stride = np.array([math.prod(shape[k + 1 :]) for k in range(dim)])
+
+    perms = _kuhn_permutations(dim)
+    cells = np.empty((len(perms) * base.size, dim + 1), dtype=np.int64)
+    for t, perm in enumerate(perms):
+        corners = base + np.cumsum([0, *stride[list(perm)]])[:, None]
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            corners[[1, 2]] = corners[[2, 1]]
+        cells[t :: len(perms)] = corners.T
     return SimplicialMesh(vertices, cells)
 
 

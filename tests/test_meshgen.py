@@ -46,6 +46,7 @@ from conftest import (
     brute_patch_volumes,
     brute_tensor_mesh_2d,
     brute_tensor_mesh_3d,
+    index_grid_tensor_mesh,
     run_length_check_conforming,
 )
 
@@ -376,6 +377,17 @@ def test_tensor_mesh_property(sets):
     assert abs(vols.sum() - 1.0) <= 1e-12
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.one_of(unequal_node_sets(2), unequal_node_sets(3), unequal_node_sets(4)))
+def test_tensor_mesh_matches_the_index_grid_builder(sets):
+    mesh, oracle = tensor_mesh(*sets), index_grid_tensor_mesh(*sets)
+    for got, want in ((mesh.vertices, oracle.vertices), (mesh.cells, oracle.cells)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # the cells are stored component-major: each column is contiguous
+    assert mesh.cells.T.flags.c_contiguous and oracle.cells.flags.c_contiguous
+
+
 def test_mesh_refuses_cells_of_the_wrong_shape():
     mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
     wide = np.hstack([mesh.cells, mesh.cells[:, :1]])
@@ -440,6 +452,20 @@ def test_mesh_geometry_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             array[:] *= 2
     np.testing.assert_array_equal(cell_volumes(mesh), volumes)
+    assert (assemble(mesh) != matrix).nnz == 0
+
+
+def test_mesh_boundary_mask_and_free_index_are_derived_once_and_read_only():
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    assert mesh.free_index is mesh.free_index
+    free_index, matrix = mesh.free_index.copy(), assemble(mesh)
+    # a writable mask would let this write move a vertex off the boundary
+    # without changing n_free or free_index
+    for array, value in ((mesh.boundary_mask, False), (mesh.free_index, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = value
+    assert mesh.boundary_mask[0] and mesh.n_free == 9
+    np.testing.assert_array_equal(mesh.free_index, free_index)
     assert (assemble(mesh) != matrix).nnz == 0
 
 
@@ -616,6 +642,20 @@ CONFORMING_PEAK_MIB = [
 def test_conforming_memory_is_one_key_per_face(dim, p, bound):
     mesh = build_mesh(dim, p)
     assert _traced_peak_mib(check_conforming, mesh) <= bound
+
+
+# peak MiB allocated by build_mesh on each mesh: the mesh itself (4.0 and 0.86
+# MiB) plus the boxes' lower corners or, once they are freed, the boundary
+# mask's temporaries; the index-grid build took 8.5 and 1.3 MiB
+BUILD_PEAK_MIB = [
+    (2, params(MeshFamily.SHISHKIN, 256, eps=0.05), 4.6),
+    (3, params(MeshFamily.POWER, 16, beta=3.0), 0.95),
+]
+
+
+@pytest.mark.parametrize("dim, p, bound", BUILD_PEAK_MIB, ids=["shishkin-2d", "power-3d"])
+def test_build_mesh_memory_is_the_mesh_and_one_corner_per_box(dim, p, bound):
+    assert _traced_peak_mib(build_mesh, dim, p) <= bound
 
 
 def test_conforming_rejects_unencodable_vertex_count():
