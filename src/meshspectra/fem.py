@@ -10,7 +10,8 @@ cell_volumes), so the local entry |K| grad_a . grad_b is (c_a . c_b) /
 array expressions, one contiguous row per local pair, and one COO scatter.
 On Kuhn tensor meshes every coupling that is zero in exact arithmetic is a sum
 of products with a zero factor, so it comes out as an exact zero and is not
-stored.  The result is a plain scipy CSR matrix.
+stored.  The result is a plain scipy CSR matrix; assemble imports scipy.sparse
+itself, so that the CLI commands that build no matrix never load scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .meshgen import SimplicialMesh
 
@@ -30,6 +30,7 @@ def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
     a, b) order, so duplicates are summed in a fixed order; its mirror makes
     the matrix exactly symmetric, and entries that sum to exactly zero are
     dropped.  Raises on the first degenerate simplex."""
+    import scipy.sparse as sp
     n = mesh.n_free
     if n == 0:
         raise ValueError("mesh has no free vertices; the Dirichlet system is empty")

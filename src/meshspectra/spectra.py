@@ -35,7 +35,8 @@ bound, the bound is the only accuracy guarantee.
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
 fixed by an index hash and the switch reads residual norms, never the clock,
-so repeated runs agree bitwise.
+so repeated runs agree bitwise.  Only the multigrid build imports scipy.sparse,
+so this module loads with numpy alone and the CLI import stays scipy-free.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # what building the multigrid hierarchy costs, in Jacobi LOBPCG steps: the
 # hierarchy is built once the Jacobi steps still needed, predicted from the
@@ -142,6 +142,7 @@ def _filtered(M: sp.csr_matrix, rows: np.ndarray, strong: np.ndarray) -> sp.csr_
     (15 rows in the hierarchies of 5 of the 55 fixture points that build
     one), and then the filtered matrix is not symmetric.
     """
+    import scipy.sparse as sp
     n = M.shape[0]
     diag = rows == M.indices
     weak = ~(strong | diag)
@@ -222,6 +223,7 @@ class _Multigrid:
     @classmethod
     def build(cls, M: sp.csr_matrix):
         """The hierarchy for M, or None when a level fails to halve its rows."""
+        import scipy.sparse as sp
         levels = []
         A = M
         while A.shape[0] > MG_COARSE_ROWS:

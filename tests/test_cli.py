@@ -505,7 +505,7 @@ def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkey
 
 def test_importing_the_cli_loads_no_dense_or_iterative_solver():
     # every command pays for what importing the CLI loads; the package needs
-    # neither module, which together add about a sixth to the import time
+    # neither module, which together with scipy.sparse about triple the import time
     import meshspectra
 
     src = os.path.dirname(os.path.dirname(meshspectra.__file__))
@@ -516,3 +516,58 @@ def test_importing_the_cli_loads_no_dense_or_iterative_solver():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == ""
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports this checkout's package;
+    return the finished process, stdout and stderr as text."""
+    import meshspectra
+
+    src = os.path.dirname(os.path.dirname(meshspectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+# the exit code and every loaded scipy module, as the last line of stderr
+_RUN_MAIN = ("import sys; from meshspectra import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)")
+
+
+def _main_in_fresh_python(*argv):
+    out = _fresh_python(_RUN_MAIN, *argv)
+    code, *loaded = out.stderr.splitlines()[-1].split()
+    return int(code), out.stdout, loaded
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.sparse alone costs more than the rest of the import; only assembly
+    # and the multigrid build load it
+    out = _fresh_python("import sys, meshspectra.cli; "
+                        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("mesh", "--dim", "3", "--family", "power", "--n", "4", "--beta", "3"),
+    ("calibrate", "--dim", "3"),
+], ids=["mesh", "calibrate"])
+def test_commands_that_build_no_matrix_never_load_scipy(argv, tmp_path):
+    if argv[0] == "mesh":
+        argv += ("--out", str(tmp_path / "mesh.txt"))
+    code, _, loaded = _main_in_fresh_python(*argv)
+    assert code == 0
+    assert loaded == []
+
+
+def test_analyze_loads_scipy_sparse_and_prints_the_same_table(capsys):
+    # this point switches to the multigrid preconditioner, so every deferred
+    # scipy.sparse import runs; the table matches this process's, which loaded
+    # scipy up front
+    argv = ("analyze", "--dim", "2", "--family", "bakhvalov", "--n", "32", "--eps", "0.01")
+    code, stdout, loaded = _main_in_fresh_python(*argv)
+    assert code == 0
+    assert "scipy.sparse" in loaded
+    assert run_cli(*argv) == 0
+    assert stdout == capsys.readouterr().out
