@@ -14,7 +14,7 @@ from .harness import (
     FIXTURES,
     SweepAxis,
     SweepSpec,
-    analyze_mesh,
+    analyze,
     emit_csv,
     emit_svg_loglog,
     run_sweep,
@@ -51,7 +51,7 @@ __all__ = [
     "SimplicialMesh",
     "SweepAxis",
     "SweepSpec",
-    "analyze_mesh",
+    "analyze",
     "assemble",
     "build_mesh",
     "calibrate",

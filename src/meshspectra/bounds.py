@@ -35,6 +35,7 @@ from .meshgen import (
     check_dim,
     patch_stats,
 )
+from .spectra import EigenResult
 
 # pinned per-dimension reference sizes (intervals per direction)
 DEFAULT_REFERENCE_INTERVALS = {2: 64, 3: 12}
@@ -60,22 +61,22 @@ class Calibration:
             raise ValueError(f"n_ref must be >= 2, got {self.n_ref}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
-    """One mesh's exact eigenvalue next to all three calibrated estimates and
-    the geometry they were computed from, one field per CSV column before
-    seconds; param is the sweep value the mesh stands for."""
+    """One mesh's row of the comparison: the sweep value param, the geometry
+    stats, the solve eigen of the stiffness matrix (its lambda_min is
+    lambda_exact) and the three calibrated estimates; no mesh, no matrix."""
 
     param: float
-    n_free: int
-    lambda_exact: float
+    stats: PatchStats
+    eigen: EigenResult
     lambda_new: float
     lambda_gm: float
     lambda_khx: float
-    omega_min: float
-    k_min: float
-    m_const: int
-    h_const: float
+
+    @property
+    def lambda_exact(self) -> float:
+        return self.eigen.lambda_min
 
     def __post_init__(self):
         for name in ("lambda_exact", "lambda_new", "lambda_gm", "lambda_khx"):

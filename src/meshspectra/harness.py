@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from .bounds import BoundReport, Calibration, calibrate, estimates
 from .fem import assemble
@@ -23,7 +23,6 @@ from .meshgen import (
     LayerPosition,
     MeshFamily,
     PatchStats,
-    SimplicialMesh,
     build_mesh,
     check_dim,
     check_intervals,
@@ -40,7 +39,7 @@ PLOT_COLUMNS = {
     "lambda_khx": ("λ̄_KHX", "#2ca02c"),
 }
 
-# CSV header: one name per BoundReport field in order, then seconds, written as 0
+# CSV header: one name per value of csv_row in order, then seconds, written as 0
 CSV_COLUMNS = (
     "param", "n_free", "lambda_exact", "lambda_new", "lambda_gm", "lambda_khx",
     "omega_min", "k_min", "M", "H", "seconds",
@@ -114,21 +113,17 @@ def _mesh_size(n) -> int:
     return int(n)
 
 
-def analyze_mesh(
-    mesh: SimplicialMesh, cal: Calibration, tol: float = 1e-8, param: float = 0.0
-) -> BoundReport:
-    """Exact eigenvalue plus all three calibrated estimates for one mesh,
-    recorded under the sweep value param."""
-    return _report(patch_stats(mesh), assemble(mesh), cal, tol, param)
+def analyze(stats: PatchStats, A, cal: Calibration, tol: float = 1e-8, param=0.0) -> BoundReport:
+    """The record of one mesh, from its stats and its assembled matrix A: the
+    solve of A, all three calibrated estimates, under the sweep value param."""
+    return BoundReport(float(param), stats, lambda_min_sparse(A, tol=tol), *estimates(stats, cal))
 
 
-def _report(stats: PatchStats, A, cal: Calibration, tol: float, param) -> BoundReport:
-    """Solve the assembled matrix A and estimate from the mesh's stats."""
-    exact = lambda_min_sparse(A, tol=tol).lambda_min
-    new, gm, khx = estimates(stats, cal)
-    # positional in field (CSV column) order
-    return BoundReport(float(param), stats.n_free, exact, new, gm, khx,
-                       stats.omega_min, stats.k_min, stats.m_const, stats.h_const)
+def csv_row(r: BoundReport) -> tuple:
+    """The record's values in the order of CSV_COLUMNS, up to seconds."""
+    s = r.stats
+    return (r.param, s.n_free, r.lambda_exact, r.lambda_new, r.lambda_gm, r.lambda_khx,
+            s.omega_min, s.k_min, s.m_const, s.h_const)
 
 
 def run_sweep(spec: SweepSpec) -> list[BoundReport]:
@@ -147,7 +142,7 @@ def run_sweep(spec: SweepSpec) -> list[BoundReport]:
             built.append((value, patch_stats(mesh), assemble(mesh)))
         del mesh  # and its geometry, before the solves
         for value, stats, A in built:
-            rows.append(_report(stats, A, cal, spec.tol, value))
+            rows.append(analyze(stats, A, cal, spec.tol, value))
     except ConvergenceError as exc:
         exc.args = (f"sweep point {spec.axis.value}={value} did not converge: {exc}",)
         raise
@@ -163,7 +158,7 @@ def emit_csv(rows, path) -> None:
     The format round-trips floats bit-exactly and is byte-deterministic for
     identical inputs; the seconds column is always 0.
     """
-    lines = [",".join(CSV_COLUMNS)] + [_CSV_ROW % astuple(r) for r in rows]
+    lines = [",".join(CSV_COLUMNS)] + [_CSV_ROW % csv_row(r) for r in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -189,10 +184,8 @@ def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
             raise ValueError(f"unknown plot column {col!r}; choose from {sorted(PLOT_COLUMNS)}")
 
     xs = [r.param for r in rows]
-    series = {}
-    for col in columns:
-        ys = [getattr(r, col) * (r.n_free if normalize else 1.0) for r in rows]
-        series[col] = ys
+    series = {col: [getattr(r, col) * (r.stats.n_free if normalize else 1.0) for r in rows]
+              for col in columns}
     for vals in [xs, *series.values()]:
         if any(not v > 0.0 for v in vals):
             raise ValueError("log-log plot requires positive data")

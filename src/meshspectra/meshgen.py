@@ -281,25 +281,33 @@ class SimplicialMesh:
         return int(self.cells.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatchStats:
-    """Geometric statistics of one mesh.
+    """Geometric statistics of one mesh of dimension dim.
 
     patch_volumes[i] is the volume of the patch of free vertex i (union of cells
-    whose closure contains it), indexed by matrix row.  m_const is the max number
-    of cells sharing any single vertex; h_const the max volume ratio between two
-    cells whose closures intersect.  cell_volumes holds the per-cell volumes the
-    statistics were computed from; dim is the mesh's dimension.
-    """
+    whose closure contains it), indexed by matrix row, so n_free is its size and
+    omega_min its minimum; cell_volumes[c] is that of cell c, k_min their minimum.
+    m_const is the max number of cells sharing any single vertex; h_const the max
+    volume ratio between two cells whose closures intersect."""
 
     dim: int
     patch_volumes: np.ndarray
-    omega_min: float
-    k_min: float
+    cell_volumes: np.ndarray
     m_const: int
     h_const: float
-    n_free: int
-    cell_volumes: np.ndarray
+
+    @property
+    def n_free(self) -> int:
+        return int(self.patch_volumes.size)
+
+    @property
+    def omega_min(self) -> float:
+        return float(self.patch_volumes.min())
+
+    @property
+    def k_min(self) -> float:
+        return float(self.cell_volumes.min())
 
 
 def _kuhn_permutations(dim: int) -> list[tuple[int, ...]]:
@@ -474,18 +482,12 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
     np.maximum.at(vmax, corner, vrep)
     np.minimum.at(vmin, corner, vrep)
     touched = counts > 0
-    h_const = float(np.max(vmax[touched] / vmin[touched]))
-
-    patch_free = patch_all[~mesh.boundary_mask]
     return PatchStats(
         dim=mesh.dim,
-        patch_volumes=patch_free,
-        omega_min=float(patch_free.min()),
-        k_min=float(vols.min()),
-        m_const=int(counts.max()),
-        h_const=h_const,
-        n_free=mesh.n_free,
+        patch_volumes=patch_all[~mesh.boundary_mask],
         cell_volumes=vols,
+        m_const=int(counts.max()),
+        h_const=float(np.max(vmax[touched] / vmin[touched])),
     )
 
 

@@ -20,7 +20,7 @@ from meshspectra import (
     NodeSet1D,
     SweepAxis,
     SweepSpec,
-    analyze_mesh,
+    analyze,
     assemble,
     build_mesh,
     calibrate,
@@ -116,7 +116,7 @@ def test_criterion_2_closed_form_spectrum(uniform_rows):
 
 def test_criterion_3_uniform_slope_and_overlays(uniform_rows):
     rows, _ = uniform_rows
-    logn = np.log([r.n_free for r in rows])
+    logn = np.log([r.stats.n_free for r in rows])
     loglam = np.log([r.lambda_exact for r in rows])
     slope = float(np.polyfit(logn, loglam, 1)[0])
     worst = 1.0
@@ -142,7 +142,7 @@ def test_criterion_4_shishkin_layer_ratios(cal2):
         for n in (32, 64, 128):
             mesh = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, n, eps=0.05))
             meshes.append(mesh)
-            reports.append(analyze_mesh(mesh, cal))
+            reports.append(analyze(patch_stats(mesh), assemble(mesh), cal))
         return meshes, reports
 
     (meshes, reports), seconds = timed(run)
@@ -172,7 +172,7 @@ def test_criterion_4_shishkin_layer_ratios(cal2):
     l_ref = log_factor(ref.n_free, brute_patch_volumes(ref)[~ref.boundary_mask].min())
     raw_vs_exact = max(r.lambda_new / r.lambda_exact for r in reports)
     new_vs_exact = max(r.lambda_new / l_ref / r.lambda_exact for r in reports)
-    logs = [log_factor(r.n_free, r.omega_min) for r in reports]
+    logs = [log_factor(r.stats.n_free, r.stats.omega_min) for r in reports]
     ok = (
         2.0 <= gm_ratio <= 5.0
         and 2.0 <= khx_ratio <= 5.0
@@ -200,7 +200,7 @@ def test_criterion_5_bakhvalov_layer_ratios(cal2):
     reports = []
     for n in (32, 64, 128):
         mesh = build_mesh(2, GradingParams(MeshFamily.BAKHVALOV, n, eps=0.05))
-        reports.append(analyze_mesh(mesh, cal))
+        reports.append(analyze(patch_stats(mesh), assemble(mesh), cal))
     gm_ratio = reports[-1].lambda_new / reports[-1].lambda_gm
     ok = 1.3 <= gm_ratio <= 3.5
     announce(5, ok, f"new/gm at n=128: {gm_ratio:.3f}")
@@ -227,7 +227,7 @@ def test_criterion_7_thin_slab_3d(cal3):
         for eps in (0.1, 0.05, 0.02, 0.01):
             mesh = build_mesh(3, GradingParams(MeshFamily.SINGLE_LAYER, 12, eps=eps))
             assert mesh.n_free == 1452
-            reports.append(analyze_mesh(mesh, cal))
+            reports.append(analyze(patch_stats(mesh), assemble(mesh), cal))
         return reports
 
     reports, seconds = timed(run)

@@ -22,18 +22,15 @@ from meshspectra.bounds import uniform_lambda_min
 from conftest import geo_form, holder_mean, lambda_min_dense
 
 
-def make_stats(patch_volumes, m_const=6, h_const=1.0, k_min=None, dim=2):
+def make_stats(patch_volumes, m_const=6, h_const=1.0, dim=2):
     """Hand-built stats on the unit domain: two equal cells per free vertex."""
     pv = np.asarray(patch_volumes, dtype=float)
     return PatchStats(
         dim=dim,
         patch_volumes=pv,
-        omega_min=float(pv.min()),
-        k_min=float(pv.min()) / 3.0 if k_min is None else k_min,
+        cell_volumes=np.full(2 * pv.size, 0.5 / pv.size),
         m_const=m_const,
         h_const=h_const,
-        n_free=pv.size,
-        cell_volumes=np.full(2 * pv.size, 0.5 / pv.size),
     )
 
 
@@ -265,21 +262,22 @@ def test_uniform_family_tracks_exact():
 
 
 def test_bound_report_validation():
-    from meshspectra import BoundReport
+    from meshspectra import BoundReport, EigenResult
 
-    geometry = dict(omega_min=0.25, k_min=0.1, m_const=6, h_const=1.0)
+    def solve(lam):
+        return EigenResult(lambda_min=lam, iterations=1, error_bound=0.0, preconditioner="Jacobi")
+
+    stats = make_stats([0.25, 0.5])
     with pytest.raises(ValueError):
         BoundReport(
             param=4.0,
-            n_free=2,
-            lambda_exact=0.0,
+            stats=stats,
+            eigen=solve(0.0),
             lambda_new=1.0,
             lambda_gm=1.0,
             lambda_khx=1.0,
-            **geometry,
         )
     r = BoundReport(
-        param=4.0, n_free=2, lambda_exact=2.0, lambda_new=1.0, lambda_gm=1.0, lambda_khx=1.0,
-        **geometry,
+        param=4.0, stats=stats, eigen=solve(2.0), lambda_new=1.0, lambda_gm=1.0, lambda_khx=1.0,
     )
     assert r.lambda_exact == 2.0

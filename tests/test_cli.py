@@ -242,6 +242,21 @@ def test_analyze_and_sweep_write_the_same_record(tmp_path, capsys):
         assert math.isclose(float(table[key]), float(fields[key]), rel_tol=1e-11)
 
 
+def no_calibration(*args, **kwargs):
+    raise AssertionError("analyze calibrated before it checked its mesh")
+
+
+def test_analyze_refuses_a_degenerate_mesh_before_calibrating(monkeypatch, capsys):
+    # eps=1e-300 makes the corner cells' volume 0; patch_stats refuses the mesh
+    monkeypatch.setattr(cli, "calibrate", no_calibration)
+    assert run_cli("analyze", "--dim", "2", "--family", "shishkin", "--n", "8",
+                   "--eps", "1e-300") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "meshspectra: smallest cell volume 0 is below 2.22507e-308: "
+        "the mesh is degenerate or too fine for double precision"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -253,6 +268,9 @@ def test_analyze_and_sweep_write_the_same_record(tmp_path, capsys):
 )
 @pytest.mark.parametrize("dim, n, cap", [(2, 258, 256), (3, 17, 16)])
 def test_mesh_size_cap_exits_1(argv, dim, n, cap, tmp_path, monkeypatch, capsys):
+    if argv[0] == "analyze":
+        # the refused mesh costs no calibration
+        monkeypatch.setattr(cli, "calibrate", no_calibration)
     monkeypatch.chdir(tmp_path)
     size = ["--ref" if argv[0] == "calibrate" else "--n", str(n)]
     assert run_cli(*argv, "--dim", str(dim), *size) == 1

@@ -9,19 +9,24 @@ import pytest
 from meshspectra import (
     BoundReport,
     ConvergenceError,
+    EigenResult,
     FIXTURES,
     MeshFamily,
+    PatchStats,
     SweepAxis,
     SweepSpec,
-    analyze_mesh,
+    analyze,
     assemble,
     build_mesh,
     calibrate,
     cell_volumes,
     emit_csv,
     emit_svg_loglog,
+    lambda_min_sparse,
+    patch_stats,
     run_sweep,
 )
+from meshspectra.harness import csv_row
 
 CSV_HEADER = "param,n_free,lambda_exact,lambda_new,lambda_gm,lambda_khx,omega_min,k_min,M,H,seconds"
 
@@ -34,21 +39,13 @@ SHISHKIN_SMALL = SweepSpec(
 )
 
 
-def make_row(param, n_free, lam, **over):
-    fields = dict(
-        param=float(param),
-        n_free=n_free,
-        lambda_exact=lam,
-        lambda_new=lam,
-        lambda_gm=lam,
-        lambda_khx=lam,
-        omega_min=1e-3,
-        k_min=1e-4,
-        m_const=6,
-        h_const=1.0,
-    )
-    fields.update(over)
-    return BoundReport(**fields)
+def make_row(param, n_free, lam):
+    """A record with every eigenvalue lam: n_free patches of volume 1e-3, cells of 1e-4."""
+    stats = PatchStats(dim=2, patch_volumes=np.full(n_free, 1e-3),
+                       cell_volumes=np.full(2 * n_free, 1e-4), m_const=6, h_const=1.0)
+    eigen = EigenResult(lambda_min=lam, iterations=1, error_bound=0.0, preconditioner="Jacobi")
+    return BoundReport(param=float(param), stats=stats, eigen=eigen,
+                       lambda_new=lam, lambda_gm=lam, lambda_khx=lam)
 
 
 # ------------------------------------------------------------- sweep specs
@@ -181,7 +178,7 @@ def test_run_sweep_uniform_closed_form():
     rows = run_sweep(spec)
     assert [r.param for r in rows] == [4.0, 8.0]
     for r, n in zip(rows, (4, 8)):
-        assert r.n_free == (n - 1) ** 2
+        assert r.stats.n_free == (n - 1) ** 2
         lam = 8.0 * math.sin(math.pi / (2 * n)) ** 2
         assert abs(r.lambda_exact - lam) <= 1e-6 * lam
 
@@ -190,16 +187,35 @@ def test_run_sweep_qualitative_ordering():
     rows = run_sweep(SHISHKIN_SMALL)
     assert rows[0].lambda_exact > rows[1].lambda_exact
     for r in rows:
-        for v in (r.lambda_new, r.lambda_gm, r.lambda_khx, r.omega_min, r.k_min):
+        for v in (r.lambda_new, r.lambda_gm, r.lambda_khx, r.stats.omega_min, r.stats.k_min):
             assert v > 0.0
         assert r.lambda_gm < r.lambda_new  # the layer penalty bites harder on GM
-        assert r.m_const >= 3 and r.h_const >= 1.0
+        assert r.stats.m_const >= 3 and r.stats.h_const >= 1.0
 
 
 def test_run_sweep_deterministic():
     r1 = run_sweep(SHISHKIN_SMALL)
     r2 = run_sweep(SHISHKIN_SMALL)
-    assert r1 == r2
+    assert len(r1) == len(r2)
+    for a, b in zip(r1, r2):
+        assert csv_row(a) == csv_row(b)
+        assert a.eigen == b.eigen
+        for name in ("patch_volumes", "cell_volumes"):
+            assert getattr(a.stats, name).tobytes() == getattr(b.stats, name).tobytes()
+
+
+def test_run_sweep_record_carries_the_solve_and_the_stats():
+    spec = SweepSpec(dim=2, family=MeshFamily.BAKHVALOV, n=32, axis=SweepAxis.EPS,
+                     values=(0.05, 0.01), calibration_ref=8)
+    row = run_sweep(spec)[1]
+    mesh = build_mesh(2, spec.params_at(0.01))
+    eigen = lambda_min_sparse(assemble(mesh), spec.tol)
+    assert eigen.preconditioner.startswith("multigrid")  # a hierarchy was built
+    for field in ("lambda_min", "iterations", "error_bound", "preconditioner"):
+        assert getattr(row.eigen, field) == getattr(eigen, field)
+    stats = patch_stats(mesh)
+    for name in ("patch_volumes", "cell_volumes"):
+        assert getattr(row.stats, name).tobytes() == getattr(stats, name).tobytes()
 
 
 def test_run_sweep_labels_convergence_failures(monkeypatch):
@@ -265,15 +281,15 @@ def test_csv_header_and_roundtrip(tmp_path):
     for line, row in zip(lines[1:], rows):
         t = line.split(",")
         assert float(t[0]) == row.param
-        assert int(t[1]) == row.n_free
+        assert int(t[1]) == row.stats.n_free
         assert float(t[2]) == row.lambda_exact  # %.17g is bit-exact
         assert float(t[3]) == row.lambda_new
         assert float(t[4]) == row.lambda_gm
         assert float(t[5]) == row.lambda_khx
-        assert float(t[6]) == row.omega_min
-        assert float(t[7]) == row.k_min
-        assert int(t[8]) == row.m_const
-        assert float(t[9]) == row.h_const
+        assert float(t[6]) == row.stats.omega_min
+        assert float(t[7]) == row.stats.k_min
+        assert int(t[8]) == row.stats.m_const
+        assert float(t[9]) == row.stats.h_const
         assert t[10] == "0"
 
 
@@ -393,19 +409,19 @@ def test_fixture_matrices_and_volumes_are_bit_identical():
     assert digest.hexdigest() == FIXTURE_DIGEST
 
 
-def test_analyze_mesh_consistent_with_run_sweep():
+def test_analyze_consistent_with_run_sweep():
     cal = calibrate(2, n_ref=SHISHKIN_SMALL.calibration_ref)
     mesh = build_mesh(2, SHISHKIN_SMALL.params_at(8))
-    report = analyze_mesh(mesh, cal, tol=SHISHKIN_SMALL.tol)
+    report = analyze(patch_stats(mesh), assemble(mesh), cal, tol=SHISHKIN_SMALL.tol)
     row = run_sweep(SHISHKIN_SMALL)[0]
     assert report.lambda_exact == row.lambda_exact
     assert report.lambda_new == row.lambda_new
     assert report.lambda_gm == row.lambda_gm
     assert report.lambda_khx == row.lambda_khx
-    assert report.n_free == row.n_free
+    assert report.stats.n_free == row.stats.n_free
 
 
-def test_analyze_mesh_computes_cell_volumes_once(monkeypatch):
+def test_analyze_computes_cell_volumes_once(monkeypatch):
     import meshspectra.bounds as bd
     import meshspectra.harness as hz
     import meshspectra.meshgen as mg
@@ -422,7 +438,8 @@ def test_analyze_mesh_computes_cell_volumes_once(monkeypatch):
         monkeypatch.setattr(module, "cell_volumes", counted, raising=False)
     cal = calibrate(2, n_ref=4)
     assert len(calls) == 1  # calibrate reuses the volumes patch_stats computed
-    analyze_mesh(build_mesh(2, SHISHKIN_SMALL.params_at(8)), cal)
+    mesh = build_mesh(2, SHISHKIN_SMALL.params_at(8))
+    analyze(patch_stats(mesh), assemble(mesh), cal)
     assert len(calls) == 2
 
 
