@@ -409,6 +409,28 @@ def test_fixture_matrices_and_volumes_are_bit_identical():
     assert digest.hexdigest() == FIXTURE_DIGEST
 
 
+# SHA-256 of the float-hex lambda_min, iterations, float-hex error_bound and
+# preconditioner of every point of one multigrid sweep and the two 3D Jacobi
+# sweeps whose lowest eigenvalues cluster, written before the Rayleigh-Ritz
+# step called the LAPACK gufuncs directly
+EIGEN_DIGEST = "5b4c26d688cf15985370bed9cccc1c1e155f17ce63f7d95674872c840fb061ee"
+
+
+def test_fixture_eigen_results_are_bit_identical():
+    digest = hashlib.sha256()
+    points = 0
+    for name in ("bakhvalov-2d-eps", "power-3d-n", "power-3d-beta"):
+        spec = FIXTURES[name]
+        for value in spec.values:
+            A = assemble(build_mesh(spec.dim, spec.params_at(value)))
+            r = lambda_min_sparse(A, tol=spec.tol)
+            line = f"{r.lambda_min.hex()} {r.iterations} {r.error_bound.hex()} {r.preconditioner}\n"
+            digest.update(line.encode())
+            points += 1
+    assert points == 15
+    assert digest.hexdigest() == EIGEN_DIGEST
+
+
 def test_analyze_consistent_with_run_sweep():
     cal = calibrate(2, n_ref=SHISHKIN_SMALL.calibration_ref)
     mesh = build_mesh(2, SHISHKIN_SMALL.params_at(8))
