@@ -581,11 +581,13 @@ def test_commands_that_build_no_matrix_never_load_scipy(argv, tmp_path):
 
 def test_analyze_loads_scipy_sparse_and_prints_the_same_table(capsys):
     # this point switches to the multigrid preconditioner, so every deferred
-    # scipy.sparse import runs; the table matches this process's, which loaded
-    # scipy up front
+    # scipy.sparse import runs, but no dense or iterative solver (scipy.linalg,
+    # scipy.sparse.linalg: 8.5 MB of peak RSS) is loaded; the table matches
+    # this process's, which loaded scipy up front
     argv = ("analyze", "--dim", "2", "--family", "bakhvalov", "--n", "32", "--eps", "0.01")
     code, stdout, loaded = _main_in_fresh_python(*argv)
     assert code == 0
     assert "scipy.sparse" in loaded
+    assert [m for m in loaded if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))] == []
     assert run_cli(*argv) == 0
     assert stdout == capsys.readouterr().out

@@ -139,25 +139,122 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert private == []
 
 
+def test_rayleigh_ritz_kernels_match_numpy_linalg():
+    # the solver calls the LAPACK gufuncs behind numpy.linalg directly; a
+    # numpy release that changes them fails here, not in the solver's digits
+    rng = np.random.default_rng(23)
+    for size in (2, 3) * 100:
+        V = rng.standard_normal((size, 50)) * 10.0 ** rng.uniform(-8, 8, (size, 1))
+        gram = V @ V.T
+        L = spectra._cholesky(gram)
+        assert L.tobytes() == np.linalg.cholesky(gram).tobytes()
+        Li = spectra._inv(L)
+        assert Li.tobytes() == np.linalg.inv(L).tobytes()
+        reduced = Li @ (0.5 * (gram + gram.T)) @ Li.T
+        for ours, theirs in zip(spectra._eigh(reduced), np.linalg.eigh(reduced)):
+            assert ours.tobytes() == theirs.tobytes()
+    for n in (1, 2, 3, 1331, 16129):
+        v = rng.standard_normal(n)
+        assert spectra._norm(v) == np.linalg.norm(v)
+    # not positive definite: an exactly dependent row, an indefinite matrix
+    V = rng.standard_normal((3, 50))
+    V[2] = 0.0
+    for gram in (V @ V.T, np.diag([1.0, -1.0, 1.0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            spectra._cholesky(gram)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(spectra._cholesky(gram)).all()
+    # a NaN entry need not fail the factorization, but reaches the last pivot
+    gram = np.eye(3)
+    gram[2, 0] = gram[0, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(spectra._cholesky(gram)[2, 2])
+
+
+def failure_state(err):
+    """The step, last estimate and residual a ConvergenceError message names."""
+    match = re.search(r" at step (\d+) \(.*, last estimate (\S+), residual (\S+), target", str(err))
+    assert match, str(err)
+    return int(match.group(1)), float(match.group(2)), float(match.group(3))
+
+
 def test_outer_convergence_error_carries_state():
     A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 8)))
-    with pytest.raises(ConvergenceError) as info:
+    with pytest.raises(ConvergenceError, match="did not converge in 1 iterations") as info:
         lambda_min_sparse(A, tol=1e-12, max_outer=1)
-    err = info.value
-    assert err.iterations == 1
-    assert err.lambda_estimate is not None and err.lambda_estimate > 0.0
-    assert err.vector is not None and err.vector.shape == (A.shape[0],)
+    step, estimate, residual = failure_state(info.value)
+    assert step == 1
+    assert estimate > 0.0 and residual > 1e-12 * estimate
 
 
 def test_not_positive_definite_raises_at_once():
     # diagonal positive, eigenvalues -1 and 3: the first Ritz step finds -1
     with pytest.raises(ConvergenceError, match="not positive definite") as info:
         lambda_min_sparse(spd([[1.0, 2.0], [2.0, 1.0]]))
-    assert info.value.iterations == 1
-    assert info.value.lambda_estimate < 0.0
+    step, estimate, _ = failure_state(info.value)
+    assert step == 1
+    assert estimate < 0.0
     with pytest.raises(ConvergenceError, match="not positive definite") as info:
         lambda_min_sparse(spd([[1.0, np.nan], [np.nan, 1.0]]))
-    assert info.value.iterations == 0
+    assert failure_state(info.value)[0] == 0
+
+
+def cholesky_calls(monkeypatch):
+    """Record the order and the failure (all NaN) of every Gram factorization."""
+    calls = []
+    cholesky = spectra._cholesky
+
+    def spy(gram):
+        L = cholesky(gram)
+        calls.append((gram.shape[0], bool(np.isnan(L).all())))
+        return L
+
+    monkeypatch.setattr(spectra, "_cholesky", spy)
+    return calls
+
+
+def test_dependent_basis_restarts_without_p(monkeypatch):
+    # the first step leaves a residual of rounding size on the 1e12 entry; at
+    # the second, p lies in span{x, w} to rounding, the 3x3 Cholesky fails and
+    # the step is retried on [x, w]
+    calls = cholesky_calls(monkeypatch)
+    A = spd(np.diag([1.0, 2.0, 1e12]))
+    r = lambda_min_sparse(A)
+    assert calls[:3] == [(2, False), (3, True), (2, False)]
+    assert (3, True) not in calls[3:]
+    assert r.lambda_min == lambda_min_dense(A) == 1.0
+    assert r.error_bound <= 1e-8 * r.lambda_min
+
+
+def test_iterate_that_stops_moving_restarts_without_p(monkeypatch):
+    # at tol 2e-14 the iterate on diag(1, 2, 3, 1e9) stops moving at rounding
+    # level, which leaves p = 0; p is not scaled then, the next 3x3 Cholesky
+    # fails on its zero row, and the solve runs out of steps without a warning
+    norms = []
+    norm = spectra._norm
+    monkeypatch.setattr(spectra, "_norm", lambda v: norms.append(norm(v)) or norms[-1])
+    calls = cholesky_calls(monkeypatch)
+    with pytest.raises(ConvergenceError, match="did not converge in 40 iterations at step 40"):
+        lambda_min_sparse(spd(np.diag([1.0, 2.0, 3.0, 1e9])), tol=2e-14, max_outer=40)
+    assert 0.0 in norms
+    assert (3, True) in calls and (2, True) not in calls
+
+
+def test_parallel_residual_raises_basis_degenerated(monkeypatch):
+    # from x proportional to (1, d^-1/2) the Jacobi residual of diag(1, d) is
+    # parallel to x to rounding for d = 1e17, so even [x, w] has no Cholesky
+    # factor at the first step
+    d = 1e17
+    x0 = np.array([1.0, d**-0.5])
+    monkeypatch.setattr(spectra, "_start_vector", lambda n: x0 / np.linalg.norm(x0))
+    calls = cholesky_calls(monkeypatch)
+    with pytest.raises(ConvergenceError, match="basis degenerated at step 1 ") as info:
+        lambda_min_sparse(spd(np.diag([1.0, d])))
+    assert calls == [(2, True)]
+    _, estimate, residual = failure_state(info.value)
+    assert estimate == 2.0 and residual > 1e8
 
 
 def test_power_2d_hardest_fixture_point_converges():
@@ -351,9 +448,8 @@ def test_convergence_error_names_preconditioner(monkeypatch):
     A = assemble(build_mesh(2, BAKHVALOV_32))
     preconditioner = lambda_min_sparse(A).preconditioner
     step = switch_step(preconditioner, "961/234/60")
-    with pytest.raises(ConvergenceError, match=f"preconditioner {preconditioner},") as info:
+    with pytest.raises(ConvergenceError, match=f"at step {step + 1} \\(preconditioner {preconditioner},"):
         lambda_min_sparse(A, max_outer=step + 1)
-    assert info.value.iterations == step + 1
     with pytest.raises(ConvergenceError, match="preconditioner Jacobi,"):
         lambda_min_sparse(A, max_outer=step - 1)
     monkeypatch.setattr(spectra._Multigrid, "build", classmethod(lambda cls, M: None))
@@ -390,11 +486,12 @@ def chain_with_hidden_negative_mode(n=100):
 def test_indefinite_matrix_past_switch_raises_convergence_error():
     A = chain_with_hidden_negative_mode()
     assert lambda_min_dense(A) < 0.0
-    message = "broke down: a multigrid level is not positive definite \\(preconditioner Jacobi,"
+    message = "broke down: a multigrid level is not positive definite at step \\d+ \\(preconditioner Jacobi,"
     with pytest.raises(ConvergenceError, match=message) as info:
         lambda_min_sparse(A)
-    assert spectra.MG_PROBE_STEP < info.value.iterations <= spectra.MG_SWITCH_STEP + 1
-    assert info.value.lambda_estimate > 0.0 and info.value.residual is not None
+    step, estimate, residual = failure_state(info.value)
+    assert spectra.MG_PROBE_STEP < step <= spectra.MG_SWITCH_STEP + 1
+    assert estimate > 0.0 and residual > 0.0
 
 
 def test_dense_guard():
