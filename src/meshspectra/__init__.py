@@ -2,70 +2,34 @@
 P1 stiffness assembly, exact smallest eigenvalues, and geometric estimates of
 them calibrated on a uniform reference mesh."""
 
-from .bounds import (
-    DEFAULT_REFERENCE_INTERVALS,
-    BoundReport,
-    Calibration,
-    calibrate,
-    estimates,
-)
-from .fem import assemble
-from .harness import (
-    FIXTURES,
-    SweepAxis,
-    SweepSpec,
-    analyze,
-    emit_csv,
-    emit_svg_loglog,
-    run_sweep,
-)
-from .meshgen import (
-    GradingParams,
-    LayerPosition,
-    MeshFamily,
-    NodeSet1D,
-    PatchStats,
-    SimplicialMesh,
-    build_mesh,
-    cell_volumes,
-    check_conforming,
-    export_mesh_text,
-    graded_nodes,
-    patch_stats,
-    tensor_mesh,
-)
-from .spectra import ConvergenceError, EigenResult, lambda_min_sparse
+import importlib
 
-__all__ = [
-    "BoundReport",
-    "Calibration",
-    "ConvergenceError",
-    "DEFAULT_REFERENCE_INTERVALS",
-    "EigenResult",
-    "FIXTURES",
-    "GradingParams",
-    "LayerPosition",
-    "MeshFamily",
-    "NodeSet1D",
-    "PatchStats",
-    "SimplicialMesh",
-    "SweepAxis",
-    "SweepSpec",
-    "analyze",
-    "assemble",
-    "build_mesh",
-    "calibrate",
-    "cell_volumes",
-    "check_conforming",
-    "emit_csv",
-    "emit_svg_loglog",
-    "estimates",
-    "export_mesh_text",
-    "graded_nodes",
-    "lambda_min_sparse",
-    "patch_stats",
-    "run_sweep",
-    "tensor_mesh",
-]
+# the module that defines each public name; importing the package loads none
+# of them, and a name loads its module on first access (PEP 562)
+_HOME = {
+    **dict.fromkeys(("BoundReport", "Calibration", "calibrate", "estimates"), "bounds"),
+    "assemble": "fem",
+    **dict.fromkeys(("FIXTURES", "SweepSpec", "analyze", "emit_csv", "emit_svg_loglog",
+                     "run_sweep"), "harness"),
+    **dict.fromkeys(("DEFAULT_REFERENCE_INTERVALS", "GradingParams", "LayerPosition",
+                     "MeshFamily", "NodeSet1D", "PatchStats", "SimplicialMesh", "SweepAxis",
+                     "build_mesh", "cell_volumes", "check_conforming", "export_mesh_text",
+                     "graded_nodes", "patch_stats", "tensor_mesh"), "meshgen"),
+    **dict.fromkeys(("ConvergenceError", "EigenResult", "lambda_min_sparse"), "spectra"),
+}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

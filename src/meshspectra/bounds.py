@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .meshgen import (
+    DEFAULT_REFERENCE_INTERVALS,
     GradingParams,
     MeshFamily,
     PatchStats,
@@ -35,10 +37,9 @@ from .meshgen import (
     check_dim,
     patch_stats,
 )
-from .spectra import EigenResult
 
-# pinned per-dimension reference sizes (intervals per direction)
-DEFAULT_REFERENCE_INTERVALS = {2: 64, 3: 12}
+if TYPE_CHECKING:
+    from .spectra import EigenResult
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,10 @@
 Subcommands: mesh (generate and export), analyze (one mesh, full report),
 sweep (parameter sweep to CSV + SVG), calibrate (print/store the reference
 constants).  Exit codes: 0 success, 1 usage error, 2 numerical failure.
+
+Importing this module loads the mesh layer only; each command imports the
+layers it runs, so `mesh` loads nothing more, `calibrate` adds bounds, and
+`analyze` and `sweep` add fem, spectra, harness and bounds.
 """
 
 from __future__ import annotations
@@ -11,29 +15,17 @@ import argparse
 import os
 import sys
 
-from .bounds import DEFAULT_REFERENCE_INTERVALS, calibrate
-from .fem import assemble
-from .harness import (
-    CSV_COLUMNS,
-    PLOT_COLUMNS,
-    SweepAxis,
-    SweepSpec,
-    analyze,
-    csv_row,
-    emit_csv,
-    emit_svg_loglog,
-    run_sweep,
-)
 from .meshgen import (
+    DEFAULT_REFERENCE_INTERVALS,
     GradingParams,
     LayerPosition,
     MeshFamily,
+    SweepAxis,
     build_mesh,
     check_conforming,
     export_mesh_text,
     patch_stats,
 )
-from .spectra import ConvergenceError, check_tol
 
 _FAMILIES = [f.value for f in MeshFamily]
 _LAYERS = [p.value for p in LayerPosition]
@@ -125,6 +117,11 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .bounds import calibrate
+    from .fem import assemble
+    from .harness import CSV_COLUMNS, analyze, csv_row, emit_csv
+    from .spectra import check_tol
+
     check_tol(args.tol)
     # a mesh that build_mesh, patch_stats or assemble refuses costs no calibration
     mesh = build_mesh(args.dim, _params_from_args(args))
@@ -142,6 +139,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .bounds import calibrate
+
     cal = calibrate(args.dim, args.ref)
     pairs = [
         ("dim", cal.dim),
@@ -162,6 +161,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .harness import PLOT_COLUMNS, SweepSpec, emit_csv, emit_svg_loglog, run_sweep
+
     for key in ("dim", "family", "axis", "values", "out"):
         if getattr(args, key) is None:
             raise ValueError(f"missing required setting '{key}' (flag or config)")
@@ -216,6 +217,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _convergence_error():
+    # only spectra raises ConvergenceError: until a command has loaded it,
+    # the empty tuple, which matches no exception, stands in
+    spectra = sys.modules.get(f"{__package__}.spectra")
+    return spectra.ConvergenceError if spectra else ()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
@@ -231,7 +239,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except ConvergenceError as exc:
+    except _convergence_error() as exc:
         print(f"meshspectra: numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

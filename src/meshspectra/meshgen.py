@@ -376,6 +376,15 @@ def tensor_mesh(*node_sets: NodeSet1D) -> SimplicialMesh:
 
 # most intervals per direction, per dimension: cells and unknowns grow as n^dim
 MAX_INTERVALS = {2: 256, 3: 16}
+# pinned per-dimension calibration reference sizes (intervals per direction)
+DEFAULT_REFERENCE_INTERVALS = {2: 64, 3: 12}
+
+
+# the grading setting a sweep varies
+class SweepAxis(enum.Enum):
+    N = "n"
+    EPS = "eps"
+    BETA = "beta"
 
 
 def check_dim(dim: int) -> None:

@@ -320,11 +320,11 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     loop itself updates A x implicitly, one sparse product per step).
     max_outer caps the number of steps.  Raises ConvergenceError when the cap
     is reached, when the basis degenerates, or when a Rayleigh quotient that
-    is not positive and finite or a multigrid level that is not positive
-    definite shows A is not SPD; the message names the step, the
-    preconditioner in use and the last estimate and residual.  Raises
-    ValueError before the first step when tol fails check_tol, M is not
-    square or a diagonal entry is not positive.
+    is not positive and finite (rechecked on an explicit A x) or a multigrid
+    level that is not positive definite shows A is not SPD; the message names
+    the step, the preconditioner in use and the last estimate and residual.
+    Raises ValueError before the first step when tol fails check_tol, M is
+    not square or a diagonal entry is not positive.
     """
     check_tol(tol)
     if M.shape[0] != M.shape[1]:
@@ -367,6 +367,10 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
             exact = True
             continue
         if not (theta > 0.0 and math.isfinite(resid)):
+            if not exact:  # the implicit update's drift, not A, may be at fault
+                Ax[:] = M @ x
+                exact = True
+                continue
             raise failure("broke down: A is not positive definite or not finite")
         if it == max_outer:
             raise failure(f"did not converge in {max_outer} iterations")

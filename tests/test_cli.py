@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ from meshspectra import (
     emit_svg_loglog,
     run_sweep,
 )
-from meshspectra import cli
+from meshspectra import bounds, cli, harness
 from meshspectra.harness import CSV_COLUMNS, PLOT_COLUMNS
 
 
@@ -77,8 +78,8 @@ def test_unread_grading_flag_exits_1_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the grading flags were checked")
 
-    for name in ("calibrate", "build_mesh"):
-        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(bounds, "calibrate", no_work)
+    monkeypatch.setattr(cli, "build_mesh", no_work)
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv[0], "--dim", "2", *argv[1:]) == 1
     assert message in capsys.readouterr().err
@@ -102,8 +103,8 @@ def test_refused_setting_exits_1_before_any_work(argv, message, tmp_path, monkey
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the settings were checked")
 
-    for name in ("calibrate", "build_mesh", "run_sweep"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, name in ((bounds, "calibrate"), (cli, "build_mesh"), (harness, "run_sweep")):
+        monkeypatch.setattr(module, name, no_work)
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv[0], "--dim", "2", *argv[1:]) == 1
     assert message in capsys.readouterr().err
@@ -130,7 +131,7 @@ def test_convergence_failure_exits_2(monkeypatch, capsys, tmp_path):
     def boom(spec):
         raise ConvergenceError("sweep point n=8 did not converge: stalled")
 
-    monkeypatch.setattr(cli, "run_sweep", boom)
+    monkeypatch.setattr(harness, "run_sweep", boom)
     code = run_cli(
         "sweep", "--dim", "2", "--family", "uniform", "--axis", "n",
         "--values", "4,8", "--out", str(tmp_path / "s"),
@@ -248,7 +249,7 @@ def no_calibration(*args, **kwargs):
 
 def test_analyze_refuses_a_degenerate_mesh_before_calibrating(monkeypatch, capsys):
     # eps=1e-300 makes the corner cells' volume 0; patch_stats refuses the mesh
-    monkeypatch.setattr(cli, "calibrate", no_calibration)
+    monkeypatch.setattr(bounds, "calibrate", no_calibration)
     assert run_cli("analyze", "--dim", "2", "--family", "shishkin", "--n", "8",
                    "--eps", "1e-300") == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -270,7 +271,7 @@ def test_analyze_refuses_a_degenerate_mesh_before_calibrating(monkeypatch, capsy
 def test_mesh_size_cap_exits_1(argv, dim, n, cap, tmp_path, monkeypatch, capsys):
     if argv[0] == "analyze":
         # the refused mesh costs no calibration
-        monkeypatch.setattr(cli, "calibrate", no_calibration)
+        monkeypatch.setattr(bounds, "calibrate", no_calibration)
     monkeypatch.chdir(tmp_path)
     size = ["--ref" if argv[0] == "calibrate" else "--n", str(n)]
     assert run_cli(*argv, "--dim", str(dim), *size) == 1
@@ -423,7 +424,7 @@ def test_sweep_config_value_is_checked_as_its_flag(lines, message, tmp_path, mon
     def no_work(*args, **kwargs):
         raise AssertionError("a sweep started before its settings were checked")
 
-    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(harness, "run_sweep", no_work)
     conf = tmp_path / "sweep.conf"
     conf.write_text(f"dim = 2\naxis = n\nvalues = 8, 16\nout = {tmp_path / 'c'}\n{lines}\n")
     assert run_cli("sweep", "--config", str(conf)) == 1
@@ -521,50 +522,97 @@ def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkey
 # ---------------------------------------------------------------- imports
 
 
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports this checkout's package;
+    return the finished process (stdout and stderr as text) and the sorted
+    names of the package modules loaded when the code ended."""
+    import meshspectra
+
+    src = os.path.dirname(os.path.dirname(meshspectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    report = ("\nimport sys; print(*sorted(m for m in sys.modules "
+              "if m.partition('.')[0] == 'meshspectra'), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code + report, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out, out.stderr.splitlines()[-1].split()
+
+
 def test_importing_the_cli_loads_no_dense_or_iterative_solver():
     # every command pays for what importing the CLI loads; the package needs
     # neither module, which together with scipy.sparse about triple the import time
-    import meshspectra
-
-    src = os.path.dirname(os.path.dirname(meshspectra.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    probe = ("import sys, meshspectra.cli; "
-             "print(*sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
+    out, _ = _fresh_python(
+        "import sys, meshspectra.cli; "
+        "print(*sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))")
     assert out.stdout.strip() == ""
 
 
-def _fresh_python(code, *args):
-    """Run code in a new interpreter that imports this checkout's package;
-    return the finished process, stdout and stderr as text."""
-    import meshspectra
-
-    src = os.path.dirname(os.path.dirname(meshspectra.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True)
-
-
 # the exit code and every loaded scipy module, as the last line of stderr
+# before the package modules
 _RUN_MAIN = ("import sys; from meshspectra import cli; code = cli.main(sys.argv[1:]); "
              "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)")
 
 
 def _main_in_fresh_python(*argv):
-    out = _fresh_python(_RUN_MAIN, *argv)
-    code, *loaded = out.stderr.splitlines()[-1].split()
-    return int(code), out.stdout, loaded
+    """Exit code, stdout, loaded scipy modules and loaded package modules of
+    one command run in a new interpreter."""
+    out, package = _fresh_python(_RUN_MAIN, *argv)
+    code, *loaded = out.stderr.splitlines()[-2].split()
+    return int(code), out.stdout, loaded, package
 
 
 def test_importing_the_cli_loads_no_scipy():
     # scipy.sparse alone costs more than the rest of the import; only assembly
     # and the multigrid build load it
-    out = _fresh_python("import sys, meshspectra.cli; "
-                        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out, _ = _fresh_python("import sys, meshspectra.cli; "
+                           "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert out.stdout.strip() == ""
+
+
+# what importing the CLI loads; each command imports the layers it runs
+_CLI_IMPORT = ["meshspectra", "meshspectra.cli", "meshspectra.meshgen"]
+_EVERY_LAYER = sorted(_CLI_IMPORT + [f"meshspectra.{m}" for m in
+                                     ("bounds", "fem", "harness", "spectra")])
+
+
+def test_importing_the_cli_loads_the_mesh_layer_only():
+    assert _fresh_python("import meshspectra.cli")[1] == _CLI_IMPORT
+
+
+@pytest.mark.parametrize("argv, package", [
+    (("mesh", "--dim", "3", "--family", "power", "--n", "4", "--beta", "3"), _CLI_IMPORT),
+    (("calibrate", "--dim", "2", "--ref", "8"), sorted(_CLI_IMPORT + ["meshspectra.bounds"])),
+    (("analyze", "--dim", "2", "--family", "uniform", "--n", "4", "--ref", "8"), _EVERY_LAYER),
+    (("sweep", "--dim", "2", "--family", "uniform", "--axis", "n", "--values", "4,8",
+      "--ref", "8"), _EVERY_LAYER),
+], ids=["mesh", "calibrate", "analyze", "sweep"])
+def test_each_command_loads_the_layers_it_runs(argv, package, tmp_path):
+    if argv[0] in ("mesh", "sweep"):
+        argv += ("--out", str(tmp_path / "out"))
+    code, _, _, loaded = _main_in_fresh_python(*argv)
+    assert code == 0
+    assert loaded == package
+
+
+def test_every_public_name_resolves_and_is_listed():
+    import meshspectra
+
+    listed = dir(meshspectra)
+    for name in meshspectra.__all__:
+        assert name in listed
+        assert getattr(meshspectra, name) is not None
+    assert len(set(meshspectra.__all__)) == len(meshspectra.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        meshspectra.no_such_name
+
+
+def test_fixtures_are_built_on_first_access():
+    out, _ = _fresh_python(
+        "import meshspectra.harness as h; built = 'FIXTURES' in vars(h); "
+        "from meshspectra.harness import FIXTURES, SweepSpec; "
+        "print(built, len(FIXTURES), FIXTURES is h.FIXTURES, "
+        "all(isinstance(s, SweepSpec) for s in FIXTURES.values()))")
+    assert out.stdout.split() == ["False", "18", "True", "True"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -574,7 +622,7 @@ def test_importing_the_cli_loads_no_scipy():
 def test_commands_that_build_no_matrix_never_load_scipy(argv, tmp_path):
     if argv[0] == "mesh":
         argv += ("--out", str(tmp_path / "mesh.txt"))
-    code, _, loaded = _main_in_fresh_python(*argv)
+    code, _, loaded, _ = _main_in_fresh_python(*argv)
     assert code == 0
     assert loaded == []
 
@@ -585,9 +633,32 @@ def test_analyze_loads_scipy_sparse_and_prints_the_same_table(capsys):
     # scipy.sparse.linalg: 8.5 MB of peak RSS) is loaded; the table matches
     # this process's, which loaded scipy up front
     argv = ("analyze", "--dim", "2", "--family", "bakhvalov", "--n", "32", "--eps", "0.01")
-    code, stdout, loaded = _main_in_fresh_python(*argv)
+    code, stdout, loaded, _ = _main_in_fresh_python(*argv)
     assert code == 0
     assert "scipy.sparse" in loaded
     assert [m for m in loaded if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))] == []
     assert run_cli(*argv) == 0
     assert stdout == capsys.readouterr().out
+
+
+# SHA-256 of the help text of the CLI and of each subcommand, at 80 columns;
+# the parser is built from the mesh layer alone, and must print what it
+# printed when it was built from every layer
+HELP_DIGESTS = {
+    "": "555f4cca72dab3c624df5da67703110d35f24b2d3fd97aa5d8bb1869577fdcc1",
+    "mesh": "ddf2fd3b6b1749d9087cf1ff34e7196e0aa56e3414368da7a4bfcfa6d07b410d",
+    "analyze": "a9d5abeba289771015634fe27977d4edb3103f250bf0c8b0c825703f4ca5404f",
+    "sweep": "5d1d1b24edf22b2e9fa580f317a9b68caf18f0a67e9bc22f8ec204438d158e55",
+    "calibrate": "51284f845be82a817e9d8d0800ae19b35ab6dbe73f1cc0f66e0764805dcde1da",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays help out differently across Python versions; "
+                           "the digests are of the 3.11 layout that CI runs")
+@pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=lambda c: c or "meshspectra")
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(*filter(None, [command]), "--help") == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[command]

@@ -201,6 +201,36 @@ def test_not_positive_definite_raises_at_once():
     assert failure_state(info.value)[0] == 0
 
 
+def random_symmetric(seed, negate_smallest=False):
+    """A seeded random symmetric matrix of order 3-11 with eigenvalues spread
+    log-uniformly over 1e-3..1e3, the smallest negated if asked."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if negate_smallest:
+        lam[np.argmin(lam)] *= -1.0
+    a = (q * lam) @ q.T
+    return sp.csr_matrix(0.5 * (a + a.T))
+
+
+def test_random_spd_matrices_are_never_called_indefinite():
+    # the loop updates A x implicitly; on these matrices its Rayleigh quotient
+    # drifted to <= 0 while x A x did not, and 114 of the 200 solves reported
+    # "not positive definite".  At tol 1e-13 most cannot converge (the target
+    # lies below rounding), so the cap is kept small and only the verdict read
+    for seed in range(200):
+        try:
+            lambda_min_sparse(random_symmetric(seed), tol=1e-13, max_outer=100)
+        except ConvergenceError as exc:
+            assert "did not converge in 100 iterations" in str(exc)
+    for seed in range(20):
+        A = random_symmetric(seed, negate_smallest=True)
+        if np.all(A.diagonal() > 0.0):
+            with pytest.raises(ConvergenceError, match="not positive definite"):
+                lambda_min_sparse(A, tol=1e-13, max_outer=100)
+
+
 def cholesky_calls(monkeypatch):
     """Record the order and the failure (all NaN) of every Gram factorization."""
     calls = []
