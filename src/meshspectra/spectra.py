@@ -32,20 +32,27 @@ within ||Ax - theta x|| of theta (Krylov-Bogoliubov), and that residual is
 returned as the error bound.  Inside a cluster of eigenvalues closer than the
 bound, the bound is the only accuracy guarantee.
 
-A step on a small matrix is mostly fixed cost, so the Rayleigh-Ritz step
-calls the LAPACK gufuncs that numpy.linalg.cholesky, inv and eigh dispatch to
-(numpy.linalg._umath_linalg) on its 3x3 Gram matrices, and norms are
-sqrt(v @ v), with bitwise the same results: on a 3x3 matrix the wrappers'
-argument checks and errstate switching cost 6-7 us per call, and a Jacobi
-step on the 3D benchmark points (at most 1,331 unknowns) went from about 75
-to 55-62 us.  scipy.linalg.lapack has the same kernels, but importing it
-raises the peak RSS of a 3D power n-sweep from 55.6 to 63.8 MB.
+The fixed cost of a step is kept small, with bitwise the same results.  Every
+sparse product (LOBPCG's A x and A w, the V-cycle's A, P and P^T products)
+calls csr_matvec from scipy.sparse._sparsetools, the kernel behind A @ x,
+through _matvec into a zeroed preallocated vector, without A @ x's dispatch,
+fresh zeroed vector and copy; the kernel is private, so CI pins scipy.  The
+LOBPCG residual is allocated once per solve, the V-cycle's work vectors once
+per hierarchy, and a V-cycle on 2D Bakhvalov eps=0.01 n=128 went from about
+480 to 425 us.  The Rayleigh-Ritz step calls the LAPACK gufuncs behind
+numpy.linalg.cholesky, inv and eigh (numpy.linalg._umath_linalg) on its 3x3
+Gram matrices, and norms are sqrt(v @ v), without the wrappers' 6-7 us of
+checks per call: a Jacobi step on the 3D benchmark points (at most 1,331
+unknowns) went from about 75 to 55-62 us.  scipy.linalg.lapack has the same
+kernels, but importing it raises the peak RSS of a 3D power n-sweep from 55.6
+to 63.8 MB.
 
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
 fixed by an index hash and the switch reads residual norms, never the clock,
-so repeated runs agree bitwise.  Only the multigrid build imports scipy.sparse,
-so this module loads with numpy alone and the CLI import stays scipy-free.
+so repeated runs agree bitwise.  Only the multigrid build and the products
+import scipy.sparse, so this module loads with numpy alone and the CLI import
+stays scipy-free.
 """
 from __future__ import annotations
 
@@ -70,6 +77,10 @@ MG_PROBE_STEP = 16
 MG_STRENGTH = 0.25
 # the coarsest level, solved exactly, has at most this many rows
 MG_COARSE_ROWS = 100
+# a solve stops as stalled after this many steps without a new smallest ||r||:
+# below the rounding floor of about eps ||A|| the residual stops falling, and
+# the steps up to max_outer would be spent for nothing
+STALL_STEPS = 128
 
 
 # the LAPACK gufuncs behind np.linalg.cholesky, inv and eigh, without the
@@ -82,6 +93,16 @@ _eigh = _umath_linalg.eigh_lo
 def _norm(v: np.ndarray) -> float:
     # what np.linalg.norm computes for a 1-D float64 vector, bit for bit
     return math.sqrt(v @ v)
+
+
+def _matvec(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = A @ x for a float64 CSR matrix A, through the kernel that A @ x
+    calls, so bit for bit the same; returns out.  The kernel adds into out
+    and checks no bounds: out must have A's rows and x its columns."""
+    import scipy.sparse._sparsetools as sparsetools  # 4x cheaper than from-import
+    out.fill(0.0)
+    sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 class ConvergenceError(RuntimeError):
@@ -230,11 +251,22 @@ class _Multigrid:
     D^-1 A has spectral radius at most 4/3 < 2: the cycle stays symmetric
     positive definite whatever P is.  Raises np.linalg.LinAlgError when a
     level is not positive definite.
+
+    Work vectors are allocated once, with the hierarchy: each level's
+    residual (which also takes its P x and A x products) and each coarser
+    level's right-hand side and iterate.  A call allocates only the finest
+    iterate, which it returns, and never writes b.  With no level (M has at
+    most MG_COARSE_ROWS rows) the cycle is the coarse solve alone.
     """
 
     def __init__(self, levels, coarse_inv):
         self.levels = levels  # (A, weighted inverse diagonal, P, P^T) per level
         self.coarse_inv = coarse_inv
+        # work vectors, sized by the matrices (see the class docstring)
+        sizes = self.sizes
+        self._r = [np.empty(n) for n in sizes[:-1]]
+        self._b = [np.empty(n) for n in sizes[1:]]
+        self._x = [np.empty(n) for n in sizes[1:]]
 
     @classmethod
     def build(cls, M: sp.csr_matrix):
@@ -269,18 +301,20 @@ class _Multigrid:
         return [A.shape[0] for A, *_ in self.levels] + [self.coarse_inv.shape[0]]
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        xs, bs = [], []
-        for A, wdinv, _, PT in self.levels:
-            x = wdinv * b
-            xs.append(x)
-            bs.append(b)
-            b = PT @ (b - A @ x)
-        x = self.coarse_inv @ b
-        for (A, wdinv, P, _), xf, bf in zip(reversed(self.levels), reversed(xs), reversed(bs)):
-            xf += P @ x
-            xf += wdinv * (bf - A @ xf)
-            x = xf
-        return x
+        """The V-cycle applied to b, in a new array; b is not written."""
+        bs = [b, *self._b]
+        xs = [np.empty(b.shape[0]), *self._x]
+        for (A, wdinv, _, PT), r, b, x, bc in zip(self.levels, self._r, bs, xs, bs[1:]):
+            np.multiply(wdinv, b, out=x)
+            np.subtract(b, _matvec(A, x, r), out=r)
+            _matvec(PT, r, bc)
+        np.matmul(self.coarse_inv, bs[-1], out=xs[-1])
+        for (A, wdinv, P, _), r, b, x, xc in reversed(list(zip(self.levels, self._r, bs, xs, xs[1:]))):
+            x += _matvec(P, xc, r)
+            np.subtract(b, _matvec(A, x, r), out=r)
+            r *= wdinv
+            x += r
+        return xs[0]
 
 
 def _build_pays(history: list[float], target: float) -> bool:
@@ -319,16 +353,20 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     ||Ax - theta x|| <= tol * theta, checked on an explicit product A x (the
     loop itself updates A x implicitly, one sparse product per step).
     max_outer caps the number of steps.  Raises ConvergenceError when the cap
-    is reached, when the basis degenerates, or when a Rayleigh quotient that
-    is not positive and finite (rechecked on an explicit A x) or a multigrid
-    level that is not positive definite shows A is not SPD; the message names
-    the step, the preconditioner in use and the last estimate and residual.
+    is reached, when STALL_STEPS steps in a row bring no smaller ||r||, when
+    the basis degenerates, or when a Rayleigh quotient that is not positive
+    and finite (rechecked on an explicit A x) or a multigrid level that is
+    not positive definite shows A is not SPD; the message names the step,
+    the preconditioner in use and the last estimate and residual.
     Raises ValueError before the first step when tol fails check_tol, M is
-    not square or a diagonal entry is not positive.
+    not square, not float64 CSR (the products read its CSR arrays) or a
+    diagonal entry is not positive.
     """
     check_tol(tol)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
+    if M.format != "csr" or M.dtype != np.float64:
+        raise ValueError(f"matrix must be float64 CSR, got {M.dtype} {M.format}")
     d = M.diagonal()
     if np.any(d <= 0.0):
         raise ValueError("diagonal entries must be strictly positive")
@@ -337,13 +375,15 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     B = np.zeros((6, M.shape[0]))
     x, w, p, Ax, Aw, Ap = B
     x[:] = _start_vector(M.shape[0])
-    Ax[:] = M @ x
+    _matvec(M, x, Ax)
+    r = np.empty(M.shape[0])
     exact = True  # Ax is an explicit product, not an implicit update
     k = 2  # Ritz basis size; p joins after the first step
     it = 0
     mg = None  # the V-cycle, once built
     preconditioner = "Jacobi"
     history = []  # ||r|| after 0, 1, ... Jacobi steps
+    best, best_step = math.inf, 0  # the smallest ||r|| so far, and its step
 
     def failure(reason: str) -> ConvergenceError:
         return ConvergenceError(
@@ -353,7 +393,7 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
 
     while True:
         theta = float(x @ Ax)
-        r = Ax - theta * x
+        np.subtract(Ax, np.multiply(x, theta, out=r), out=r)
         resid = _norm(r)
         if resid <= tol * theta:
             if exact:
@@ -363,17 +403,21 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
                     error_bound=resid,
                     preconditioner=preconditioner,
                 )
-            Ax[:] = M @ x
+            _matvec(M, x, Ax)
             exact = True
             continue
         if not (theta > 0.0 and math.isfinite(resid)):
             if not exact:  # the implicit update's drift, not A, may be at fault
-                Ax[:] = M @ x
+                _matvec(M, x, Ax)
                 exact = True
                 continue
             raise failure("broke down: A is not positive definite or not finite")
         if it == max_outer:
             raise failure(f"did not converge in {max_outer} iterations")
+        if resid < best:
+            best, best_step = resid, it
+        elif it - best_step == STALL_STEPS:
+            raise failure(f"stalled (no smaller residual in {STALL_STEPS} steps)")
         it += 1
         if preconditioner == "Jacobi":  # no build tried yet
             history.append(resid)
@@ -394,7 +438,7 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
         else:
             w[:] = mg(r)
         w /= _norm(w)
-        Aw[:] = M @ w
+        _matvec(M, w, Aw)
         Q = B[:3] @ B.T  # [x, w, p] against [x, w, p, Ax, Aw, Ap]
         # a failed factorization comes back as NaN, and so does the last pivot
         # of a Gram matrix with a NaN entry

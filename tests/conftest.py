@@ -3,7 +3,8 @@ meshes (and the index-grid form of the any-dimension builder), the mesh
 statistics, the stiffness matrix, the conformity check (by counting, and in the
 sort-and-run-length form), the smallest eigenvalue and the mesh text format,
 used to cross-check the vectorized implementations, plus the average-patch form
-of the 3D kernel that cross-checks the estimators."""
+of the 3D kernel that cross-checks the estimators and the multigrid V-cycle in
+plain scipy products that cross-checks the one with work vectors."""
 
 from __future__ import annotations
 
@@ -67,6 +68,24 @@ def lambda_min_dense(A: sp.csr_matrix) -> float:
         raise ValueError(f"dense oracle capped at n <= {MAX_DENSE_DIM}, got {n}")
     x = np.linalg.eigh(A.toarray())[1][:, 0]
     return float(x @ (A @ x) / (x @ x))
+
+
+def reference_vcycle(mg, b: np.ndarray) -> np.ndarray:
+    """The V-cycle of the hierarchy mg applied to b, written with plain scipy
+    products that allocate every temporary: the same arithmetic in the same
+    order as spectra._Multigrid.__call__, without its work vectors."""
+    xs, bs = [], []
+    for A, wdinv, _, PT in mg.levels:
+        x = wdinv * b
+        xs.append(x)
+        bs.append(b)
+        b = PT @ (b - A @ x)
+    x = mg.coarse_inv @ b
+    for (A, wdinv, P, _), xf, bf in zip(reversed(mg.levels), reversed(xs), reversed(bs)):
+        xf += P @ x
+        xf += wdinv * (bf - A @ xf)
+        x = xf
+    return x
 
 
 def brute_tensor_mesh_2d(nx: NodeSet1D, ny: NodeSet1D) -> SimplicialMesh:

@@ -24,7 +24,7 @@ from meshspectra import (
 from meshspectra import spectra
 from meshspectra.harness import FIXTURES, SweepAxis
 
-from conftest import lambda_min_dense
+from conftest import lambda_min_dense, reference_vcycle
 
 
 def spd(dense):
@@ -110,6 +110,12 @@ def test_matrix_validation_before_first_step(monkeypatch):
     monkeypatch.setattr(spectra, "_start_vector", no_step)
     with pytest.raises(ValueError, match=re.escape("matrix must be square, got shape (2, 3)")):
         lambda_min_sparse(sp.csr_matrix(np.zeros((2, 3))))
+    # the products read the CSR arrays: a CSC or BSR matrix would be read
+    # wrongly, an integer one cast to integers
+    for bad, got in ((spd(np.eye(2)).tocsc(), "float64 csc"), (spd(np.eye(2)).tobsr(), "float64 bsr"),
+                     (sp.csr_matrix(np.eye(2, dtype=int)), "int64 csr")):
+        with pytest.raises(ValueError, match=f"matrix must be float64 CSR, got {got}"):
+            lambda_min_sparse(bad)
     for bad in (np.diag([1.0, 0.0]), -np.diag([1.0, 2.0])):
         with pytest.raises(ValueError, match="diagonal entries must be strictly positive"):
             lambda_min_sparse(spd(bad))
@@ -229,6 +235,16 @@ def test_random_spd_matrices_are_never_called_indefinite():
         if np.all(A.diagonal() > 0.0):
             with pytest.raises(ConvergenceError, match="not positive definite"):
                 lambda_min_sparse(A, tol=1e-13, max_outer=100)
+
+
+def test_solve_below_the_rounding_floor_stops_as_stalled():
+    # at tol 1e-13 the target lies below what rounding allows on this matrix
+    # (its eigenvalues span 1e-3..1e3); the residual stops falling and the
+    # solve stops after STALL_STEPS steps without a smaller one, not at
+    # max_outer (median step 154, at most 329, over seeds 0-99)
+    with pytest.raises(ConvergenceError, match="stalled \\(no smaller residual in 128 steps\\)") as info:
+        lambda_min_sparse(random_symmetric(0), tol=1e-13)
+    assert failure_state(info.value)[0] < 500
 
 
 def cholesky_calls(monkeypatch):
@@ -405,6 +421,31 @@ def test_vcycle_is_symmetric_positive_definite(dim, params, sizes):
     u, v = rng.standard_normal((2, M.shape[0]))
     assert abs(u @ mg(v) - v @ mg(u)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v) * norm
     assert u @ mg(u) > 0.0
+
+
+@pytest.mark.parametrize(
+    "params, sizes",
+    [
+        (BAKHVALOV_32, [961, 234, 60]),
+        (GradingParams(MeshFamily.BAKHVALOV, 128, eps=0.01), [16129, 3331, 688, 184, 41]),
+        # at most MG_COARSE_ROWS rows: no level, the exact coarse solve only
+        (GradingParams(MeshFamily.UNIFORM, 8), [49]),
+    ],
+    ids=["bakhvalov-32", "bakhvalov-128", "no-level"],
+)
+def test_vcycle_matches_the_plain_scipy_cycle_bit_for_bit(params, sizes):
+    mg = spectra._Multigrid.build(assemble(build_mesh(2, params)))
+    assert mg.sizes == sizes
+    rng = np.random.default_rng(11)
+    b, c = rng.standard_normal((2, sizes[0]))
+    b_before = b.copy()
+    first = mg(b)
+    assert b.tobytes() == b_before.tobytes()
+    assert first.tobytes() == reference_vcycle(mg, b).tobytes()
+    first_before = first.copy()
+    second = mg(c)
+    assert first.tobytes() == first_before.tobytes()
+    assert second.tobytes() == reference_vcycle(mg, c).tobytes()
 
 
 def hierarchy_matrices(dim, params):
