@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -558,17 +559,31 @@ _EVERY_LAYER = sorted(_CLI_IMPORT + [f"meshspectra.{m}" for m in
                                      ("bounds", "fem", "harness", "spectra")])
 
 
-def test_importing_the_cli_loads_the_mesh_layer_only():
-    # every command pays for what importing the CLI loads.  scipy.sparse alone
-    # costs more than the rest of the import, and only assembly and the
-    # multigrid build load it; the package needs neither the dense nor the
-    # iterative solver, which together with scipy.sparse about triple the time
+@functools.lru_cache(maxsize=None)
+def _cli_import():
+    """The scipy modules and the package modules that importing the CLI loads,
+    from one new interpreter shared by the tests below."""
     out, package = _fresh_python("import sys, meshspectra.cli; "
                                  "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
-    scipy = out.stdout.split()
+    return out.stdout.split(), package
+
+
+def test_importing_the_cli_loads_no_dense_or_iterative_solver():
+    # every command pays for what importing the CLI loads; the package needs
+    # neither module, which together with scipy.sparse about triple the import time
+    scipy, _ = _cli_import()
     assert [m for m in scipy if m in ("scipy.linalg", "scipy.sparse.linalg")] == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.sparse alone costs more than the rest of the import; only assembly
+    # and the multigrid build load it
+    scipy, _ = _cli_import()
     assert scipy == []
-    assert package == _CLI_IMPORT
+
+
+def test_importing_the_cli_loads_the_mesh_layer_only():
+    assert _cli_import()[1] == _CLI_IMPORT
 
 
 @pytest.mark.parametrize("argv, package", [
