@@ -79,8 +79,6 @@ class SweepSpec:
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError(f"'values' must be strictly monotone, got {vals}")
-        if self.n is not None:
-            object.__setattr__(self, "n", _mesh_size(self.n))
         # refuse a bad point before any is solved; the cap goes first so that no
         # oversized node set is built.  Two values with equal node sets would
         # solve the same mesh twice (a clamped Shishkin transition, say).
@@ -96,15 +94,8 @@ class SweepSpec:
     def params_at(self, value) -> GradingParams:
         """The grading at one sweep value; a family that does not read the axis refuses it."""
         settings = dict(n=self.n, eps=self.eps, beta=self.beta, c_sigma=self.c_sigma)
-        settings[self.axis.value] = _mesh_size(value) if self.axis is SweepAxis.N else float(value)
+        settings[self.axis.value] = value if self.axis is SweepAxis.N else float(value)
         return GradingParams(self.family, layer_position=self.layer_position, **settings)
-
-
-def _mesh_size(n) -> int:
-    """n as an int, or ValueError if it is not a whole number."""
-    if not float(n).is_integer():
-        raise ValueError(f"mesh sizes must be integers, got {n}")
-    return int(n)
 
 
 def analyze(stats: PatchStats, A, cal: Calibration, tol: float = 1e-8, param=0.0) -> BoundReport:
@@ -163,6 +154,26 @@ def _decades(lo: float, hi: float):
     return [d for d in range(first, last + 1) if lo - 1e-9 <= d <= hi + 1e-9]
 
 
+_GRID = 'stroke="#cccccc" stroke-width="0.5"'
+_GUIDE = 'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"'
+
+
+def _series_stroke(color: str) -> str:
+    return f'stroke="{color}" stroke-width="1.8"'
+
+
+def _line(x1: str, y1: str, x2: str, y2: str, stroke: str) -> str:
+    """A <line> between two points whose coordinates are already formatted."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}/>'
+
+
+def _text(x: float, y: float, size: int, label: str, anchor: str | None = None) -> str:
+    """A sans-serif <text>; without an anchor it starts at x."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}"{anchor_attr} '
+            f'font-family="sans-serif">{label}</text>')
+
+
 def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
     """Self-contained log-log SVG plot of selected columns against the sweep
     parameter, plus a dashed slope -1 reference guide.
@@ -204,6 +215,9 @@ def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
     def py(logy):
         return top + (y_hi - logy) / (y_hi - y_lo) * fh
 
+    def point(logx, logy):
+        return f"{px(logx):.2f}", f"{py(logy):.2f}"
+
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
@@ -215,70 +229,35 @@ def emit_svg_loglog(rows, columns, path, normalize: bool = False) -> None:
 
     for d in _decades(x_lo, x_hi):
         x = px(d)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{top:g}" x2="{x:.2f}" y2="{top + fh:g}" '
-            'stroke="#cccccc" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{top + fh + 18:.2f}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">1e{d}</text>'
-        )
+        parts.append(_line(f"{x:.2f}", f"{top:g}", f"{x:.2f}", f"{top + fh:g}", _GRID))
+        parts.append(_text(x, top + fh + 18, 12, f"1e{d}", "middle"))
     for d in _decades(y_lo, y_hi):
         y = py(d)
-        parts.append(
-            f'<line x1="{left:g}" y1="{y:.2f}" x2="{left + fw:g}" y2="{y:.2f}" '
-            'stroke="#cccccc" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{left - 6:.2f}" y="{y + 4:.2f}" font-size="12" '
-            f'text-anchor="end" font-family="sans-serif">1e{d}</text>'
-        )
+        parts.append(_line(f"{left:g}", f"{y:.2f}", f"{left + fw:g}", f"{y:.2f}", _GRID))
+        parts.append(_text(left - 6, y + 4, 12, f"1e{d}", "end"))
 
     # slope -1 guide through the top-left frame corner, clipped to the frame
     guide_x_hi = min(x_hi, x_lo + (y_hi - y_lo))
-    parts.append(
-        f'<line x1="{px(x_lo):.2f}" y1="{py(y_hi):.2f}" '
-        f'x2="{px(guide_x_hi):.2f}" y2="{py(y_hi - (guide_x_hi - x_lo)):.2f}" '
-        'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>'
-    )
+    guide_end = point(guide_x_hi, y_hi - (guide_x_hi - x_lo))
+    parts.append(_line(*point(x_lo, y_hi), *guide_end, _GUIDE))
 
     for col in columns:
         color = PLOT_COLUMNS[col][1]
-        pts = " ".join(
-            f"{px(math.log10(x)):.2f},{py(math.log10(y)):.2f}"
-            for x, y in zip(xs, series[col])
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
-        )
-        for x, y in zip(xs, series[col]):
-            parts.append(
-                f'<circle cx="{px(math.log10(x)):.2f}" cy="{py(math.log10(y)):.2f}" '
-                f'r="3" fill="{color}"/>'
-            )
+        points = [point(math.log10(x), math.log10(y)) for x, y in zip(xs, series[col])]
+        polyline = " ".join(f"{cx},{cy}" for cx, cy in points)
+        parts.append(f'<polyline points="{polyline}" fill="none" {_series_stroke(color)}/>')
+        parts += [f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>' for cx, cy in points]
 
+    # one legend entry per column, then the guide's
+    legend = [(PLOT_COLUMNS[col][0], _series_stroke(PLOT_COLUMNS[col][1])) for col in columns]
+    legend.append(("slope -1", _GUIDE))
     legend_x = left + fw + 14.0
     legend_y = top + 10.0
-    for i, col in enumerate(columns):
-        label, color = PLOT_COLUMNS[col]
+    for i, (label, stroke) in enumerate(legend):
         y = legend_y + 22.0 * i
-        parts.append(
-            f'<line x1="{legend_x:.2f}" y1="{y:.2f}" x2="{legend_x + 26:.2f}" y2="{y:.2f}" '
-            f'stroke="{color}" stroke-width="1.8"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 32:.2f}" y="{y + 4:.2f}" font-size="13" '
-            f'font-family="sans-serif">{label}</text>'
-        )
-    y = legend_y + 22.0 * len(columns)
-    parts.append(
-        f'<line x1="{legend_x:.2f}" y1="{y:.2f}" x2="{legend_x + 26:.2f}" y2="{y:.2f}" '
-        'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>'
-    )
-    parts.append(
-        f'<text x="{legend_x + 32:.2f}" y="{y + 4:.2f}" font-size="13" '
-        'font-family="sans-serif">slope -1</text>'
-    )
+        parts.append(_line(f"{legend_x:.2f}", f"{y:.2f}",
+                           f"{legend_x + 26:.2f}", f"{y:.2f}", stroke))
+        parts.append(_text(legend_x + 32, y + 4, 13, label))
     parts.append("</svg>")
 
     with open(path, "w", newline="\n", encoding="utf-8") as fh:

@@ -57,7 +57,8 @@ _GRADING_DEFAULTS = {"eps": 0.05, "beta": 3.0, "c_sigma": 1.0}
 class GradingParams:
     """Parameters selecting one 1D grading.
 
-    n counts intervals per direction.  eps is the layer width parameter for the
+    n counts intervals per direction; it must be a whole number, and 8.0 is
+    stored as the int 8.  eps is the layer width parameter for the
     layer-adapted families, beta the exponent of the power grading, c_sigma the
     transition constant of the Shishkin/Bakhvalov constructions.  A setting the
     family reads (FAMILY_PARAMS) defaults to eps=0.05, beta=3.0, c_sigma=1.0; one
@@ -78,6 +79,9 @@ class GradingParams:
                     raise ValueError(f"{self.family.value} grading does not depend on {key}")
             elif getattr(self, key) is None:
                 object.__setattr__(self, key, default)
+        if not float(self.n).is_integer():
+            raise ValueError(f"mesh sizes must be integers, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 2:
             raise ValueError(f"need at least 2 intervals per direction, got n={self.n}")
         if self.family is not MeshFamily.UNIFORM and self.n % 2 != 0:
@@ -222,15 +226,16 @@ class SimplicialMesh:
     """Conforming simplicial mesh of the unit box: its vertices and cells.
 
     vertices is (n_vertices, dim); cells, an integer (n_cells, dim+1) array,
-    holds each simplex's vertex indices with positive orientation, in any
-    memory order (tensor_mesh stores it component-major).  boundary_mask and
-    n_free, derived once from the vertices, flag those with some coordinate
-    exactly 0.0 or 1.0 and count the others; free_index and geometry, derived
-    on first use, number the free vertices and hold simplex_cofactors of the
-    cells.  The derived arrays are read-only, since every reader shares them.
-    Instances are immutable and shareable: since all of these are derived
-    once, the mesh's own arrays may not be modified in place either
-    (dataclasses.replace makes a new mesh, with its own derived data).
+    holds each simplex's vertex indices, each in [0, n_vertices), with
+    positive orientation, in any memory order (tensor_mesh stores it
+    component-major).  boundary_mask and n_free, derived once from the
+    vertices, flag those with some coordinate exactly 0.0 or 1.0 and count
+    the others; free_index and geometry, derived on first use, number the
+    free vertices and hold simplex_cofactors of the cells.  The derived
+    arrays are read-only, since every reader shares them.  Instances are
+    immutable and shareable: since all of these are derived once, the mesh's
+    own arrays may not be modified in place either (dataclasses.replace makes
+    a new mesh, with its own derived data, and checks its cells again).
     """
 
     vertices: np.ndarray
@@ -243,6 +248,12 @@ class SimplicialMesh:
         if cells.dtype.kind not in "iu" or cells.ndim != 2 or cells.shape[1] != dim + 1:
             raise ValueError(f"cells of a {dim}D mesh must be an integer (n_cells, {dim + 1}) "
                              f"array, got {cells.dtype} of shape {cells.shape}")
+        nv = self.n_vertices
+        if cells.size and (cells.min() < 0 or cells.max() >= nv):
+            c = int(np.flatnonzero(((cells < 0) | (cells >= nv)).any(axis=1))[0])
+            raise ValueError(
+                f"cell {c} {tuple(cells[c].tolist())} has a vertex index outside [0, {nv})"
+            )
         on_box = np.any((self.vertices == 0.0) | (self.vertices == 1.0), axis=1)
         on_box.setflags(write=False)
         object.__setattr__(self, "boundary_mask", on_box)
@@ -251,9 +262,7 @@ class SimplicialMesh:
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(det, cof, scale) of every cell, from simplex_cofactors, read-only
-        since every reader shares them; the cell indices are checked first, so
-        a bad one raises instead of wrapping."""
-        check_cell_indices(self)
+        since every reader shares them."""
         geometry = simplex_cofactors(self.vertices, self.cells)
         for a in geometry:
             a.setflags(write=False)
@@ -500,17 +509,6 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
     )
 
 
-def check_cell_indices(mesh: SimplicialMesh) -> None:
-    """Raise unless every cell's vertex indices lie in [0, n_vertices); the
-    error names the first cell that breaks the rule."""
-    cells, nv = mesh.cells, mesh.n_vertices
-    if cells.size and (cells.min() < 0 or cells.max() >= nv):
-        c = int(np.flatnonzero(((cells < 0) | (cells >= nv)).any(axis=1))[0])
-        raise ValueError(
-            f"cell {c} {tuple(cells[c].tolist())} has a vertex index outside [0, {nv})"
-        )
-
-
 def _face_vertices(keys: np.ndarray, nv: int, dim: int) -> np.ndarray:
     """The sorted vertex tuples, one row per key, that _face_keys encoded."""
     place = nv ** np.arange(dim - 1, -1, -1, dtype=np.int64)
@@ -549,9 +547,9 @@ def _face_keys(cells: np.ndarray, nv: int) -> np.ndarray:
 
 
 def check_conforming(mesh: SimplicialMesh) -> None:
-    """Raise if a cell names a vertex that does not exist, any codimension-1
-    face is shared by more than two cells, or a once-counted face is off the box's
-    facets (a facet face has all its vertices at 0.0, or all at 1.0, on one axis).
+    """Raise if any codimension-1 face is shared by more than two cells, or a
+    once-counted face is off the box's facets (a facet face has all its
+    vertices at 0.0, or all at 1.0, on one axis).
 
     Faces are checked in order of first appearance (cell by cell, dropping
     vertex 0, 1, ...), and the error names the first offending face.  Memory:
@@ -559,7 +557,6 @@ def check_conforming(mesh: SimplicialMesh) -> None:
     columns and masks; a mesh that fails builds its keys once more, in cell
     order, to name the face.
     """
-    check_cell_indices(mesh)
     nv, dim = mesh.n_vertices, mesh.dim
     if nv**dim > np.iinfo(np.int64).max:
         raise ValueError(f"{nv} vertices are too many to encode {dim}-vertex faces in int64")
@@ -657,13 +654,11 @@ def export_mesh_text(mesh: SimplicialMesh, path) -> None:
     Coordinates are written with %.17g, which round-trips float64; each
     distinct coordinate bit pattern is formatted once, so -0.0 stays "-0", and
     each coordinate's token is found by a search over the distinct patterns,
-    one coordinate column and EXPORT_CHUNK_ROWS vertices at a time.  Raises
-    ValueError if a cell names a vertex that does not exist.  Memory: beyond
-    the mesh, one sorted copy of the coordinates, one row of tokens per
+    one coordinate column and EXPORT_CHUNK_ROWS vertices at a time.  Memory:
+    beyond the mesh, one sorted copy of the coordinates, one row of tokens per
     distinct value and per vertex index, and the indices and text of
     EXPORT_CHUNK_ROWS lines at a time.
     """
-    check_cell_indices(mesh)
     bits = np.ascontiguousarray(mesh.vertices, dtype=float).view(np.int64)
     # the distinct patterns, ascending: one sort and an adjacent-difference
     # mask (np.unique hashes int64: 5x slower on 2D Shishkin n=256)

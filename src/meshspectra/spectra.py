@@ -37,15 +37,12 @@ sparse product (LOBPCG's A x and A w, the V-cycle's A, P and P^T products)
 calls csr_matvec from scipy.sparse._sparsetools, the kernel behind A @ x,
 through _matvec into a zeroed preallocated vector, without A @ x's dispatch,
 fresh zeroed vector and copy; the kernel is private, so CI pins scipy.  The
-LOBPCG residual is allocated once per solve, the V-cycle's work vectors once
-per hierarchy, and a V-cycle on 2D Bakhvalov eps=0.01 n=128 went from about
-480 to 425 us.  The Rayleigh-Ritz step calls the LAPACK gufuncs behind
+LOBPCG residual is allocated once per solve and the V-cycle's work vectors
+once per hierarchy.  The Rayleigh-Ritz step calls the LAPACK gufuncs behind
 numpy.linalg.cholesky, inv and eigh (numpy.linalg._umath_linalg) on its 3x3
-Gram matrices, and norms are sqrt(v @ v), without the wrappers' 6-7 us of
-checks per call: a Jacobi step on the 3D benchmark points (at most 1,331
-unknowns) went from about 75 to 55-62 us.  scipy.linalg.lapack has the same
-kernels, but importing it raises the peak RSS of a 3D power n-sweep from 55.6
-to 63.8 MB.
+Gram matrices, and norms are sqrt(v @ v), without the wrappers' checks on
+every call.  scipy.linalg.lapack has the same kernels, but importing it
+raises the peak RSS of a sweep.
 
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
@@ -350,14 +347,14 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     MG_SWITCH_STEP further Jacobi steps (see _build_pays), the multigrid
     V-cycle from then on (or Jacobi still, when the matrix does not coarsen).
     Converged when the eigen-residual of the unit iterate x satisfies
-    ||Ax - theta x|| <= tol * theta, checked on an explicit product A x (the
-    loop itself updates A x implicitly, one sparse product per step).
-    max_outer caps the number of steps.  Raises ConvergenceError when the cap
-    is reached, when STALL_STEPS steps in a row bring no smaller ||r||, when
-    the basis degenerates, or when a Rayleigh quotient that is not positive
-    and finite (rechecked on an explicit A x) or a multigrid level that is
-    not positive definite shows A is not SPD; the message names the step,
-    the preconditioner in use and the last estimate and residual.
+    ||Ax - theta x|| <= tol * theta.  The loop updates A x implicitly, one
+    sparse product per step, so every verdict below, convergence included,
+    is decided on an explicit product A x.  max_outer caps the number of
+    steps.  Raises ConvergenceError when the cap is reached, when STALL_STEPS
+    steps in a row bring no smaller ||r||, when the basis degenerates, or when
+    a Rayleigh quotient that is not positive and finite or a multigrid level
+    that is not positive definite shows A is not SPD; the message names the
+    step, the preconditioner in use and the last estimate and residual.
     Raises ValueError before the first step when tol fails check_tol, M is
     not square, not float64 CSR (the products read its CSR arrays) or a
     diagonal entry is not positive.
@@ -391,33 +388,45 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
             f"last estimate {theta:.12g}, residual {resid:.3g}, target {tol * theta:.3g})"
         )
 
-    while True:
+    def rayleigh_quotient() -> tuple[float, float]:
+        """theta = x A x and ||A x - theta x||, leaving A x - theta x in r."""
         theta = float(x @ Ax)
         np.subtract(Ax, np.multiply(x, theta, out=r), out=r)
-        resid = _norm(r)
+        return theta, _norm(r)
+
+    def stop_reason() -> str | None:
+        """Why the solve stops at this step ("converged" or a failure), or None."""
         if resid <= tol * theta:
-            if exact:
-                return EigenResult(
-                    lambda_min=theta,
-                    iterations=it,
-                    error_bound=resid,
-                    preconditioner=preconditioner,
-                )
-            _matvec(M, x, Ax)
-            exact = True
-            continue
+            return "converged"
         if not (theta > 0.0 and math.isfinite(resid)):
-            if not exact:  # the implicit update's drift, not A, may be at fault
-                _matvec(M, x, Ax)
-                exact = True
-                continue
-            raise failure("broke down: A is not positive definite or not finite")
+            return "broke down: A is not positive definite or not finite"
         if it == max_outer:
-            raise failure(f"did not converge in {max_outer} iterations")
+            return f"did not converge in {max_outer} iterations"
+        if it - best_step == STALL_STEPS:
+            return f"stalled (no smaller residual in {STALL_STEPS} steps)"
+        return None
+
+    while True:
+        theta, resid = rayleigh_quotient()
         if resid < best:
             best, best_step = resid, it
-        elif it - best_step == STALL_STEPS:
-            raise failure(f"stalled (no smaller residual in {STALL_STEPS} steps)")
+        reason = stop_reason()
+        if reason is not None and not exact:
+            # the implicit update's drift, not A, may be at fault: decide on an
+            # explicit A x, without counting its residual as the step's
+            _matvec(M, x, Ax)
+            exact = True
+            theta, resid = rayleigh_quotient()
+            reason = stop_reason()
+        if reason == "converged":
+            return EigenResult(
+                lambda_min=theta,
+                iterations=it,
+                error_bound=resid,
+                preconditioner=preconditioner,
+            )
+        if reason is not None:
+            raise failure(reason)
         it += 1
         if preconditioner == "Jacobi":  # no build tried yet
             history.append(resid)

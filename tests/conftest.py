@@ -21,7 +21,7 @@ from meshspectra import (
     SimplicialMesh,
     cell_volumes,
 )
-from meshspectra.meshgen import _kuhn_permutations, check_cell_indices
+from meshspectra.meshgen import _kuhn_permutations
 
 MAX_DENSE_DIM = 5000
 
@@ -319,7 +319,6 @@ def run_length_check_conforming(mesh: SimplicialMesh) -> None:
     built at once from gathered vertex columns, distinct faces and their counts
     from the run lengths of a sorted copy, and the first offending key found in
     cell order; the same messages, from several full-size temporaries."""
-    check_cell_indices(mesh)
     nv, dim = mesh.n_vertices, mesh.dim
     if nv**dim > np.iinfo(np.int64).max:
         raise ValueError(f"{nv} vertices are too many to encode {dim}-vertex faces in int64")

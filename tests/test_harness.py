@@ -1,6 +1,7 @@
 import hashlib
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -351,6 +352,50 @@ def test_svg_structure_and_legend(tmp_path):
     for label in ("λ_min", "λ̄", "λ̄_GM", "λ̄_KHX", "slope -1"):
         assert label in texts
     assert any(t.startswith("1e") for t in texts)  # decade tick labels
+
+
+def plot_row(param, n_free, exact, new, gm, khx):
+    """A record whose four plotted columns each carry their own value."""
+    return replace(make_row(param, n_free, exact), lambda_new=new, lambda_gm=gm, lambda_khx=khx)
+
+
+ALL_COLUMNS = ["lambda_exact", "lambda_new", "lambda_gm", "lambda_khx"]
+# rows with distinct values per column, spanning several decades both ways
+SPREAD_ROWS = [
+    plot_row(8.0, 49, 0.153, 0.121, 0.0871, 0.312),
+    plot_row(16.0, 225, 0.0402, 0.0377, 0.0198, 0.0913),
+    plot_row(32.0, 961, 0.0101, 0.00952, 0.00437, 0.0247),
+    plot_row(64.0, 3969, 0.00254, 0.00231, 0.000981, 0.00652),
+    plot_row(128.0, 16129, 0.000637, 0.000588, 0.000223, 0.00171),
+]
+# lambda = 1/n_free: flat once normalized, which widens the y range
+FLAT_ROWS = [make_row(10.0, 10, 0.1), make_row(100.0, 100, 0.01)]
+# params inside one decade: no x tick
+SUB_DECADE_ROWS = [make_row(2.0, 10, 0.3), make_row(3.5, 20, 0.2), make_row(5.0, 40, 0.05)]
+# one param only: the x range is widened
+SAME_X_ROWS = [make_row(3.0, 10, 0.3), make_row(3.0, 20, 0.2)]
+SVG_CASES = [
+    (SPREAD_ROWS, ALL_COLUMNS),
+    (SPREAD_ROWS, ["lambda_gm"]),
+    (SPREAD_ROWS[::-1], ["lambda_khx", "lambda_exact"]),
+    (FLAT_ROWS, ["lambda_exact"]),
+    (FLAT_ROWS, ALL_COLUMNS),
+    (SUB_DECADE_ROWS, ["lambda_new"]),
+    (SAME_X_ROWS, ["lambda_exact", "lambda_new"]),
+]
+# SHA-256 of every case's SVG bytes, normalize off then on, written when each
+# plot element still had its own markup code
+SVG_DIGEST = "3fa3aca47e3f11caf570f2ed1cee0e93d00925c0ddace4fb835b9fd9291206b9"
+
+
+def test_svg_bytes_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    path = tmp_path / "plot.svg"
+    for rows, columns in SVG_CASES:
+        for normalize in (False, True):
+            emit_svg_loglog(rows, columns, path, normalize=normalize)
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == SVG_DIGEST
 
 
 def test_svg_input_validation(tmp_path):

@@ -17,6 +17,7 @@ from meshspectra import (
     SimplicialMesh,
     assemble,
     build_mesh,
+    calibrate,
     cell_volumes,
     check_conforming,
     export_mesh_text,
@@ -122,6 +123,22 @@ def test_grading_params_defaults_the_settings_the_family_reads():
     assert (p.eps, p.beta, p.c_sigma) == (0.05, None, 1.0)
     assert GradingParams(MeshFamily.POWER, 16).beta == 3.0
     assert p == GradingParams(MeshFamily.SHISHKIN, 16, eps=0.05, c_sigma=1.0)
+
+
+def test_grading_params_takes_a_whole_float_mesh_size_as_an_int():
+    p = GradingParams(MeshFamily.UNIFORM, 8.0)
+    assert p.n == 8 and type(p.n) is int
+    assert np.array_equal(build_mesh(2, p).vertices,
+                          build_mesh(2, GradingParams(MeshFamily.UNIFORM, 8)).vertices)
+    assert calibrate(2, 64.0) == calibrate(2, 64)
+
+
+@pytest.mark.parametrize("n", [8.5, math.nan, math.inf])
+def test_grading_params_refuses_a_mesh_size_that_is_not_whole(n):
+    # a fractional size is refused as such, before the layer families' even-n rule reads it
+    for family in (MeshFamily.UNIFORM, MeshFamily.SHISHKIN):
+        with pytest.raises(ValueError, match=f"^mesh sizes must be integers, got {n}$"):
+            GradingParams(family, n)
 
 
 @pytest.mark.parametrize("family", list(MeshFamily))
@@ -469,19 +486,6 @@ def test_mesh_boundary_mask_and_free_index_are_derived_once_and_read_only():
     assert (assemble(mesh) != matrix).nnz == 0
 
 
-@pytest.mark.parametrize("bad", [-1, 99])
-def test_bad_cell_index_is_refused_by_patch_stats_and_assemble(bad):
-    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
-    cells = mesh.cells.copy()
-    cells[0, 1] = bad
-    message = (rf"^cell 0 \({cells[0, 0]}, {bad}, {cells[0, 2]}\) "
-               rf"has a vertex index outside \[0, 25\)$")
-    for reader in (patch_stats, assemble):
-        # a fresh mesh each time, whose geometry is not computed yet
-        with pytest.raises(ValueError, match=message):
-            reader(SimplicialMesh(mesh.vertices, cells))
-
-
 def test_tensor_mesh_4d():
     skewed = NodeSet1D(np.array([0.0, 0.3, 1.0]))
     mesh = tensor_mesh(uniform_nodes(2), skewed, uniform_nodes(3), uniform_nodes(2))
@@ -582,17 +586,26 @@ def test_conforming_refuses_every_single_cell_deletion(dim, n_cells):
         assert msg == _conforming_error(brute_check_conforming, broken)
 
 
-@pytest.mark.parametrize("index", [-1, 25])
+@pytest.mark.parametrize("index", [-1, 25, 99])
 def test_conforming_refuses_a_vertex_index_outside_the_mesh(index):
-    # -1 used to wrap to the last vertex and name an unrelated face; 25 (the
-    # vertex count) used to escape as an IndexError
+    # the mesh itself refuses the cell, so no reader (the geometry, the
+    # conformity check, the exporter) sees an index that would wrap to the last
+    # vertex (-1) or run past the vertex array (25, the vertex count, and 99)
     mesh = build_mesh(2, params(MeshFamily.UNIFORM, 4))
     cells = mesh.cells.copy()
     cells[5, 2] = index
-    with pytest.raises(ValueError, match=rf"^cell 5 \(2, 8, {index}\) has a vertex index "
-                                         rf"outside \[0, 25\)$"):
-        check_conforming(replace(mesh, cells=cells))
-    assert _checked_error(replace(mesh, cells=cells)) is not None
+    message = rf"^cell 5 \(2, 8, {index}\) has a vertex index outside \[0, 25\)$"
+    with pytest.raises(ValueError, match=message):
+        replace(mesh, cells=cells)
+    with pytest.raises(ValueError, match=message):
+        SimplicialMesh(mesh.vertices, cells)
+    # the first cell that breaks the rule is named
+    cells[7, 0] = index
+    with pytest.raises(ValueError, match=r"^cell 5 "):
+        SimplicialMesh(mesh.vertices, cells)
+    cells[3, 1] = -2
+    with pytest.raises(ValueError, match=r"^cell 3 "):
+        SimplicialMesh(mesh.vertices, cells)
 
 
 def test_conforming_detects_duplicate_cell():
@@ -831,19 +844,6 @@ def test_export_mesh_text_matches_row_writer(tmp_path):
     mesh = build_mesh(3, params(MeshFamily.SINGLE_LAYER, 16, eps=0.05))
     assert (mesh.n_vertices, mesh.n_cells) == (5202, 26112)
     assert_export_matches_row_writer(mesh, tmp_path)
-
-
-@pytest.mark.parametrize("index", [-1, 25])
-def test_export_mesh_text_refuses_a_vertex_index_outside_the_mesh(index, tmp_path):
-    # the token gather must not wrap -1 to the last vertex's token
-    mesh = build_mesh(2, params(MeshFamily.UNIFORM, 4))
-    cells = mesh.cells.copy()
-    cells[5, 2] = index
-    path = tmp_path / "mesh.txt"
-    with pytest.raises(ValueError, match=rf"^cell 5 \(2, 8, {index}\) has a vertex index "
-                                         rf"outside \[0, 25\)$"):
-        export_mesh_text(replace(mesh, cells=cells), path)
-    assert not path.exists()
 
 
 EXPORT_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)

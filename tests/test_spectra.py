@@ -247,6 +247,19 @@ def test_solve_below_the_rounding_floor_stops_as_stalled():
     assert failure_state(info.value)[0] < 500
 
 
+@pytest.mark.parametrize("max_outer", [150, 20000])
+def test_failure_reports_the_estimate_of_an_explicit_product(max_outer):
+    # no Rayleigh quotient of a unit vector lies below lambda_min, but one read
+    # from the implicitly updated A x can (on seed 4, 0.00227146821419 at the
+    # cap of 150 and at the stall, step 165, against lambda_min 0.0024003674),
+    # so every exit decides on an explicit product
+    for seed in range(8):
+        A = random_symmetric(seed)
+        with pytest.raises(ConvergenceError, match="did not converge|stalled") as info:
+            lambda_min_sparse(A, tol=1e-13, max_outer=max_outer)
+        assert failure_state(info.value)[1] >= lambda_min_dense(A) - 1e-12
+
+
 def cholesky_calls(monkeypatch):
     """Record the order and the failure (all NaN) of every Gram factorization."""
     calls = []
