@@ -486,6 +486,19 @@ def test_mesh_boundary_mask_and_free_index_are_derived_once_and_read_only():
     assert (assemble(mesh) != matrix).nnz == 0
 
 
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_bad_cell_index_is_refused_by_patch_stats_and_assemble(bad):
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    cells = mesh.cells.copy()
+    cells[0, 1] = bad
+    message = (rf"^cell 0 \({cells[0, 0]}, {bad}, {cells[0, 2]}\) "
+               rf"has a vertex index outside \[0, 25\)$")
+    for reader in (patch_stats, assemble):
+        # the mesh refuses the cell before either reader can see it
+        with pytest.raises(ValueError, match=message):
+            reader(SimplicialMesh(mesh.vertices, cells))
+
+
 def test_tensor_mesh_4d():
     skewed = NodeSet1D(np.array([0.0, 0.3, 1.0]))
     mesh = tensor_mesh(uniform_nodes(2), skewed, uniform_nodes(3), uniform_nodes(2))
@@ -844,6 +857,20 @@ def test_export_mesh_text_matches_row_writer(tmp_path):
     mesh = build_mesh(3, params(MeshFamily.SINGLE_LAYER, 16, eps=0.05))
     assert (mesh.n_vertices, mesh.n_cells) == (5202, 26112)
     assert_export_matches_row_writer(mesh, tmp_path)
+
+
+@pytest.mark.parametrize("index", [-1, 25])
+def test_export_mesh_text_refuses_a_vertex_index_outside_the_mesh(index, tmp_path):
+    # the mesh refuses the cell, so the token gather never wraps -1 to the
+    # last vertex's token and no file is opened
+    mesh = build_mesh(2, params(MeshFamily.UNIFORM, 4))
+    cells = mesh.cells.copy()
+    cells[5, 2] = index
+    path = tmp_path / "mesh.txt"
+    with pytest.raises(ValueError, match=rf"^cell 5 \(2, 8, {index}\) has a vertex index "
+                                         rf"outside \[0, 25\)$"):
+        export_mesh_text(replace(mesh, cells=cells), path)
+    assert not path.exists()
 
 
 EXPORT_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
