@@ -44,13 +44,15 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Per-dimension multiplicative constants, one per estimator family."""
+    """Per-dimension multiplicative constants, one per estimator family, fixed
+    on the uniform mesh with n_ref intervals; the fields are in the order the
+    calibrate command prints them."""
 
     dim: int
+    n_ref: int
     c_new: float
     c_gm: float
     c_khx: float
-    n_ref: int
 
     def __post_init__(self):
         check_dim(self.dim)
@@ -133,7 +135,8 @@ def calibrate(dim: int, n_ref: int | None = None) -> Calibration:
     check_dim(dim)
     if n_ref is None:
         n_ref = DEFAULT_REFERENCE_INTERVALS[dim]
-    stats = patch_stats(build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n_ref)))
-    exact = uniform_lambda_min(dim, n_ref)
+    ref = GradingParams(MeshFamily.UNIFORM, n_ref)
+    stats = patch_stats(build_mesh(dim, ref))
+    exact = uniform_lambda_min(dim, ref.n)
     c_new, c_gm, c_khx = (exact / k for k in _kernels(stats))
-    return Calibration(dim=dim, c_new=c_new, c_gm=c_gm, c_khx=c_khx, n_ref=n_ref)
+    return Calibration(dim=dim, n_ref=ref.n, c_new=c_new, c_gm=c_gm, c_khx=c_khx)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from .meshgen import (
     DEFAULT_REFERENCE_INTERVALS,
@@ -24,7 +25,6 @@ from .meshgen import (
     build_mesh,
     check_conforming,
     export_mesh_text,
-    patch_stats,
 )
 
 _FAMILIES = [f.value for f in MeshFamily]
@@ -118,15 +118,12 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from .bounds import calibrate
-    from .fem import assemble
-    from .harness import CSV_COLUMNS, analyze, csv_row, emit_csv
+    from .harness import CSV_COLUMNS, analyze, csv_row, emit_csv, prepare
     from .spectra import check_tol
 
     check_tol(args.tol)
-    # a mesh that build_mesh, patch_stats or assemble refuses costs no calibration
-    mesh = build_mesh(args.dim, _params_from_args(args))
-    stats, A = patch_stats(mesh), assemble(mesh)
-    del mesh  # and its geometry, before the reference mesh is built
+    # a mesh that prepare refuses costs no calibration
+    stats, A = prepare(args.dim, _params_from_args(args))
     report = analyze(stats, A, calibrate(args.dim, args.ref), args.tol, args.n)
     # the CSV columns between param and seconds
     columns = zip(CSV_COLUMNS[1:10], csv_row(report)[1:])
@@ -141,14 +138,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_calibrate(args) -> int:
     from .bounds import calibrate
 
-    cal = calibrate(args.dim, args.ref)
-    pairs = [
-        ("dim", cal.dim),
-        ("n_ref", cal.n_ref),
-        ("c_new", cal.c_new),
-        ("c_gm", cal.c_gm),
-        ("c_khx", cal.c_khx),
-    ]
+    pairs = list(asdict(calibrate(args.dim, args.ref)).items())
     _print_table(pairs)
     if args.out:
         _ensure_parent(args.out)

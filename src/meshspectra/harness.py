@@ -90,12 +90,22 @@ class SweepSpec:
             if nodes in seen:
                 raise ValueError(f"{axis}={seen[nodes]} and {axis}={value} build the same mesh")
             seen[nodes] = value
+        if self.n is not None:  # the fixed size as every point's GradingParams stores it
+            object.__setattr__(self, "n", p.n)
 
     def params_at(self, value) -> GradingParams:
         """The grading at one sweep value; a family that does not read the axis refuses it."""
         settings = dict(n=self.n, eps=self.eps, beta=self.beta, c_sigma=self.c_sigma)
         settings[self.axis.value] = value if self.axis is SweepAxis.N else float(value)
         return GradingParams(self.family, layer_position=self.layer_position, **settings)
+
+
+def prepare(dim: int, params: GradingParams) -> tuple[PatchStats, sp.csr_matrix]:
+    """One mesh's statistics and assembled matrix.  The mesh and its geometry
+    are freed on return, so a prepared point holds no mesh while it waits to
+    be solved."""
+    mesh = build_mesh(dim, params)
+    return patch_stats(mesh), assemble(mesh)
 
 
 def analyze(stats: PatchStats, A, cal: Calibration, tol: float = 1e-8, param=0.0) -> BoundReport:
@@ -114,18 +124,16 @@ def csv_row(r: BoundReport) -> tuple:
 def run_sweep(spec: SweepSpec) -> list[BoundReport]:
     """One BoundReport per sweep value, under a single shared calibration.
 
-    Every point's statistics and matrix are computed, and its mesh dropped,
-    before any point is solved, so a mesh that patch_stats or assemble refuses
-    costs no solve.  A ConvergenceError or ValueError raised for a point gets
+    Every point's statistics and matrix are prepared before any point is
+    solved, so a mesh that build_mesh, patch_stats or assemble refuses costs
+    no solve.  A ConvergenceError or ValueError raised for a point gets
     the prefix "sweep point <axis>=<value>".
     """
     cal = calibrate(spec.dim, spec.calibration_ref)
     built, rows = [], []
     try:
         for value in spec.values:
-            mesh = build_mesh(spec.dim, spec.params_at(value))
-            built.append((value, patch_stats(mesh), assemble(mesh)))
-        del mesh  # and its geometry, before the solves
+            built.append((value, *prepare(spec.dim, spec.params_at(value))))
         for value, stats, A in built:
             rows.append(analyze(stats, A, cal, spec.tol, value))
     except ConvergenceError as exc:
@@ -149,9 +157,8 @@ def emit_csv(rows, path) -> None:
 
 
 def _decades(lo: float, hi: float):
-    first = math.ceil(lo - 1e-9)
-    last = math.floor(hi + 1e-9)
-    return [d for d in range(first, last + 1) if lo - 1e-9 <= d <= hi + 1e-9]
+    # the integers in [lo, hi], widened by 1e-9 against rounding
+    return list(range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1))
 
 
 _GRID = 'stroke="#cccccc" stroke-width="0.5"'
@@ -299,12 +306,5 @@ def _fixtures() -> dict[str, SweepSpec]:
     }
 
 
-def __getattr__(name):
-    # FIXTURES, the pinned sweep definitions mirroring every experiment
-    # family/axis combination, is built on first access (PEP 562): its 18
-    # specs check 89 graded node sets, which no command needs
-    if name != "FIXTURES":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global FIXTURES
-    FIXTURES = _fixtures()
-    return FIXTURES
+# the pinned sweep definitions, one per experiment family/axis combination
+FIXTURES = _fixtures()

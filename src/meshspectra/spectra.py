@@ -374,7 +374,6 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     x[:] = _start_vector(M.shape[0])
     _matvec(M, x, Ax)
     r = np.empty(M.shape[0])
-    exact = True  # Ax is an explicit product, not an implicit update
     k = 2  # Ritz basis size; p joins after the first step
     it = 0
     mg = None  # the V-cycle, once built
@@ -411,11 +410,11 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
         if resid < best:
             best, best_step = resid, it
         reason = stop_reason()
-        if reason is not None and not exact:
-            # the implicit update's drift, not A, may be at fault: decide on an
-            # explicit A x, without counting its residual as the step's
+        if reason is not None and it > 0:
+            # after step 0, A x is an implicit update whose drift, not A, may be
+            # at fault: decide on an explicit A x, without counting its residual
+            # as the step's
             _matvec(M, x, Ax)
-            exact = True
             theta, resid = rayleigh_quotient()
             reason = stop_reason()
         if reason == "converged":
@@ -474,6 +473,5 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
                 scale = 1.0 / norm
                 v *= scale
                 Av *= scale
-        exact = False
         k = 3
 

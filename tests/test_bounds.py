@@ -34,8 +34,8 @@ def make_stats(patch_volumes, m_const=6, h_const=1.0, dim=2):
     )
 
 
-CAL2 = Calibration(dim=2, c_new=1.0, c_gm=1.0, c_khx=1.0, n_ref=64)
-CAL3 = Calibration(dim=3, c_new=1.0, c_gm=1.0, c_khx=1.0, n_ref=12)
+CAL2 = Calibration(dim=2, n_ref=64, c_new=1.0, c_gm=1.0, c_khx=1.0)
+CAL3 = Calibration(dim=3, n_ref=12, c_new=1.0, c_gm=1.0, c_khx=1.0)
 
 
 # -------------------------------------------------------------- power means
@@ -137,7 +137,7 @@ def test_dim_mismatch_rejected():
 
 def test_estimates_linear_in_calibration():
     st = make_stats([0.1, 0.2, 0.3])
-    doubled = Calibration(dim=2, c_new=2.0, c_gm=2.0, c_khx=2.0, n_ref=64)
+    doubled = Calibration(dim=2, n_ref=64, c_new=2.0, c_gm=2.0, c_khx=2.0)
     assert estimates(st, doubled) == tuple(2.0 * e for e in estimates(st, CAL2))
     assert khx([0.3, 0.4], doubled) == 2.0 * khx([0.3, 0.4], CAL2)
 
@@ -170,13 +170,13 @@ def test_geo_form_rejects_2d():
 
 def test_calibration_validation():
     with pytest.raises(ValueError, match="dim must be 2 or 3, got 4"):
-        Calibration(dim=4, c_new=1.0, c_gm=1.0, c_khx=1.0, n_ref=64)
+        Calibration(dim=4, n_ref=64, c_new=1.0, c_gm=1.0, c_khx=1.0)
     with pytest.raises(ValueError):
-        Calibration(dim=2, c_new=-1.0, c_gm=1.0, c_khx=1.0, n_ref=64)
+        Calibration(dim=2, n_ref=64, c_new=-1.0, c_gm=1.0, c_khx=1.0)
     with pytest.raises(ValueError):
-        Calibration(dim=2, c_new=1.0, c_gm=math.inf, c_khx=1.0, n_ref=64)
+        Calibration(dim=2, n_ref=64, c_new=1.0, c_gm=math.inf, c_khx=1.0)
     with pytest.raises(ValueError):
-        Calibration(dim=2, c_new=1.0, c_gm=1.0, c_khx=1.0, n_ref=1)
+        Calibration(dim=2, n_ref=1, c_new=1.0, c_gm=1.0, c_khx=1.0)
 
 
 def test_calibrate_input_validation():
@@ -226,6 +226,12 @@ def test_recalibration_stability():
     b = calibrate(2, n_ref=32)
     for ca, cb in ((a.c_new, b.c_new), (a.c_gm, b.c_gm), (a.c_khx, b.c_khx)):
         assert 0.5 < ca / cb < 2.0
+
+
+def test_calibration_stores_the_reference_size_as_an_int():
+    # the int GradingParams stores, which the calibrate command prints
+    cal = calibrate(2, 64.0)
+    assert cal.n_ref == 64 and type(cal.n_ref) is int
 
 
 def test_default_reference_sizes():

@@ -79,8 +79,8 @@ def test_unread_grading_flag_exits_1_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the grading flags were checked")
 
-    monkeypatch.setattr(bounds, "calibrate", no_work)
-    monkeypatch.setattr(cli, "build_mesh", no_work)
+    for module, name in ((bounds, "calibrate"), (cli, "build_mesh"), (harness, "prepare")):
+        monkeypatch.setattr(module, name, no_work)
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv[0], "--dim", "2", *argv[1:]) == 1
     assert message in capsys.readouterr().err
@@ -104,12 +104,30 @@ def test_refused_setting_exits_1_before_any_work(argv, message, tmp_path, monkey
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the settings were checked")
 
-    for module, name in ((bounds, "calibrate"), (cli, "build_mesh"), (harness, "run_sweep")):
+    for module, name in ((bounds, "calibrate"), (cli, "build_mesh"), (harness, "prepare"),
+                         (harness, "run_sweep")):
         monkeypatch.setattr(module, name, no_work)
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv[0], "--dim", "2", *argv[1:]) == 1
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config, flags, key", [
+    (None, ("--family", "uniform", "--axis", "n", "--values", "4,8", "--out", "s"), "dim"),
+    ("dim = 2\nfamily = uniform\naxis = n\nvalues = 4, 8\n", (), "out"),
+], ids=["no-dim-flag", "config-without-out"])
+def test_sweep_without_a_required_setting_exits_1(config, flags, key, tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "sweep.conf").write_text(config)
+        flags = ("--config", "sweep.conf", *flags)
+    assert run_cli("sweep", *flags) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"meshspectra: missing required setting '{key}' (flag or config)"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["sweep.conf"])
 
 
 def test_unread_grading_key_in_config_exits_1(tmp_path, capsys):
@@ -611,15 +629,6 @@ def test_every_public_name_resolves_and_is_listed():
     assert len(set(meshspectra.__all__)) == len(meshspectra.__all__)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         meshspectra.no_such_name
-
-
-def test_fixtures_are_built_on_first_access():
-    out, _ = _fresh_python(
-        "import meshspectra.harness as h; built = 'FIXTURES' in vars(h); "
-        "from meshspectra.harness import FIXTURES, SweepSpec; "
-        "print(built, len(FIXTURES), FIXTURES is h.FIXTURES, "
-        "all(isinstance(s, SweepSpec) for s in FIXTURES.values()))")
-    assert out.stdout.split() == ["False", "18", "True", "True"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -75,6 +75,14 @@ def test_assemble_single_free_vertex():
     np.testing.assert_array_equal(A.toarray(), [[4.0]])
 
 
+def test_assemble_refuses_a_mesh_with_no_free_vertices():
+    # every corner of the unit triangle lies on the boundary of the box
+    mesh = SimplicialMesh(UNIT_TRI, np.array([[0, 1, 2]]))
+    assert mesh.n_free == 0
+    with pytest.raises(ValueError, match="^mesh has no free vertices; the Dirichlet system is empty$"):
+        assemble(mesh)
+
+
 def _five_point_matrix(n):
     """Dense 5-point stencil on the (n-1)x(n-1) interior grid, vertex order
     matching the tensor mesh (x-major)."""

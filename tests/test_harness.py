@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from types import SimpleNamespace
@@ -129,6 +130,11 @@ def test_spec_refuses_infinite_mesh_size():
                   values=(0.2, 0.1))
 
 
+def test_fixed_mesh_size_is_stored_as_an_int():
+    spec = SweepSpec(2, MeshFamily.SHISHKIN, SweepAxis.EPS, (0.2, 0.1), n=16.0)
+    assert spec.n == 16 and type(spec.n) is int
+
+
 def test_spec_allows_decreasing_values():
     spec = SweepSpec(
         dim=2,
@@ -243,6 +249,27 @@ def test_run_sweep_labels_convergence_failures(monkeypatch):
         "sweep point eps=0.2 did not converge: LOBPCG stalled at step 3 (last estimate 7.5, residual 0.5)"
     )
     assert info.value is raised[0]
+
+
+def test_prepare_frees_the_mesh_on_return(monkeypatch):
+    import meshspectra.harness as hz
+
+    built = []
+
+    def build(dim, params):
+        mesh = build_mesh(dim, params)
+        built.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(hz, "build_mesh", build)
+    params = SHISHKIN_SMALL.params_at(8)
+    stats, A = hz.prepare(2, params)
+    assert len(built) == 1 and built[0]() is None
+    mesh = build_mesh(2, params)
+    expected = assemble(mesh)
+    assert stats.patch_volumes.tobytes() == patch_stats(mesh).patch_volumes.tobytes()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(A, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def test_run_sweep_labels_refused_points(monkeypatch):

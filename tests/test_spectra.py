@@ -516,6 +516,14 @@ def test_row_with_nonpositive_lumped_diagonal_stays_unfiltered():
     assert np.linalg.eigvalsh(0.5 * (V + V.T))[0] > 0.0
 
 
+@pytest.mark.parametrize("diagonal", [0.0, -1.0])
+def test_damped_inverse_diagonal_refuses_a_nonpositive_entry(diagonal):
+    # a zero entry is not stored, a negative one is: both are refused
+    A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, diagonal]]))
+    with pytest.raises(np.linalg.LinAlgError, match="^nonpositive diagonal entry$"):
+        spectra._damped_inverse_diagonal(A)
+
+
 def test_operator_complexity_bakhvalov_128():
     # 2.18 when the prolongator was smoothed with A itself
     M = assemble(build_mesh(2, GradingParams(MeshFamily.BAKHVALOV, 128, eps=0.01)))
