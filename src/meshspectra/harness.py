@@ -136,10 +136,7 @@ def run_sweep(spec: SweepSpec) -> list[BoundReport]:
             built.append((value, *prepare(spec.dim, spec.params_at(value))))
         for value, stats, A in built:
             rows.append(analyze(stats, A, cal, spec.tol, value))
-    except ConvergenceError as exc:
-        exc.args = (f"sweep point {spec.axis.value}={value} did not converge: {exc}",)
-        raise
-    except ValueError as exc:
+    except (ConvergenceError, ValueError) as exc:
         exc.args = (f"sweep point {spec.axis.value}={value}: {exc}",)
         raise
     return rows

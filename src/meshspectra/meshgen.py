@@ -101,7 +101,7 @@ class GradingParams:
             raise ValueError("internal layer placement only applies to shishkin/bakhvalov gradings")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeSet1D:
     """Strictly increasing grid on [0, 1], endpoints included exactly."""
 
@@ -119,10 +119,6 @@ class NodeSet1D:
 
     def __len__(self) -> int:
         return int(self.nodes.size)
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
 
 def uniform_nodes(n: int) -> NodeSet1D:
@@ -221,7 +217,7 @@ def graded_nodes(p: GradingParams) -> NodeSet1D:
     return _NODE_BUILDERS[p.family](p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialMesh:
     """Conforming simplicial mesh of the unit box: its vertices and cells.
 
@@ -476,7 +472,8 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
     omega_min ranges over free vertices only (the values entering the bounds);
     m_const and h_const range over all vertices/cells.  Two cells' closures
     intersect exactly when they share a vertex in a conforming mesh, so H is the
-    max over vertices of the incident max/min volume ratio.
+    max over vertices of the incident max/min volume ratio.  A free vertex that
+    no cell uses has no patch, and is refused.
     """
     if mesh.n_free == 0:
         raise ValueError("mesh has no free vertices; nothing to bound")
@@ -491,21 +488,24 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
     corner = mesh.cells.ravel()
     vrep = np.repeat(vols, mesh.dim + 1)
 
-    patch_all = np.zeros(nv)
-    np.add.at(patch_all, corner, vrep)
+    patch_all = np.bincount(corner, weights=vrep, minlength=nv)
+    # every cell is at least tiny, so only a vertex no cell uses has no volume
+    unused = (patch_all == 0.0) & ~mesh.boundary_mask
+    if unused.any():
+        raise ValueError(f"free vertex {int(unused.argmax())} belongs to no cell")
     counts = np.bincount(corner, minlength=nv)
 
-    vmax = np.full(nv, -np.inf)
+    # a vertex no cell uses has vmax / vmin = 0 / inf = 0, below every ratio
+    vmax = np.zeros(nv)
     vmin = np.full(nv, np.inf)
     np.maximum.at(vmax, corner, vrep)
     np.minimum.at(vmin, corner, vrep)
-    touched = counts > 0
     return PatchStats(
         dim=mesh.dim,
         patch_volumes=patch_all[~mesh.boundary_mask],
         cell_volumes=vols,
         m_const=int(counts.max()),
-        h_const=float(np.max(vmax[touched] / vmin[touched])),
+        h_const=float(np.max(vmax / vmin)),
     )
 
 

@@ -246,7 +246,7 @@ def test_run_sweep_labels_convergence_failures(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         hz.run_sweep(spec)
     assert str(info.value) == (
-        "sweep point eps=0.2 did not converge: LOBPCG stalled at step 3 (last estimate 7.5, residual 0.5)"
+        "sweep point eps=0.2: LOBPCG stalled at step 3 (last estimate 7.5, residual 0.5)"
     )
     assert info.value is raised[0]
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -28,6 +29,7 @@ from meshspectra import (
 from meshspectra.meshgen import (
     EXPORT_CHUNK_ROWS,
     FAMILY_PARAMS,
+    MAX_INTERVALS,
     bakhvalov_nodes,
     check_intervals,
     internalize,
@@ -164,6 +166,18 @@ def test_nodeset_validation():
         NodeSet1D(np.array([0.0]))
 
 
+def test_array_records_compare_and_hash_by_identity():
+    # their fields are arrays, whose == has no single truth value: two records
+    # are equal only when they are the same object, and each hashes as itself
+    a, b = uniform_nodes(4), uniform_nodes(4)
+    assert a == a and a != b and a in [a] and b not in [a]
+    assert len({a, b, a}) == 2
+    mesh = build_mesh(2, params(MeshFamily.UNIFORM, 4))
+    other = replace(mesh)
+    assert mesh == mesh and mesh != other and mesh in [mesh] and other not in [mesh]
+    assert {mesh: 1, other: 2}[mesh] == 1
+
+
 def test_shishkin_hand_values():
     # n=4, eps=0.05: tau = 2*0.05*ln 4, fine steps tau/4, coarse from tau/2
     ns = shishkin_nodes(params(MeshFamily.SHISHKIN, 4, eps=0.05))
@@ -173,7 +187,7 @@ def test_shishkin_hand_values():
 
 def test_shishkin_step_ratio():
     ns = shishkin_nodes(params(MeshFamily.SHISHKIN, 4, eps=0.05))
-    steps = ns.steps
+    steps = np.diff(ns.nodes)
     assert math.isclose(steps[2] / steps[0], 13.426950408889635, rel_tol=1e-12)
 
 
@@ -245,7 +259,7 @@ def test_single_layer_hand_values():
 def test_single_layer_counts_and_thinnest():
     ns = single_layer_nodes(params(MeshFamily.SINGLE_LAYER, 8, eps=0.05))
     assert len(ns) == 10  # n + 2 nodes
-    assert math.isclose(ns.steps.min(), 0.05 / 8, rel_tol=1e-12)
+    assert math.isclose(np.diff(ns.nodes).min(), 0.05 / 8, rel_tol=1e-12)
 
 
 def test_internalize_hand_values():
@@ -642,6 +656,27 @@ def test_conforming_passes_every_fixture_mesh():
             assert _checked_error(build_mesh(spec.dim, spec.params_at(value))) is None
 
 
+def _accepted_placements():
+    """Every (family, layer placement) pair that GradingParams accepts."""
+    pairs = []
+    for family, position in itertools.product(MeshFamily, LayerPosition):
+        try:
+            GradingParams(family, 4, layer_position=position)
+        except ValueError:
+            continue
+        pairs.append((family, position))
+    return pairs
+
+
+# `meshspectra mesh` exports without checking conformity: every mesh it can
+# build, at the largest size it accepts, is checked here instead
+@pytest.mark.parametrize("dim", sorted(MAX_INTERVALS))
+@pytest.mark.parametrize("family, position", _accepted_placements(), ids=lambda v: v.value)
+def test_every_grading_conforms_at_the_cap(dim, family, position):
+    p = GradingParams(family, MAX_INTERVALS[dim], layer_position=position)
+    check_conforming(build_mesh(dim, p))
+
+
 def test_conforming_takes_int32_cells():
     # face keys are built in int64: at n=256, 66049**2 overflows int32
     mesh = build_mesh(2, params(MeshFamily.UNIFORM, 256))
@@ -793,6 +828,31 @@ def test_patch_stats_requires_free_vertex():
     ns = NodeSet1D(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         patch_stats(tensor_mesh(ns, ns))
+
+
+def _readme_mesh():
+    """The five-vertex example of the README: four boundary vertices and the center."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+    return SimplicialMesh(vertices, np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_patch_stats_refuses_a_free_vertex_no_cell_uses(dim):
+    # one more interior vertex that no cell names: its patch volume would be 0,
+    # and the estimates take a log of it (2D) or divide by it (3D)
+    base = _readme_mesh() if dim == 2 else build_mesh(3, params(MeshFamily.UNIFORM, 2))
+    mesh = SimplicialMesh(np.vstack([base.vertices, np.full(dim, 0.25)]), base.cells)
+    with pytest.raises(ValueError, match=rf"^free vertex {base.n_vertices} belongs to no cell$"):
+        patch_stats(mesh)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_patch_stats_ignores_a_boundary_vertex_no_cell_uses(dim):
+    base = build_mesh(dim, params(MeshFamily.POWER, 4, beta=2.0))
+    mesh = SimplicialMesh(np.vstack([base.vertices, np.full(dim, 0.0)]), base.cells)
+    got, want = patch_stats(mesh), patch_stats(base)
+    assert got.patch_volumes.tobytes() == want.patch_volumes.tobytes()
+    assert (got.m_const, got.h_const) == (want.m_const, want.h_const)
 
 
 @pytest.mark.parametrize("eps, smallest", [(1e-160, "6.0276e-322"), (1e-300, "0")])
