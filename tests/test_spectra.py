@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -459,6 +460,29 @@ def test_vcycle_matches_the_plain_scipy_cycle_bit_for_bit(params, sizes):
     second = mg(c)
     assert first.tobytes() == first_before.tobytes()
     assert second.tobytes() == reference_vcycle(mg, c).tobytes()
+
+
+# SHA-256 of the multigrid hierarchy of every FIXTURES point: per level the
+# CSR arrays of A, P and P^T and the weighted inverse diagonal, then the
+# coarse inverse.  The same at 1, 2 and 4 OpenBLAS threads
+HIERARCHY_DIGEST = "0236a1b864da5ed164dc93a0d06b07b102df244aded5e2ec1953244f62b2fdf9"
+
+
+def test_fixture_hierarchies_are_bit_identical():
+    digest = hashlib.sha256()
+    points = 0
+    for spec in FIXTURES.values():
+        for value in spec.values:
+            mg = spectra._Multigrid.build(assemble(build_mesh(spec.dim, spec.params_at(value))))
+            for A, wdinv, P, PT in mg.levels:
+                for M in (A, P, PT):
+                    for array in (M.indptr, M.indices, M.data):
+                        digest.update(array.tobytes())
+                digest.update(wdinv.tobytes())
+            digest.update(mg.coarse_inv.tobytes())
+            points += 1
+    assert points == 89
+    assert digest.hexdigest() == HIERARCHY_DIGEST
 
 
 def hierarchy_matrices(dim, params):
