@@ -42,7 +42,9 @@ once per hierarchy.  The Rayleigh-Ritz step calls the LAPACK gufuncs behind
 numpy.linalg.cholesky, inv and eigh (numpy.linalg._umath_linalg) on its 3x3
 Gram matrices, and norms are sqrt(v @ v), without the wrappers' checks on
 every call.  scipy.linalg.lapack has the same kernels, but importing it
-raises the peak RSS of a sweep.
+raises the peak RSS of a sweep.  The hierarchy's build is trimmed the same
+way: its matrix products call csr_matmat, the kernel behind A @ B, through
+_matmat, without the symbolic pass that sizes A @ B's output.
 
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
@@ -102,6 +104,30 @@ def _matvec(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matmat(A: sp.csr_matrix, B: sp.csr_matrix) -> sp.csr_matrix:
+    """A @ B for float64 CSR matrices, through the kernel that A @ B calls,
+    with the same inputs, so bit for bit the same.  A @ B first sizes its
+    output in a symbolic pass that costs about as much as the product; here
+    the output has room for one entry per scalar product, which is at least
+    the result's number of entries, and is trimmed to them."""
+    import scipy.sparse as sp
+    import scipy.sparse._sparsetools as sparsetools
+    shape = (A.shape[0], B.shape[1])
+    products = int(np.diff(B.indptr).take(A.indices).sum())
+    idx = np.int64 if products > np.iinfo(np.int32).max else np.result_type(A.indices, B.indices)
+    indptr = np.empty(shape[0] + 1, dtype=idx)
+    indices = np.empty(products, dtype=idx)
+    data = np.empty(products)
+    sparsetools.csr_matmat(
+        *shape,
+        np.asarray(A.indptr, dtype=idx), np.asarray(A.indices, dtype=idx), A.data,
+        np.asarray(B.indptr, dtype=idx), np.asarray(B.indices, dtype=idx), B.data,
+        indptr, indices, data,
+    )
+    nnz = indptr[-1]
+    return sp.csr_matrix((data[:nnz].copy(), indices[:nnz].copy(), indptr), shape=shape)
+
+
 class ConvergenceError(RuntimeError):
     """The solve stopped without converging; the message names the reason,
     the step, the preconditioner, the last estimate and its residual."""
@@ -136,18 +162,44 @@ def _start_vector(n: int) -> np.ndarray:
     return v / _norm(v)
 
 
-def _strong_entries(M: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row index of every stored entry of M, and which entries are strong.
+def _damped_inverse_diagonal(d: np.ndarray, abs_sums: np.ndarray) -> np.ndarray:
+    """4/(3 rho) D^-1 from the diagonal d and the row sums of |a_ij|, rho the
+    Gershgorin bound on D^-1 A: the weighted D^-1 A has spectral radius at
+    most 4/3."""
+    dinv = 1.0 / d
+    return dinv * (4.0 / (3.0 * float(np.max(abs_sums * dinv))))
+
+
+def _strong_entries(M: sp.csr_matrix) -> tuple[np.ndarray, ...]:
+    """The one pass over a level's stored entries that everything the level
+    builds reads: the row index of every entry, the diagonal mask, the
+    diagonal, the weighted inverse diagonal (_damped_inverse_diagonal) and
+    which entries are strong.
 
     i-j is strong when a_ij^2 >= MG_STRENGTH^2 m_i m_j, m_i being row i's
     largest off-diagonal magnitude; the test is symmetric in i and j, and the
-    diagonal is never strong.
+    diagonal is never strong.  Raises np.linalg.LinAlgError when a diagonal
+    entry is not positive.
     """
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    cols = M.indices
-    mag = np.where(rows == cols, 0.0, np.abs(M.data))
-    m = np.maximum.reduceat(mag, M.indptr[:-1])
-    return rows, (mag > 0.0) & (mag * mag >= MG_STRENGTH**2 * m[rows] * m[cols])
+    d = M.diagonal()
+    if not np.all(d > 0.0):
+        raise np.linalg.LinAlgError("nonpositive diagonal entry")
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    diag = rows == M.indices
+    mag = np.abs(M.data)
+    wdinv = _damped_inverse_diagonal(d, np.add.reduceat(mag, M.indptr[:-1]))
+    np.putmask(mag, diag, 0.0)
+    # no row is empty (each stores its positive diagonal) and no magnitude is
+    # negative, so maxima that start from 0 are the row maxima
+    m = np.zeros(n)
+    np.maximum.at(m, rows, mag)
+    bound = m.take(rows)
+    bound *= MG_STRENGTH**2
+    bound *= m.take(M.indices)
+    strong = mag * mag >= bound
+    strong &= mag > 0.0
+    return rows, diag, d, wdinv, strong
 
 
 def _strength_graph(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -160,15 +212,20 @@ def _strength_graph(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     counts = np.bincount(rows, minlength=n)
     table = np.tile(np.arange(n), (int(counts.max()) + 1, 1))
-    # rows are sorted, so an entry's slot is its offset within its row
-    starts = np.cumsum(counts) - counts
-    table[1 + np.arange(rows.size) - starts[rows], rows] = cols
+    # rows are sorted, so entry e goes to slot 1 + e - (the row's first entry),
+    # at flat index slot * n + row
+    first = np.cumsum(counts) - counts
+    offset = np.arange(n) - (first - 1) * n
+    table.ravel()[np.arange(0, rows.size * n, n) + offset.take(rows)] = cols
     return table
 
 
-def _filtered(M: sp.csr_matrix, rows: np.ndarray, strong: np.ndarray) -> sp.csr_matrix:
-    """M with its weak off-diagonal entries lumped onto the diagonal, which
-    M stores in every row.
+def _filtered(
+    M: sp.csr_matrix, rows: np.ndarray, diag: np.ndarray, d: np.ndarray, strong: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """M with its weak off-diagonal entries lumped onto the diagonal d, which
+    M stores once in every row, and the filtered matrix's weighted inverse
+    diagonal (_damped_inverse_diagonal).
 
     Every row keeps its strong entries and its row sum, so the filtered
     matrix has M's near-nullspace.  A row whose lumped diagonal would not be
@@ -178,15 +235,19 @@ def _filtered(M: sp.csr_matrix, rows: np.ndarray, strong: np.ndarray) -> sp.csr_
     """
     import scipy.sparse as sp
     n = M.shape[0]
-    diag = rows == M.indices
-    weak = ~(strong | diag)
-    d = M.diagonal()
-    lumped = d + np.bincount(rows[weak], weights=M.data[weak], minlength=n)
+    keep = strong | diag
+    weak = np.flatnonzero(~keep)
+    weak_rows = rows.take(weak)
+    lumped = d + np.bincount(weak_rows, weights=M.data.take(weak), minlength=n)
     filtered = lumped > 0.0
-    keep = ~(weak & filtered[rows])
-    data = np.where(diag, np.where(filtered, lumped, d)[rows], M.data)[keep]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
-    return sp.csr_matrix((data, M.indices[keep], indptr), shape=M.shape)
+    keep[weak[~filtered.take(weak_rows)]] = True
+    dropped = np.where(filtered, np.bincount(weak_rows, minlength=n), 0)
+    indptr = M.indptr - np.concatenate(([0], np.cumsum(dropped)))
+    d_f = np.where(filtered, lumped, d)
+    kept = np.flatnonzero(keep)
+    data = np.where(diag, d_f.take(rows), M.data).take(kept)
+    wdinv = _damped_inverse_diagonal(d_f, np.add.reduceat(np.abs(data), indptr[:-1]))
+    return sp.csr_matrix((data, M.indices.take(kept), indptr), shape=M.shape), wdinv
 
 
 def _aggregate(table: np.ndarray) -> np.ndarray:
@@ -197,36 +258,47 @@ def _aggregate(table: np.ndarray) -> np.ndarray:
     largest index hash among undecided nodes within distance 2; every other
     node lies within distance 2 of a root, so it joins the largest-numbered
     neighbouring aggregate in the first round or the second.
+
+    A round reads the undecided nodes and their out-neighbours only: each
+    of its two distance-2 maxima (of the priorities, then of the new roots)
+    takes its first hop on the table columns of those nodes, gathered anew
+    every round, and its second hop on the undecided columns.  Decided nodes
+    keep priority -1, so every round picks the roots that a round over the
+    whole table picks, also on a directed graph; tests/conftest.py keeps that
+    form as the reference.  On 2D Bakhvalov eps=0.01 n=128, 8849 of the
+    16129 nodes are undecided after the first round and 53 after the twelfth.
+    The second joining round visits only the nodes the first one left out.
     """
-
-    def neighbour_max(values):
-        return values[table].max(axis=0)
-
     n = table.shape[1]
-    prio = _index_hash(n).astype(np.int64)
-    undecided = np.ones(n, dtype=bool)
+    prio = _index_hash(n).astype(np.int64)  # -1 once decided
     root = np.zeros(n, dtype=bool)
-    while undecided.any():
-        p = np.where(undecided, prio, -1)
-        new = undecided & (p == neighbour_max(neighbour_max(p)))
-        root |= new
-        undecided &= ~neighbour_max(neighbour_max(new))
+    hop = np.empty(n, dtype=np.int64)  # first-hop maxima, on the columns read
+    hit = np.zeros(n, dtype=bool)  # the new roots of the round
+    near = np.empty(n, dtype=bool)  # first hop of hit
+    undecided = np.arange(n)
+    rows = table  # the undecided nodes' table columns
+    read, cols = undecided, table  # the nodes read and their table columns
+    while undecided.size:
+        hop[read] = prio.take(cols).max(axis=0)
+        new = undecided[prio.take(undecided) == hop.take(rows).max(axis=0)]
+        root[new] = True
+        hit[new] = True
+        near[read] = hit.take(cols).max(axis=0)
+        hit[new] = False
+        decided = near.take(rows).max(axis=0)
+        prio[undecided[decided]] = -1
+        left = np.flatnonzero(~decided)
+        undecided = undecided.take(left)
+        rows = rows.take(left, axis=1)
+        mask = np.zeros(n, dtype=bool)
+        mask[rows] = True
+        read = np.flatnonzero(mask)
+        cols = table.take(read, axis=1)
     agg = np.where(root, np.cumsum(root) - 1, -1)
-    for _ in range(2):
-        agg = np.where(agg < 0, neighbour_max(agg), agg)
+    agg = np.where(agg < 0, agg.take(table).max(axis=0), agg)
+    left = np.flatnonzero(agg < 0)
+    agg[left] = agg.take(table.take(left, axis=1)).max(axis=0)
     return agg
-
-
-def _damped_inverse_diagonal(A: sp.csr_matrix) -> np.ndarray:
-    """4/(3 rho) D^-1, rho the Gershgorin bound on D^-1 A: the weighted
-    D^-1 A has spectral radius at most 4/3.  Raises np.linalg.LinAlgError
-    when a diagonal entry is not positive."""
-    d = A.diagonal()
-    if not np.all(d > 0.0):
-        raise np.linalg.LinAlgError("nonpositive diagonal entry")
-    dinv = 1.0 / d
-    rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) * dinv))
-    return dinv * (4.0 / (3.0 * rho))
 
 
 class _Multigrid:
@@ -241,8 +313,10 @@ class _Multigrid:
     near-nullspace, but P A P^T is far sparser than with A itself: on 2D
     Bakhvalov eps=0.01 n=128 the levels are 16129/3331/688/184/41 with
     operator complexity 1.52 (sum of level nnz, the coarsest level dense,
-    over nnz(A)), against 16129/3331/689/187/44 and 2.18.  The one strength
-    pass per level feeds both the aggregation and A_F.  One damped-Jacobi
+    over nnz(A)), against 16129/3331/689/187/44 and 2.18.  One pass over a
+    level's entries (_strong_entries) hands its row indices, diagonal and
+    strength mask to the aggregation, to A_F and to the weighted inverse
+    diagonals of A and A_F.  One damped-Jacobi
     sweep with the true A, of weight 4/(3 rho) before and after each coarse
     correction, rho the Gershgorin bound on D^-1 A, so that the weighted
     D^-1 A has spectral radius at most 4/3 < 2: the cycle stays symmetric
@@ -272,22 +346,22 @@ class _Multigrid:
         levels = []
         A = M
         while A.shape[0] > MG_COARSE_ROWS:
-            wdinv = _damped_inverse_diagonal(A)
-            rows, strong = _strong_entries(A)
+            rows, diag, d, wdinv, strong = _strong_entries(A)
             n = A.shape[0]
-            agg = _aggregate(_strength_graph(n, rows[strong], A.indices[strong]))
+            links = np.flatnonzero(strong)
+            agg = _aggregate(_strength_graph(n, rows.take(links), A.indices.take(links)))
             n_agg = int(agg.max()) + 1
             if 2 * n_agg > n:
                 return None
             size = np.bincount(agg, minlength=n_agg)
             T = sp.csr_matrix((1.0 / np.sqrt(size[agg]), agg, np.arange(n + 1)), shape=(n, n_agg))
-            AF = _filtered(A, rows, strong)
-            AT = AF @ T
-            AT.data *= np.repeat(_damped_inverse_diagonal(AF), np.diff(AT.indptr))
+            AF, wdinv_f = _filtered(A, rows, diag, d, strong)
+            AT = _matmat(AF, T)
+            AT.data *= np.repeat(wdinv_f, np.diff(AT.indptr))
             P = T - AT
             PT = P.T.tocsr()
             levels.append((A, wdinv, P, PT))
-            A = PT @ (A @ P)
+            A = _matmat(PT, _matmat(A, P))
         L = np.linalg.cholesky(A.toarray())
         Li = np.linalg.inv(L)
         coarse_inv = Li.T @ Li

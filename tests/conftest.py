@@ -3,8 +3,10 @@ meshes (and the index-grid form of the any-dimension builder), the mesh
 statistics, the stiffness matrix, the conformity check (by counting, and in the
 sort-and-run-length form), the smallest eigenvalue and the mesh text format,
 used to cross-check the vectorized implementations, plus the average-patch form
-of the 3D kernel that cross-checks the estimators and the multigrid V-cycle in
-plain scipy products that cross-checks the one with work vectors."""
+of the 3D kernel that cross-checks the estimators, the multigrid V-cycle in
+plain scipy products that cross-checks the one with work vectors, and the
+multigrid build's weighted inverse diagonal read back from a stored matrix and
+its MIS(2) aggregation in rounds over the whole strength table."""
 
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from meshspectra import (
     cell_volumes,
 )
 from meshspectra.meshgen import _kuhn_permutations
+from meshspectra.spectra import _index_hash
 
 MAX_DENSE_DIM = 5000
 
@@ -86,6 +89,37 @@ def reference_vcycle(mg, b: np.ndarray) -> np.ndarray:
         xf += wdinv * (bf - A @ xf)
         x = xf
     return x
+
+
+def reference_damped_inverse_diagonal(M: sp.csr_matrix) -> np.ndarray:
+    """4/(3 rho) D^-1 read back from the stored matrix M: its diagonal and the
+    row sums of |m_ij|, rho the Gershgorin bound on D^-1 M."""
+    dinv = 1.0 / M.diagonal()
+    rho = float(np.max(np.add.reduceat(np.abs(M.data), M.indptr[:-1]) * dinv))
+    return dinv * (4.0 / (3.0 * rho))
+
+
+def reference_aggregate(table: np.ndarray) -> np.ndarray:
+    """The MIS(2) aggregation of spectra._aggregate in rounds over the whole
+    strength table: every round gathers all n columns four times, decided
+    nodes included, and both joining rounds visit every node."""
+
+    def neighbour_max(values):
+        return values[table].max(axis=0)
+
+    n = table.shape[1]
+    prio = _index_hash(n).astype(np.int64)
+    undecided = np.ones(n, dtype=bool)
+    root = np.zeros(n, dtype=bool)
+    while undecided.any():
+        p = np.where(undecided, prio, -1)
+        new = undecided & (p == neighbour_max(neighbour_max(p)))
+        root |= new
+        undecided &= ~neighbour_max(neighbour_max(new))
+    agg = np.where(root, np.cumsum(root) - 1, -1)
+    for _ in range(2):
+        agg = np.where(agg < 0, neighbour_max(agg), agg)
+    return agg
 
 
 def brute_tensor_mesh_2d(nx: NodeSet1D, ny: NodeSet1D) -> SimplicialMesh:

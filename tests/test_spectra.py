@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
@@ -25,7 +25,12 @@ from meshspectra import (
 from meshspectra import spectra
 from meshspectra.harness import FIXTURES, SweepAxis
 
-from conftest import lambda_min_dense, reference_vcycle
+from conftest import (
+    lambda_min_dense,
+    reference_aggregate,
+    reference_damped_inverse_diagonal,
+    reference_vcycle,
+)
 
 
 def spd(dense):
@@ -495,8 +500,11 @@ def hierarchy_matrices(dim, params):
 )
 def test_filtered_matrix_keeps_strong_entries_and_row_sums(dim, params):
     for A in hierarchy_matrices(dim, params):
-        rows, strong = spectra._strong_entries(A)
-        F = spectra._filtered(A, rows, strong)
+        rows, diag, d, wdinv, strong = spectra._strong_entries(A)
+        F, wdinv_f = spectra._filtered(A, rows, diag, d, strong)
+        # the weighted inverse diagonals handed on are those of the stored matrices
+        assert wdinv.tobytes() == reference_damped_inverse_diagonal(A).tobytes()
+        assert wdinv_f.tobytes() == reference_damped_inverse_diagonal(F).tobytes()
         dense, fdense = A.toarray(), F.toarray()
         off = ~np.eye(A.shape[0], dtype=bool)
         # off the diagonal: exactly A's strong entries, stored and bitwise equal
@@ -525,13 +533,14 @@ def chain_with_nonpositive_lumped_hub(n=200, hub=100, links=20, weight=0.1):
 
 def test_row_with_nonpositive_lumped_diagonal_stays_unfiltered():
     A = chain_with_nonpositive_lumped_hub()
-    rows, strong = spectra._strong_entries(A)
+    rows, diag, d, _, strong = spectra._strong_entries(A)
     hub = rows == 100
     weak = hub & ~strong & (A.indices != 100)
     assert weak.sum() == 20 and A[100, 100] + A.data[weak].sum() <= 0.0
     assert lambda_min_dense(A) > 0.0
-    F = spectra._filtered(A, rows, strong)
+    F, wdinv_f = spectra._filtered(A, rows, diag, d, strong)
     np.testing.assert_array_equal(F[100].toarray(), A[100].toarray())
+    assert wdinv_f.tobytes() == reference_damped_inverse_diagonal(F).tobytes()
     # the far rows lose their weak entry to the hub
     assert F.nnz == A.nnz - 20
     mg = spectra._Multigrid.build(A)
@@ -541,11 +550,50 @@ def test_row_with_nonpositive_lumped_diagonal_stays_unfiltered():
 
 
 @pytest.mark.parametrize("diagonal", [0.0, -1.0])
-def test_damped_inverse_diagonal_refuses_a_nonpositive_entry(diagonal):
+def test_strength_pass_refuses_a_nonpositive_diagonal_entry(diagonal):
     # a zero entry is not stored, a negative one is: both are refused
     A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, diagonal]]))
     with pytest.raises(np.linalg.LinAlgError, match="^nonpositive diagonal entry$"):
-        spectra._damped_inverse_diagonal(A)
+        spectra._strong_entries(A)
+    # so the build stops there, also when the last row stores nothing at all
+    with pytest.raises(np.linalg.LinAlgError, match="^nonpositive diagonal entry$"):
+        spectra._Multigrid.build(sp.csr_matrix(np.diag(np.r_[np.ones(spectra.MG_COARSE_ROWS), diagonal])))
+
+
+def strength_table(n, edges):
+    """The strength table of the directed graph with these (i, j) edges."""
+    edges = sorted((i, j) for i, j in edges if i != j)
+    rows, cols = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return spectra._strength_graph(n, rows, cols)
+
+
+@st.composite
+def strength_tables(draw):
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(node, node), max_size=4 * n))
+    if draw(st.booleans()):
+        edges |= {(j, i) for i, j in edges}
+    return strength_table(n, edges)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(strength_tables())
+@example(strength_table(1, []))  # a single node
+@example(strength_table(6, []))  # no strong entry at all
+@example(strength_table(8, [(i, i + 1) for i in range(7)]))  # a directed path
+@example(strength_table(6, [(0, 1), (1, 2), (2, 0), (3, 4)]))  # a directed cycle, a lone edge
+def test_aggregation_matches_the_full_table_rounds(table):
+    assert spectra._aggregate(table).tobytes() == reference_aggregate(table).tobytes()
+
+
+def test_aggregation_matches_the_full_table_rounds_on_every_bakhvalov_128_level():
+    levels = hierarchy_matrices(2, GradingParams(MeshFamily.BAKHVALOV, 128, eps=0.01))
+    assert [A.shape[0] for A in levels] == [16129, 3331, 688, 184]
+    for A in levels:
+        rows, _, _, _, strong = spectra._strong_entries(A)
+        table = spectra._strength_graph(A.shape[0], rows[strong], A.indices[strong])
+        assert spectra._aggregate(table).tobytes() == reference_aggregate(table).tobytes()
 
 
 def test_operator_complexity_bakhvalov_128():
