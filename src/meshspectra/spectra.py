@@ -430,17 +430,19 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     that is not positive definite shows A is not SPD; the message names the
     step, the preconditioner in use and the last estimate and residual.
     Raises ValueError before the first step when tol fails check_tol, M is
-    not square, not float64 CSR (the products read its CSR arrays) or a
-    diagonal entry is not positive.
+    not square, not float64 CSR (the products read its CSR arrays) or empty,
+    or a diagonal entry is not positive and finite.
     """
     check_tol(tol)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if M.format != "csr" or M.dtype != np.float64:
         raise ValueError(f"matrix must be float64 CSR, got {M.dtype} {M.format}")
+    if M.shape[0] == 0:
+        raise ValueError(f"matrix must have at least one row, got shape {M.shape}")
     d = M.diagonal()
-    if np.any(d <= 0.0):
-        raise ValueError("diagonal entries must be strictly positive")
+    if not np.all((d > 0.0) & (d < np.inf)):
+        raise ValueError("diagonal entries must be strictly positive and finite")
     dinv = 1.0 / d
     # rows x, w, p and their products; B[:3] @ B.T holds both Gram matrices
     B = np.zeros((6, M.shape[0]))

@@ -109,10 +109,11 @@ def test_tol_validation():
             lambda_min_sparse(A, tol=tol)
 
 
-def test_matrix_validation_before_first_step(monkeypatch):
-    def no_step(n):
-        raise AssertionError("the solver started on a matrix it should refuse")
+def no_step(n):
+    raise AssertionError("the solver started on a matrix it should refuse")
 
+
+def test_matrix_validation_before_first_step(monkeypatch):
     monkeypatch.setattr(spectra, "_start_vector", no_step)
     with pytest.raises(ValueError, match=re.escape("matrix must be square, got shape (2, 3)")):
         lambda_min_sparse(sp.csr_matrix(np.zeros((2, 3))))
@@ -125,6 +126,22 @@ def test_matrix_validation_before_first_step(monkeypatch):
     for bad in (np.diag([1.0, 0.0]), -np.diag([1.0, 2.0])):
         with pytest.raises(ValueError, match="diagonal entries must be strictly positive"):
             lambda_min_sparse(spd(bad))
+
+
+def test_empty_matrix_is_refused_before_first_step(monkeypatch):
+    # it used to come back as lambda_min = 0.0, converged, with error bound 0.0
+    monkeypatch.setattr(spectra, "_start_vector", no_step)
+    with pytest.raises(ValueError, match=re.escape("matrix must have at least one row, got shape (0, 0)")):
+        lambda_min_sparse(sp.csr_matrix((0, 0)))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_nonfinite_diagonal_is_refused_before_first_step(monkeypatch, entry):
+    # a NaN passed the old d <= 0 check; so did inf, which then warned about
+    # an invalid subtraction and broke down at step 0
+    monkeypatch.setattr(spectra, "_start_vector", no_step)
+    with pytest.raises(ValueError, match="^diagonal entries must be strictly positive and finite$"):
+        lambda_min_sparse(spd([[2.0, -1.0], [-1.0, entry]]))
 
 
 def test_spectra_imports_no_package_module():
