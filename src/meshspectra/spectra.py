@@ -197,7 +197,7 @@ def _strong_entries(M: sp.csr_matrix) -> tuple[np.ndarray, ...]:
     bound = m.take(rows)
     bound *= MG_STRENGTH**2
     bound *= m.take(M.indices)
-    strong = mag * mag >= bound
+    strong = np.square(mag) >= bound
     strong &= mag > 0.0
     return rows, diag, d, wdinv, strong
 
@@ -272,9 +272,8 @@ def _aggregate(table: np.ndarray) -> np.ndarray:
     n = table.shape[1]
     prio = _index_hash(n).astype(np.int64)  # -1 once decided
     root = np.zeros(n, dtype=bool)
-    hop = np.empty(n, dtype=np.int64)  # first-hop maxima, on the columns read
-    hit = np.zeros(n, dtype=bool)  # the new roots of the round
-    near = np.empty(n, dtype=bool)  # first hop of hit
+    hop = np.empty(n, dtype=np.int64)  # first hop of prio, on the nodes read
+    near = np.empty(n, dtype=bool)  # first hop of root, on the nodes read
     undecided = np.arange(n)
     rows = table  # the undecided nodes' table columns
     read, cols = undecided, table  # the nodes read and their table columns
@@ -282,9 +281,8 @@ def _aggregate(table: np.ndarray) -> np.ndarray:
         hop[read] = prio.take(cols).max(axis=0)
         new = undecided[prio.take(undecided) == hop.take(rows).max(axis=0)]
         root[new] = True
-        hit[new] = True
-        near[read] = hit.take(cols).max(axis=0)
-        hit[new] = False
+        # an older root within distance 2 would have decided the node already
+        near[read] = root.take(cols).max(axis=0)
         decided = near.take(rows).max(axis=0)
         prio[undecided[decided]] = -1
         left = np.flatnonzero(~decided)
