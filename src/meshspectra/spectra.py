@@ -61,13 +61,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-# what building the multigrid hierarchy costs, in Jacobi LOBPCG steps: the
-# hierarchy is built once the Jacobi steps still needed, predicted from the
-# residual history, exceed it, and at step MG_SWITCH_STEP + 1 at the latest.
-# Measured (median of 21 adjacent build/step timings, one BLAS thread), a
-# build costs 76-79 steps at 16,129 unknowns, 57 on 3D single-layer n=12 and
-# 38-40 at 225-961 unknowns.  Set to 79, it would move 2D Shishkin eps=0.1
-# n=16 (81 Jacobi steps) off Jacobi and change that golden-CSV row's bytes
+# what the switch charges for building the multigrid hierarchy, in Jacobi
+# LOBPCG steps: the hierarchy is built once the Jacobi steps still needed,
+# predicted from the residual history, exceed it, and at step
+# MG_SWITCH_STEP + 1 at the latest.  Measured (median of 21 adjacent
+# build/step timings, one BLAS thread), a build costs 48-55 steps at 16,129
+# unknowns, 46 on 3D single-layer n=12 and 19-38 at 225-961 unknowns.  Set to
+# 79 or lower, it would move 2D Shishkin eps=0.1 n=16 (81 Jacobi steps) off
+# Jacobi and change that golden-CSV row's bytes
 MG_SWITCH_STEP = 128
 # the first step at which the prediction is made; it reads the residual
 # reduction over the last MG_PROBE_STEP // 2 steps
