@@ -13,8 +13,8 @@ _HOME = {
                      "run_sweep"), "harness"),
     **dict.fromkeys(("DEFAULT_REFERENCE_INTERVALS", "GradingParams", "LayerPosition",
                      "MeshFamily", "NodeSet1D", "PatchStats", "SimplicialMesh", "SweepAxis",
-                     "build_mesh", "cell_volumes", "check_conforming", "export_mesh_text",
-                     "graded_nodes", "patch_stats", "tensor_mesh"), "meshgen"),
+                     "build_mesh", "cell_volumes", "export_mesh_text", "graded_nodes",
+                     "patch_stats", "tensor_mesh"), "meshgen"),
     **dict.fromkeys(("ConvergenceError", "EigenResult", "lambda_min_sparse"), "spectra"),
 }
 

@@ -17,10 +17,14 @@ itself, so that the CLI commands that build no matrix never load scipy.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .meshgen import SimplicialMesh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, Calibration, calibrate, estimates
 from .fem import assemble
@@ -30,6 +31,9 @@ from .meshgen import (
     patch_stats,
 )
 from .spectra import ConvergenceError, check_tol, lambda_min_sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # y-series selectable for plotting, with their legend labels and colours
 PLOT_COLUMNS = {
@@ -273,13 +277,7 @@ def _fixtures() -> dict[str, SweepSpec]:
     N3 = (4, 6, 8, 10, 12)
     EPS2 = (0.2, 0.1, 0.05, 0.02, 0.01)
     BETAS = (1.0, 1.5, 2.0, 3.0, 4.0)
-    U, S, B, P, L = (
-        MeshFamily.UNIFORM,
-        MeshFamily.SHISHKIN,
-        MeshFamily.BAKHVALOV,
-        MeshFamily.POWER,
-        MeshFamily.SINGLE_LAYER,
-    )
+    U, S, B, P, L = MeshFamily  # in definition order
     inner = {"layer_position": LayerPosition.INTERNAL}
     return {
         "uniform-2d-n": SweepSpec(2, U, SweepAxis.N, N2),

@@ -4,16 +4,17 @@ Node sets live on [0, 1] and encode a grading family (uniform, Shishkin,
 Bakhvalov-type, power-graded, or a single thin slab).  tensor_mesh takes one node
 set per axis, in any dimension, and splits every grid box into d! simplices by
 the Kuhn subdivision (two triangles in 2D, six tetrahedra in 3D); the same
-pattern in every box keeps the mesh conforming.  It writes the vertices and
-the cells by broadcasting and stores the cells component-major, so the
-readers that take one cell column at a time (the geometry, the conformity
-check, assembly) read contiguous memory.  A mesh is its vertices and cells;
-its boundary vertices are those with a coordinate at 0 or 1.  Its cell
-geometry (determinants and cofactor vectors, from simplex_cofactors) is
-computed once, on first use, and shared by cell_volumes and fem.assemble.
-patch_stats collects the geometric quantities the eigenvalue estimators
-consume: per-node patch volumes, the smallest cell, the max cells-per-vertex
-count M and the max volume ratio H between cells whose closures intersect.
+pattern in every box keeps the mesh conforming, so conformity is the
+builder's contract (the tests check it at the caps).  It writes the vertices
+and the cells by broadcasting and stores the cells component-major, so the
+readers that take one cell column at a time (the geometry, assembly) read
+contiguous memory.  A mesh is its vertices and cells; its boundary vertices
+are those with a coordinate at 0 or 1.  Its cell geometry (determinants and
+cofactor vectors, from simplex_cofactors) is computed once, on first use, and
+shared by cell_volumes and fem.assemble.  patch_stats collects the geometric
+quantities the eigenvalue estimators consume: per-node patch volumes, the
+smallest cell, the max cells-per-vertex count M and the max volume ratio H
+between cells whose closures intersect.
 """
 
 from __future__ import annotations
@@ -168,11 +169,20 @@ def bakhvalov_nodes(p: GradingParams) -> NodeSet1D:
 
 
 def power_nodes(p: GradingParams) -> NodeSet1D:
-    """Symmetric power grading: x_i = (2i/n)^beta / 2 up to the midpoint, reflected above."""
+    """Symmetric power grading: x_i = (2i/n)^beta / 2 up to the midpoint, reflected above.
+
+    A beta so large for n that a node next to 0 or 1 meets its neighbour in
+    double precision is refused: 1 - x_1 rounds to 1 once x_1 is at most 2^-54
+    (beta=8 at n=256), and x_1 underflows to 0 far beyond that.
+    """
     half = p.n // 2
     lower = 0.5 * (2.0 * np.arange(half + 1) / p.n) ** p.beta
     upper = (1.0 - lower[:-1])[::-1]  # exact reflection, not re-evaluation
-    return NodeSet1D(np.concatenate([lower, upper]))
+    nodes = np.concatenate([lower, upper])
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ValueError(f"beta={p.beta:g} is too large for power grading at n={p.n}: "
+                         "a node next to 0 or 1 rounds onto its neighbour")
+    return NodeSet1D(nodes)
 
 
 def single_layer_nodes(p: GradingParams) -> NodeSet1D:
@@ -221,6 +231,8 @@ def graded_nodes(p: GradingParams) -> NodeSet1D:
 class SimplicialMesh:
     """Conforming simplicial mesh of the unit box: its vertices and cells.
 
+    Conformity is not checked here: the builders guarantee it (tensor_mesh's
+    Kuhn pattern), and a caller that makes a mesh of its own vouches for it.
     vertices is (n_vertices, dim); cells, an integer (n_cells, dim+1) array,
     holds each simplex's vertex indices, each in [0, n_vertices), with
     positive orientation, in any memory order (tensor_mesh stores it
@@ -507,81 +519,6 @@ def patch_stats(mesh: SimplicialMesh) -> PatchStats:
         m_const=int(counts.max()),
         h_const=float(np.max(vmax / vmin)),
     )
-
-
-def _face_vertices(keys: np.ndarray, nv: int, dim: int) -> np.ndarray:
-    """The sorted vertex tuples, one row per key, that _face_keys encoded."""
-    place = nv ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    return keys[:, None] // place % nv
-
-
-def _face_keys(cells: np.ndarray, nv: int) -> np.ndarray:
-    """One int64 key per face, as an (n_cells, dim+1) array in cell order: column
-    k holds the face that drops vertex k, its vertex indices ascending and read
-    as digits in radix nv, so keys order like the sorted vertex tuples.
-
-    Built one face slot at a time, so the only temporaries are dim+1 int64
-    columns over the cells; the indices are widened to int64 before any
-    arithmetic, so int32 cells do not overflow.
-    """
-    n_cells, dim = cells.shape[0], cells.shape[1] - 1
-    keys = np.empty((n_cells, dim + 1), dtype=np.int64)
-    verts = [np.empty(n_cells, dtype=np.int64) for _ in range(dim)]
-    low = np.empty(n_cells, dtype=np.int64)
-    for k in range(dim + 1):
-        for j, c in enumerate(c for c in range(dim + 1) if c != k):
-            verts[j][:] = cells[:, c]
-        # bubble-sort network of compare-exchanges: each face's vertices ascend in j
-        for top in range(dim - 1, 0, -1):
-            for j in range(top):
-                np.minimum(verts[j], verts[j + 1], out=low)
-                np.maximum(verts[j], verts[j + 1], out=verts[j + 1])
-                # the minimum becomes vertex j; the old column is the next scratch
-                verts[j], low = low, verts[j]
-        key = keys[:, k]
-        key[:] = verts[0]
-        for v in verts[1:]:
-            key *= nv
-            key += v
-    return keys
-
-
-def check_conforming(mesh: SimplicialMesh) -> None:
-    """Raise if any codimension-1 face is shared by more than two cells, or a
-    once-counted face is off the box's facets (a facet face has all its
-    vertices at 0.0, or all at 1.0, on one axis).
-
-    Faces are checked in order of first appearance (cell by cell, dropping
-    vertex 0, 1, ...), and the error names the first offending face.  Memory:
-    one int64 key per face, sorted in place, plus O(n_cells) bytes of work
-    columns and masks; a mesh that fails builds its keys once more, in cell
-    order, to name the face.
-    """
-    nv, dim = mesh.n_vertices, mesh.dim
-    if nv**dim > np.iinfo(np.int64).max:
-        raise ValueError(f"{nv} vertices are too many to encode {dim}-vertex faces in int64")
-    ordered = _face_keys(mesh.cells, nv).reshape(-1)
-    ordered.sort()
-    # edge[i]: a run of equal keys ends before ordered[i] (and at both ends)
-    edge = np.ones(ordered.size + 1, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
-    # a key alone in its run is a face one cell uses; one equal to both of its
-    # neighbours is a face that more than two cells share
-    crowded = np.unique(ordered[~(edge[:-1] | edge[1:])])
-    lonely = ordered[edge[:-1] & edge[1:]]
-    # coordinates of every lonely face: (face, vertex, axis)
-    coords = mesh.vertices[_face_vertices(lonely, nv, dim)]
-    on_facet = ((coords == 0.0).all(axis=1) | (coords == 1.0).all(axis=1)).any(axis=1)
-    bad = np.concatenate([crowded, lonely[~on_facet]])
-    if bad.size == 0:
-        return
-    keys = _face_keys(mesh.cells, nv).reshape(-1)
-    key = keys[np.argmax(np.isin(keys, bad))]
-    face = tuple(_face_vertices(key[None], nv, dim)[0].tolist())
-    count = int(np.searchsorted(ordered, key, "right") - np.searchsorted(ordered, key))
-    if count > 2:
-        raise ValueError(f"face {face} shared by {count} cells")
-    raise ValueError(f"interior face {face} belongs to only one cell")
 
 
 # rows per write in the text exporters: bounds the formatted text held at once

@@ -5,13 +5,11 @@ The production path is single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
 preconditioned residual and p the previous search direction.  It starts with
 the Jacobi preconditioner: diagonal scaling reduces the effect of mesh
 nonuniformity on the conditioning (Kamenski-Huang-Xu, Math. Comp. 83, 2014)
-but does not remove it (N^(2/d) lambda_min(D^-1/2 A D^-1/2) spreads by a
-factor of 187 over the 2D fixture points and 47 over the 3D ones).  That is
-enough for most 3D meshes, but on strongly graded 2D meshes the step count
-grows into the thousands (Bakhvalov eps=0.01 n=128: 1159 steps).  There a
+but does not remove it.  That is enough for most 3D meshes, but on strongly
+graded 2D meshes the step count grows into the thousands.  There a
 smoothed-aggregation multigrid hierarchy, built from the matrix once with
 prolongators smoothed by the filtered matrix, gives a V-cycle preconditioner
-that needs far fewer steps (the same mesh: 81, at operator complexity 1.52).
+that needs far fewer steps.
 
 The build costs at most about MG_SWITCH_STEP Jacobi steps, so the solve's own
 residual history decides when it pays: after MG_PROBE_STEP steps, the reduction of
@@ -19,12 +17,10 @@ residual history decides when it pays: after MG_PROBE_STEP steps, the reduction 
 and the hierarchy is built as soon as that exceeds MG_SWITCH_STEP, or at step
 MG_SWITCH_STEP + 1 at the latest.  A solve that Jacobi is predicted to finish
 sooner stays on Jacobi, which also keeps the mesh's symmetry: on 3D power
-meshes with beta >= 3 the six lowest eigenvalues form a cluster (relative
-spread 3.4e-7 at n=8, 1.1e-8 at n=10 and 8.8e-10 at n=12 for beta=3, 1.4e-13 at
-n=12 for beta=4; the next eigenvalue is 12-37% higher), which the symmetric
-start vector and Jacobi steps resolve to the dense oracle within 1.3e-13
-(8.7e-15 at n=10), while hash-ordered aggregation breaks the symmetry and
-moved the n=10 result by 6.3e-12.
+meshes with beta >= 3 the six lowest eigenvalues form a tight cluster, well
+below the next eigenvalue, which the symmetric start vector and Jacobi steps
+resolve to the dense oracle, while hash-ordered aggregation breaks the
+symmetry and moves the result off it.
 
 The iteration stops on the relative residual ||Ax - theta x|| <= tol * theta,
 which does not change when A is scaled; for symmetric A some eigenvalue lies
@@ -57,9 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # what the switch charges for building the multigrid hierarchy, in Jacobi
 # LOBPCG steps: the hierarchy is built once the Jacobi steps still needed,
@@ -230,9 +230,8 @@ def _filtered(
 
     Every row keeps its strong entries and its row sum, so the filtered
     matrix has M's near-nullspace.  A row whose lumped diagonal would not be
-    positive keeps all its entries unfiltered; that happens on coarse levels
-    (15 rows in the hierarchies of 5 of the 55 fixture points that build
-    one), and then the filtered matrix is not symmetric.
+    positive keeps all its entries unfiltered; that happens on a few rows of
+    some coarse levels, and then the filtered matrix is not symmetric.
     """
     import scipy.sparse as sp
     n = M.shape[0]
@@ -266,9 +265,9 @@ def _aggregate(table: np.ndarray) -> np.ndarray:
     every round, and its second hop on the undecided columns.  Decided nodes
     keep priority -1, so every round picks the roots that a round over the
     whole table picks, also on a directed graph; tests/conftest.py keeps that
-    form as the reference.  On 2D Bakhvalov eps=0.01 n=128, 8849 of the
-    16129 nodes are undecided after the first round and 53 after the twelfth.
-    The second joining round visits only the nodes the first one left out.
+    form as the reference.  Most nodes are decided in the first rounds, so
+    the later ones read a small part of the table.  The second joining round
+    visits only the nodes the first one left out.
     """
     n = table.shape[1]
     prio = _index_hash(n).astype(np.int64)  # -1 once decided
@@ -309,13 +308,11 @@ class _Multigrid:
     smoothed with the filtered matrix A_F, whose weak entries are lumped onto
     its diagonal: P = T - omega D_F^-1 A_F T with omega = 4/(3 rho_F), rho_F
     the Gershgorin bound on D_F^-1 A_F.  A_F has A's row sums, so P keeps the
-    near-nullspace, but P A P^T is far sparser than with A itself: on 2D
-    Bakhvalov eps=0.01 n=128 the levels are 16129/3331/688/184/41 with
-    operator complexity 1.52 (sum of level nnz, the coarsest level dense,
-    over nnz(A)), against 16129/3331/689/187/44 and 2.18.  One pass over a
-    level's entries (_strong_entries) hands its row indices, diagonal and
-    strength mask to the aggregation, to A_F and to the weighted inverse
-    diagonals of A and A_F.  One damped-Jacobi
+    near-nullspace, but P A P^T is far sparser than with A itself, so the
+    operator complexity (sum of level nnz, the coarsest level dense, over
+    nnz(A)) is lower.  One pass over a level's entries (_strong_entries)
+    hands its row indices, diagonal and strength mask to the aggregation, to
+    A_F and to the weighted inverse diagonals of A and A_F.  One damped-Jacobi
     sweep with the true A, of weight 4/(3 rho) before and after each coarse
     correction, rho the Gershgorin bound on D^-1 A, so that the weighted
     D^-1 A has spectral radius at most 4/3 < 2: the cycle stays symmetric

@@ -1,12 +1,13 @@
 """Shared brute-force oracles: slow, independent recomputations of the tensor
 meshes (and the index-grid form of the any-dimension builder), the mesh
-statistics, the stiffness matrix, the conformity check (by counting, and in the
-sort-and-run-length form), the smallest eigenvalue and the mesh text format,
-used to cross-check the vectorized implementations, plus the average-patch form
-of the 3D kernel that cross-checks the estimators, the multigrid V-cycle in
-plain scipy products that cross-checks the one with work vectors, and the
-multigrid build's weighted inverse diagonal read back from a stored matrix and
-its MIS(2) aggregation in rounds over the whole strength table."""
+statistics, the stiffness matrix, the smallest eigenvalue and the mesh text
+format, used to cross-check the vectorized implementations; the suite's
+conformity check, in sort-and-run-length form, with its counting oracle; and
+the average-patch form of the 3D kernel that cross-checks the estimators, the
+multigrid V-cycle in plain scipy products that cross-checks the one with work
+vectors, and the multigrid build's weighted inverse diagonal read back from a
+stored matrix and its MIS(2) aggregation in rounds over the whole strength
+table."""
 
 from __future__ import annotations
 
@@ -348,11 +349,17 @@ def brute_check_conforming(mesh: SimplicialMesh) -> None:
             raise ValueError(f"interior face {face} belongs to only one cell")
 
 
-def run_length_check_conforming(mesh: SimplicialMesh) -> None:
-    """The sort-and-run-length form of meshgen.check_conforming: every face key
-    built at once from gathered vertex columns, distinct faces and their counts
-    from the run lengths of a sorted copy, and the first offending key found in
-    cell order; the same messages, from several full-size temporaries."""
+def check_conforming(mesh: SimplicialMesh) -> None:
+    """Raise if any codimension-1 face is shared by more than two cells, or a
+    once-counted face is off the box's facets (a facet face has all its
+    vertices at 0.0, or all at 1.0, on one axis).
+
+    Every face key is built at once from gathered vertex columns (its vertex
+    indices ascending, read as digits in radix n_vertices, widened to int64
+    first), the distinct faces and their counts come from the run lengths of a
+    sorted copy, and the error names the first offending face in cell order
+    (cell by cell, dropping vertex 0, 1, ...), as brute_check_conforming
+    does."""
     nv, dim = mesh.n_vertices, mesh.dim
     if nv**dim > np.iinfo(np.int64).max:
         raise ValueError(f"{nv} vertices are too many to encode {dim}-vertex faces in int64")

@@ -1,7 +1,10 @@
+import ast
+import builtins
 import functools
 import hashlib
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -524,6 +527,9 @@ def test_sweep_normalize_flag_and_config(tmp_path):
      "eps=0.9 and eps=0.6 build the same mesh"),
     (("--family", "bakhvalov", "--n", "64", "--axis", "eps", "--values", "0.2,1e-17"),
      "eps=1e-17 is too small for bakhvalov grading"),
+    # 1 - x_1 rounds onto 1.0 at the cap
+    (("--family", "power", "--n", "256", "--axis", "beta", "--values", "2,8"),
+     "beta=8 is too large for power grading at n=256"),
 ])
 def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkeypatch, capsys):
     import meshspectra.harness as hz
@@ -602,6 +608,56 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_importing_the_cli_loads_the_mesh_layer_only():
     assert _cli_import()[1] == _CLI_IMPORT
+
+
+def _module_scope_names(tree: ast.Module) -> set[str]:
+    """Every name a module binds at its top level: defs, classes, imports and
+    assignment targets, also under an if (TYPE_CHECKING) or a try."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    return names
+
+
+def _annotations(tree: ast.Module):
+    """Every annotation expression in a module: arguments, returns and
+    annotated assignments, at any depth; a quoted one is parsed."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def test_every_annotation_name_is_bound_in_its_module():
+    # annotations are not evaluated (from __future__ import annotations), so a
+    # name that only a function imports, such as scipy.sparse as sp, goes
+    # unnoticed until a type checker reads it; a module binds such a name
+    # under TYPE_CHECKING, which keeps its import lazy
+    import meshspectra
+
+    unbound = []
+    for path in sorted(pathlib.Path(meshspectra.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = _module_scope_names(tree) | set(dir(builtins))
+        for annotation in _annotations(tree):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                annotation = ast.parse(annotation.value, mode="eval")
+            unbound += [f"{path.name}:{node.lineno} {node.id}" for node in ast.walk(annotation)
+                        if isinstance(node, ast.Name) and node.id not in bound]
+    assert unbound == []
 
 
 @pytest.mark.parametrize("argv, package", [
