@@ -2,25 +2,28 @@
 
 The production path is single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
 2001): each step does Rayleigh-Ritz on span{x, w, p}, where w is the
-preconditioned residual and p the previous search direction.  It starts with
-the Jacobi preconditioner: diagonal scaling reduces the effect of mesh
-nonuniformity on the conditioning (Kamenski-Huang-Xu, Math. Comp. 83, 2014)
-but does not remove it.  That is enough for most 3D meshes, but on strongly
-graded 2D meshes the step count grows into the thousands.  There a
-smoothed-aggregation multigrid hierarchy, built from the matrix once with
-prolongators smoothed by the filtered matrix, gives a V-cycle preconditioner
-that needs far fewer steps.
+preconditioned residual and p the previous search direction.  On small
+matrices it starts with the Jacobi preconditioner: diagonal scaling reduces
+the effect of mesh nonuniformity on the conditioning (Kamenski-Huang-Xu,
+Math. Comp. 83, 2014) but does not remove it.  That is enough for most 3D
+meshes, but on strongly graded 2D meshes the step count grows into the
+thousands.  There a smoothed-aggregation multigrid hierarchy, built from the
+matrix once with prolongators smoothed by the filtered matrix, gives a V-cycle
+preconditioner that needs far fewer steps.
 
-The build costs at most about MG_SWITCH_STEP Jacobi steps, so the solve's own
-residual history decides when it pays: after MG_PROBE_STEP steps, the reduction of
-||r|| over the last few Jacobi steps predicts how many more Jacobi would need,
-and the hierarchy is built as soon as that exceeds MG_SWITCH_STEP, or at step
-MG_SWITCH_STEP + 1 at the latest.  A solve that Jacobi is predicted to finish
-sooner stays on Jacobi, which also keeps the mesh's symmetry: on 3D power
-meshes with beta >= 3 the six lowest eigenvalues form a tight cluster, well
-below the next eigenvalue, which the symmetric start vector and Jacobi steps
-resolve to the dense oracle, while hash-ordered aggregation breaks the
-symmetry and moves the result off it.
+A matrix with more than MG_EAGER_ROWS rows builds the hierarchy before the
+first step: on the 2D meshes of that size the probe below always calls for
+the build, so its Jacobi steps would only delay it.  On smaller matrices the
+build costs at most about MG_SWITCH_STEP Jacobi steps, so the solve's own
+residual history decides when it pays: after MG_PROBE_STEP steps, the
+reduction of ||r|| over the last few Jacobi steps predicts how many more
+Jacobi would need, and the hierarchy is built as soon as that exceeds
+MG_SWITCH_STEP, or at step MG_SWITCH_STEP + 1 at the latest.  A solve that Jacobi is predicted to finish sooner stays on
+Jacobi, which also keeps the mesh's symmetry: on 3D power meshes with
+beta >= 3 the six lowest eigenvalues form a tight cluster, well below the next
+eigenvalue, which the symmetric start vector and Jacobi steps resolve to the
+dense oracle, while hash-ordered aggregation breaks the symmetry and moves the
+result off it.  No 3D mesh has more than MG_EAGER_ROWS rows.
 
 The iteration stops on the relative residual ||Ax - theta x|| <= tol * theta,
 which does not change when A is scaled; for symmetric A some eigenvalue lies
@@ -44,10 +47,10 @@ _matmat, without the symbolic pass that sizes A @ B's output.
 
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
-fixed by an index hash and the switch reads residual norms, never the clock,
-so repeated runs agree bitwise.  Only the multigrid build and the products
-import scipy.sparse, so this module loads with numpy alone and the CLI import
-stays scipy-free.
+fixed by an index hash and the switch reads the row count and residual
+norms, never the clock, so repeated runs agree bitwise.  Only the multigrid
+build and the products import scipy.sparse, so this module loads with numpy
+alone and the CLI import stays scipy-free.
 """
 from __future__ import annotations
 
@@ -62,14 +65,20 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # what the switch charges for building the multigrid hierarchy, in Jacobi
-# LOBPCG steps: the hierarchy is built once the Jacobi steps still needed,
-# predicted from the residual history, exceed it, and at step
-# MG_SWITCH_STEP + 1 at the latest.  Measured (median of 21 adjacent
-# build/step timings, one BLAS thread), a build costs 48-55 steps at 16,129
-# unknowns, 46 on 3D single-layer n=12 and 19-38 at 225-961 unknowns.  Set to
-# 79 or lower, it would move 2D Shishkin eps=0.1 n=16 (81 Jacobi steps) off
-# Jacobi and change that golden-CSV row's bytes
+# LOBPCG steps, on a matrix with at most MG_EAGER_ROWS rows: the hierarchy is
+# built once the Jacobi steps still needed, predicted from the residual
+# history, exceed it, and at step MG_SWITCH_STEP + 1 at the latest.  Measured
+# (median of 21 adjacent build/step timings, one BLAS thread), a build costs
+# 48-55 steps at 16,129 unknowns, 46 on 3D single-layer n=12 and 19-38 at
+# 225-961 unknowns.  Set to 79 or lower, it would move 2D Shishkin eps=0.1
+# n=16 (81 Jacobi steps) off Jacobi and change that golden-CSV row's bytes
 MG_SWITCH_STEP = 128
+# a matrix with more rows builds the hierarchy before the first step, without
+# the probe: on 2D meshes of that size the probe always calls for the build,
+# so its Jacobi steps only delay it.  It is the most rows a 3D mesh has at the
+# cap (single-layer n=16: 16 x 15 x 15), so every 3D solve keeps the probe and
+# the 3D power clusters their Jacobi start
+MG_EAGER_ROWS = 3600
 # the first step at which the prediction is made; it reads the residual
 # reduction over the last MG_PROBE_STEP // 2 steps
 MG_PROBE_STEP = 16
@@ -413,9 +422,12 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     """Smallest eigenvalue of the symmetric CSR matrix M (A in the formulas
     below) by preconditioned single-vector LOBPCG.
 
-    Jacobi preconditioning until the residual history predicts more than
-    MG_SWITCH_STEP further Jacobi steps (see _build_pays), the multigrid
-    V-cycle from then on (or Jacobi still, when the matrix does not coarsen).
+    The multigrid V-cycle from the first step when M has more than
+    MG_EAGER_ROWS rows; otherwise Jacobi preconditioning until the residual
+    history predicts more than MG_SWITCH_STEP further Jacobi steps (see
+    _build_pays), the V-cycle from then on; Jacobi still when the matrix
+    does not coarsen.
+
     Converged when the eigen-residual of the unit iterate x satisfies
     ||Ax - theta x|| <= tol * theta.  The loop updates A x implicitly, one
     sparse product per step, so every verdict below, convergence included,
@@ -424,8 +436,11 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     steps in a row bring no smaller ||r||, when the basis degenerates, or when
     a Rayleigh quotient that is not positive and finite or a multigrid level
     that is not positive definite shows A is not SPD; the message names the
-    step, the preconditioner in use and the last estimate and residual.
-    Raises ValueError before the first step when tol fails check_tol, M is
+    step, the preconditioner in use and the last estimate and residual.  That
+    detection is best effort, not a check of A: an iterate that never meets
+    a negative mode can converge to a positive eigenvalue above it, with a
+    small error bound and nothing to say that A is indefinite.  Raises
+    ValueError before the first step when tol fails check_tol, M is
     not square, not float64 CSR (the products read its CSR arrays) or empty,
     or a diagonal entry is not positive and finite.
     """
@@ -449,6 +464,7 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     k = 2  # Ritz basis size; p joins after the first step
     it = 0
     mg = None  # the V-cycle, once built
+    eager = M.shape[0] > MG_EAGER_ROWS  # build before the first step, unprobed
     preconditioner = "Jacobi"
     history = []  # ||r|| after 0, 1, ... Jacobi steps
     best, best_step = math.inf, 0  # the smallest ||r|| so far, and its step
@@ -501,7 +517,7 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
         it += 1
         if preconditioner == "Jacobi":  # no build tried yet
             history.append(resid)
-            if _build_pays(history, tol * theta):
+            if eager or _build_pays(history, tol * theta):
                 try:
                     mg = _Multigrid.build(M)
                 except np.linalg.LinAlgError:

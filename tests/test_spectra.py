@@ -24,6 +24,7 @@ from meshspectra import (
 )
 from meshspectra import spectra
 from meshspectra.harness import FIXTURES, SweepAxis
+from meshspectra.meshgen import MAX_INTERVALS
 
 from conftest import (
     lambda_min_dense,
@@ -423,7 +424,8 @@ def test_multigrid_fallback_switch_matches_dense(monkeypatch):
 
 
 def test_multigrid_step_count_internal_layer():
-    # Jacobi alone needs 1555 steps here, the switch at step 129 took 173
+    # Jacobi alone needs 1555 steps here, a fixed switch at step 129 took 173
+    # and the probe's switch at step 17 took 71; built before the first step, 55
     A = assemble(
         build_mesh(
             2,
@@ -432,10 +434,57 @@ def test_multigrid_step_count_internal_layer():
             ),
         )
     )
+    assert A.shape[0] > spectra.MG_EAGER_ROWS
     r = lambda_min_sparse(A)
-    assert switch_step(r.preconditioner, "16129/3159/666/146/26") <= spectra.MG_SWITCH_STEP
-    assert r.iterations <= 90
+    assert switch_step(r.preconditioner, "16129/3159/666/146/26") == 1
+    assert r.iterations <= 60
     assert r.error_bound <= 1e-8 * r.lambda_min
+
+
+def test_eager_rows_keep_every_3d_mesh_on_the_probe():
+    # 3D power meshes with beta >= 3 resolve their eigenvalue cluster from the
+    # Jacobi start (see the spectra docstring), so no 3D mesh builds eagerly
+    cap = MAX_INTERVALS[3]
+    assert spectra.MG_EAGER_ROWS >= (cap - 1) ** 3
+    for family in MeshFamily:
+        for position in LayerPosition:
+            if position is LayerPosition.INTERNAL and family not in (
+                MeshFamily.SHISHKIN, MeshFamily.BAKHVALOV
+            ):
+                continue
+            mesh = build_mesh(3, GradingParams(family, cap, layer_position=position))
+            assert mesh.n_free <= spectra.MG_EAGER_ROWS, (family, position)
+
+
+@pytest.mark.parametrize("eager_rows", [960, 961])
+def test_eager_build_starts_above_mg_eager_rows(monkeypatch, eager_rows):
+    # Bakhvalov n=32 has 961 rows: above the threshold the hierarchy is built
+    # before the first step, at it the probe's rule runs bit for bit
+    A = assemble(build_mesh(2, BAKHVALOV_32))
+    probed = lambda_min_sparse(A)
+    assert switch_step(probed.preconditioner, "961/234/60") > spectra.MG_PROBE_STEP
+    monkeypatch.setattr(spectra, "MG_EAGER_ROWS", eager_rows)
+    r = lambda_min_sparse(A)
+    if A.shape[0] > eager_rows:
+        assert switch_step(r.preconditioner, "961/234/60") == 1
+        assert abs(r.lambda_min - lambda_min_dense(A)) <= r.error_bound <= 1e-8 * r.lambda_min
+        assert r.iterations < probed.iterations
+    else:
+        assert r == probed
+
+
+def test_eager_build_on_a_matrix_that_is_not_positive_definite():
+    # uniform n=128 shifted by twice its smallest eigenvalue: the first
+    # multigrid step finds the negative mode
+    A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 128)))
+    assert A.shape[0] > spectra.MG_EAGER_ROWS
+    shifted = (A - 2.0 * uniform_lambda(128) * sp.eye(A.shape[0], format="csr")).tocsr()
+    message = "broke down: A is not positive definite .* at step 1 \\(preconditioner multigrid \\S+ from step 1,"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        lambda_min_sparse(shifted)
+    step, estimate, residual = failure_state(info.value)
+    assert step == 1
+    assert estimate < 0.0 and residual > 0.0
 
 
 @pytest.mark.parametrize(
