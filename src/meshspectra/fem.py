@@ -12,6 +12,11 @@ On Kuhn tensor meshes every coupling that is zero in exact arithmetic is a sum
 of products with a zero factor, so it comes out as an exact zero and is not
 stored.  The result is a plain scipy CSR matrix; assemble imports scipy.sparse
 itself, so that the CLI commands that build no matrix never load scipy.
+
+Meshes with the same cells and boundary vertices (the points of a sweep at
+fixed n) share one StiffnessPattern, which replays the order in which scipy
+sums assemble's duplicates, so each of them is assembled to the same bits
+without the COO conversion.
 """
 
 from __future__ import annotations
@@ -27,31 +32,55 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
-    """Assemble the stiffness matrix over free vertices.
-
-    Each cell's local pairs (a, b), a <= b, go to the upper triangle in (cell,
-    a, b) order, so duplicates are summed in a fixed order; its mirror makes
-    the matrix exactly symmetric, and entries that sum to exactly zero are
-    dropped.  Raises on the first degenerate simplex."""
-    import scipy.sparse as sp
-    n = mesh.n_free
-    if n == 0:
+def _local_values(mesh: SimplicialMesh) -> np.ndarray:
+    """Every cell's local entries (a, b), a <= b, one contiguous row over the
+    cells per pair, the pairs in np.triu_indices order.  Raises on a mesh
+    with no free vertex and on the first degenerate simplex."""
+    if mesh.n_free == 0:
         raise ValueError("mesh has no free vertices; the Dirichlet system is empty")
     det, cof, scale = mesh.geometry
     bad = (scale == 0.0) | (np.abs(det) < 1e-14 * scale)
     if bad.any():
         c = int(np.argmax(bad))
         raise ValueError(f"degenerate simplex (det {det[c]:.3g} vs edge scale {scale[c]:.3g})")
-    # one contiguous row over the cells per local pair, like the cofactors
     a, b = np.triu_indices(mesh.dim + 1)
     vals = np.empty((a.size, det.size))
+    term = np.empty(det.size)
+    # sum(cof[i, k] * cof[j, k] for k) in place; only a zero entry may differ,
+    # by its sign, and the matrix stores no zero sum
     for p, (i, j) in enumerate(zip(a, b)):
-        vals[p] = sum(cof[i, k] * cof[j, k] for k in range(mesh.dim))
+        np.multiply(cof[i, 0], cof[j, 0], out=vals[p])
+        for k in range(1, mesh.dim):
+            vals[p] += np.multiply(cof[i, k], cof[j, k], out=term)
     vals /= math.factorial(mesh.dim) * np.abs(det)
+    return vals
+
+
+def _local_rows_cols(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle row and column of every local pair, shaped like
+    _local_values; the row is -1 where the pair has a boundary vertex."""
+    a, b = np.triu_indices(mesh.dim + 1)
     # int32, scipy's own index type below 2**31 rows, so the COO keeps these arrays
     gi = mesh.free_index.astype(np.int32)[mesh.cells.T]
-    rows, cols = np.minimum(gi[a], gi[b]), np.maximum(gi[a], gi[b])
+    return np.minimum(gi[a], gi[b]), np.maximum(gi[a], gi[b])
+
+
+def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
+    """Assemble the stiffness matrix over free vertices.
+
+    Each cell's local pairs (a, b), a <= b, go to the upper triangle in (cell,
+    a, b) order.  scipy's COO-to-CSR conversion keeps that order within each
+    row, then sorts every row by column index alone and sums each run of
+    equal indices left to right.  So the order of the sums depends on the
+    index arrays alone: on rows of at most 16 entries (every 2D row) the sort
+    is an insertion sort and keeps (cell, a, b) order; on longer rows (3D) it
+    is an introsort, which reorders equal indices.  The mirror makes the
+    matrix exactly symmetric, and entries that sum to exactly zero are
+    dropped.  Raises on the first degenerate simplex."""
+    import scipy.sparse as sp
+    n = mesh.n_free
+    vals = _local_values(mesh)
+    rows, cols = _local_rows_cols(mesh)
     # pairs with a boundary vertex are eliminated; the transposed mask hands
     # the COO its entries in (cell, a, b) order, one array at a time, so each
     # pair-major source is freed before the next copy
@@ -60,7 +89,110 @@ def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
     rows = rows.T[keep]
     cols = cols.T[keep]
     upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    del vals, rows, cols, gi, keep  # the mirror below holds three matrices at once
+    del vals, rows, cols, keep  # the mirror below holds three matrices at once
     full = (upper + sp.triu(upper, k=1).T).tocsr()
     full.eliminate_zeros()
     return full
+
+
+class StiffnessPattern:
+    """assemble's sums, found once for one mesh's cells and boundary vertices.
+
+    The pattern runs scipy's COO-to-CSR conversion and row sort, as assemble
+    does, on each local pair's position in _local_values instead of its
+    value.  The sort compares column indices only, so it leaves the
+    positions in the order in which it leaves the values.  The pattern keeps
+    that order (source), each entry's run of equal indices (slot), and the
+    upper triangle's rows and columns, all as int32.  It also keeps the
+    exactly symmetric structure without the slots that sum to zero, with
+    each stored entry's slot, and rebuilds it when a mesh's zero slots
+    differ from the last mesh's.
+
+    assemble(mesh) is then one gather of the local values, one np.add.at
+    and one more gather, to the same indptr, indices and data bytes as
+    assemble(mesh).  np.add.at adds each slot's values left to right from
+    0.0, as scipy's csr_sum_duplicates does from the first value; the two
+    differ only in the sign of a zero sum.  assemble's mirror adds zero to
+    every sum, which keeps its bits, and drops every zero, whatever its sign.
+    """
+
+    def __init__(self, mesh: SimplicialMesh):
+        import scipy.sparse._sparsetools as sparsetools
+        n = self._n = mesh.n_free
+        if n == 0:
+            raise ValueError("mesh has no free vertices; the Dirichlet system is empty")
+        self._cells, self._boundary = mesh.cells.astype(np.int32), mesh.boundary_mask
+        rows, cols = _local_rows_cols(mesh)
+        # every pair in (cell, a, b) order, without a mask: a pair with a
+        # boundary vertex (row -1, the largest uint32) goes to an extra row n
+        cell_major = np.empty(rows.shape[::-1], dtype=np.int32)
+        np.minimum(rows.T.view(np.uint32), n, out=cell_major.view(np.uint32))
+        rows, cols = cell_major.ravel(), np.ascontiguousarray(cols.T).ravel()
+        position = np.add.outer(np.arange(mesh.n_cells, dtype=np.float64),
+                                np.arange(0, rows.size, mesh.n_cells, dtype=np.float64)).ravel()
+        indptr = np.empty(n + 2, dtype=np.int32)
+        indices = np.empty(rows.size, dtype=np.int32)
+        payload = np.empty(rows.size)
+        sparsetools.coo_tocsr(n + 1, n, rows.size, rows, cols, position, indptr, indices, payload)
+        del rows, cols, cell_major, position
+        # scipy's sort_indices, on the n rows of the matrix
+        if not sparsetools.csr_has_sorted_indices(n, indptr, indices):
+            sparsetools.csr_sort_indices(n, indptr, indices, payload)
+        indptr = indptr[:-1]
+        self._source = payload[:indptr[-1]].astype(np.int32)
+        # csr_sum_duplicates on ones leaves the run lengths in payload and the
+        # upper triangle's rows and columns in indptr and indices
+        payload.fill(1.0)
+        sparsetools.csr_sum_duplicates(n, n, indptr, indices, payload)
+        n_upper = indptr[-1]
+        self._slot = np.repeat(np.arange(n_upper, dtype=np.int32), payload[:n_upper].astype(np.intp))
+        self._upper = indptr, indices[:n_upper].copy()
+        self._nonzero = self._full = None
+
+    def fits(self, mesh: SimplicialMesh) -> bool:
+        """Whether mesh has the pattern's cells and boundary vertices."""
+        return (np.array_equal(mesh.cells, self._cells)
+                and np.array_equal(mesh.boundary_mask, self._boundary))
+
+    def assemble(self, mesh: SimplicialMesh) -> sp.csr_matrix:
+        """assemble(mesh), bit for bit: through the pattern when mesh fits it,
+        through assemble itself when it does not."""
+        import scipy.sparse as sp
+        if not self.fits(mesh):
+            return assemble(mesh)
+        # indexing and np.add.at read the int32 arrays as they are; take and
+        # np.bincount would first copy them to int64
+        values = _local_values(mesh).ravel()[self._source]
+        upper = np.zeros(self._upper[1].size)
+        np.add.at(upper, self._slot, values)
+        del values
+        nonzero = upper != 0.0
+        if self._nonzero is None or not np.array_equal(nonzero, self._nonzero):
+            self._nonzero, self._full = nonzero, self._mirror(nonzero)
+        indptr, indices, entry = self._full
+        return sp.csr_matrix((upper[entry], indices.copy(), indptr.copy()), shape=(self._n, self._n))
+
+    def _mirror(self, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """indptr and indices of the symmetric matrix over the nonzero upper
+        slots, with each stored entry's slot, in assemble's sorted order."""
+        import scipy.sparse._sparsetools as sparsetools
+        n = self._n
+        indptr, indices = self._upper
+        kept = np.flatnonzero(nonzero).astype(np.int32)
+        counts = np.zeros(nonzero.size + 1, dtype=np.int32)
+        np.cumsum(nonzero, out=counts[1:])
+        indptr, indices = counts[indptr], indices[kept]
+        # the payload is slot + 1 > 0: the transpose's diagonal meets the upper
+        # triangle's in an elementwise maximum, and no entry reads as zero
+        kept += 1
+        t_indptr = np.empty(n + 1, dtype=np.int32)
+        t_indices = np.empty(kept.size, dtype=np.int32)
+        t_kept = np.empty(kept.size, dtype=np.int32)
+        sparsetools.csr_tocsc(n, n, indptr, indices, kept, t_indptr, t_indices, t_kept)
+        f_indptr = np.empty(n + 1, dtype=np.int32)
+        f_indices = np.empty(2 * kept.size, dtype=np.int32)
+        f_entry = np.empty(2 * kept.size, dtype=np.int32)
+        sparsetools.csr_maximum_csr(n, n, indptr, indices, kept, t_indptr, t_indices, t_kept,
+                                    f_indptr, f_indices, f_entry)
+        nnz = f_indptr[-1]
+        return f_indptr, f_indices[:nnz].copy(), f_entry[:nnz] - 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, Calibration, calibrate, estimates
-from .fem import assemble
+from .fem import StiffnessPattern, assemble
 from .meshgen import (
     GradingParams,
     LayerPosition,
@@ -130,14 +130,26 @@ def run_sweep(spec: SweepSpec) -> list[BoundReport]:
 
     Every point's statistics and matrix are prepared before any point is
     solved, so a mesh that build_mesh, patch_stats or assemble refuses costs
-    no solve.  A ConvergenceError or ValueError raised for a point gets
-    the prefix "sweep point <axis>=<value>".
+    no solve.  A sweep at fixed n assembles its points through one
+    StiffnessPattern, built from the first point's mesh (a later point whose
+    cells or boundary vertices differ from the first's goes through assemble),
+    to the same bits as assemble, and drops it before the first solve.  A
+    ConvergenceError or ValueError raised for a point gets the prefix
+    "sweep point <axis>=<value>".
     """
     cal = calibrate(spec.dim, spec.calibration_ref)
     built, rows = [], []
+    pattern = None
     try:
         for value in spec.values:
-            built.append((value, *prepare(spec.dim, spec.params_at(value))))
+            mesh = build_mesh(spec.dim, spec.params_at(value))
+            stats = patch_stats(mesh)
+            if spec.n is not None and pattern is None:
+                pattern = StiffnessPattern(mesh)
+            A = assemble(mesh) if pattern is None else pattern.assemble(mesh)
+            del mesh  # as prepare does, so that no mesh waits while the next is built
+            built.append((value, stats, A))
+        del pattern
         for value, stats, A in built:
             rows.append(analyze(stats, A, cal, spec.tol, value))
     except (ConvergenceError, ValueError) as exc:

@@ -2,10 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meshspectra import (
-    GradingParams, MeshFamily, NodeSet1D, SimplicialMesh, assemble, build_mesh, tensor_mesh,
+    GradingParams, LayerPosition, MeshFamily, NodeSet1D, SimplicialMesh, assemble, build_mesh,
+    tensor_mesh,
 )
+from meshspectra.fem import StiffnessPattern
 from meshspectra.meshgen import uniform_nodes
 
 from conftest import brute_assemble, local_stiffness
@@ -212,3 +216,101 @@ def test_assemble_positive_definite_random_vectors():
     for _ in range(20):
         u = rng.standard_normal(A.shape[0])
         assert u @ (A @ u) > 0.0
+
+
+# ------------------------------------------------------------ shared pattern
+
+
+def _assert_same_bytes(A, B):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# the swept setting of each graded family, and the range it is drawn from
+SWEPT = {
+    MeshFamily.SHISHKIN: ("eps", st.floats(1e-3, 0.5)),
+    MeshFamily.BAKHVALOV: ("eps", st.floats(1e-3, 0.5)),
+    MeshFamily.SINGLE_LAYER: ("eps", st.floats(1e-3, 0.5)),
+    MeshFamily.POWER: ("beta", st.floats(1.0, 4.0)),
+}
+
+
+@st.composite
+def fixed_n_points(draw):
+    """Two to four meshes of one family and one n that differ in eps or beta."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = 2 * draw(st.integers(1, 16 if dim == 2 else 4))
+    family = draw(st.sampled_from(sorted(SWEPT, key=lambda f: f.value)))
+    key, values = SWEPT[family]
+    settings_ = [{key: v} for v in draw(st.lists(values, min_size=2, max_size=4))]
+    if family in (MeshFamily.SHISHKIN, MeshFamily.BAKHVALOV) and draw(st.booleans()):
+        settings_ = [{**s, "layer_position": LayerPosition.INTERNAL} for s in settings_]
+    meshes = []
+    for s in settings_:
+        try:
+            meshes.append(build_mesh(dim, GradingParams(family, n, **s)))
+        except ValueError:  # a grading that build_mesh refuses at this n
+            assume(False)
+    return meshes
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(fixed_n_points())
+def test_stiffness_pattern_property(meshes):
+    # the first mesh's pattern assembles every mesh of its sweep as assemble does
+    pattern = StiffnessPattern(meshes[0])
+    for mesh in meshes:
+        assert pattern.fits(mesh)
+        _assert_same_bytes(pattern.assemble(mesh), assemble(mesh))
+
+
+def test_stiffness_pattern_hands_another_topology_to_assemble(monkeypatch):
+    import meshspectra.fem as fem
+
+    mesh = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1))
+    pattern = StiffnessPattern(mesh)
+    others = {
+        "other n": build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 16, eps=0.1)),
+        "other dim": build_mesh(3, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1)),
+        "cells in another order": replace(mesh, cells=mesh.cells[::-1]),
+        # the same cells, but no vertex on the box's boundary, so none is eliminated
+        "other boundary": replace(mesh, vertices=0.25 + 0.5 * mesh.vertices),
+    }
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return assemble(m)
+
+    monkeypatch.setattr(fem, "assemble", spy)
+    for name, other in others.items():
+        assert not pattern.fits(other), name
+        _assert_same_bytes(pattern.assemble(other), assemble(other))
+        assert calls[-1] is other
+    assert len(calls) == len(others)
+    # a mesh of the same topology goes through the pattern
+    same = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.01))
+    assert pattern.fits(same)
+    _assert_same_bytes(pattern.assemble(same), assemble(same))
+    assert len(calls) == len(others)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 6), (3, 4)])
+def test_stiffness_pattern_follows_a_mesh_whose_zeros_differ(dim, n):
+    # one interior vertex moved: the couplings across the Kuhn diagonals next
+    # to it are no longer exact zeros, so the stored entries change
+    mesh = build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n))
+    vertices = mesh.vertices.copy()
+    vertices[np.flatnonzero(~mesh.boundary_mask)[0]] += 0.1 / n
+    moved = replace(mesh, vertices=vertices)
+    assert assemble(moved).nnz > assemble(mesh).nnz
+    pattern = StiffnessPattern(mesh)
+    for m in (mesh, moved, moved, mesh):
+        _assert_same_bytes(pattern.assemble(m), assemble(m))
+
+
+def test_stiffness_pattern_refuses_a_mesh_with_no_free_vertices():
+    mesh = SimplicialMesh(UNIT_TRI, np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="^mesh has no free vertices; the Dirichlet system is empty$"):
+        StiffnessPattern(mesh)

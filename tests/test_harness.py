@@ -28,6 +28,7 @@ from meshspectra import (
     patch_stats,
     run_sweep,
 )
+from meshspectra.fem import StiffnessPattern
 from meshspectra.harness import csv_row
 
 CSV_HEADER = "param,n_free,lambda_exact,lambda_new,lambda_gm,lambda_khx,omega_min,k_min,M,H,seconds"
@@ -286,12 +287,74 @@ def test_run_sweep_labels_refused_points(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a point was solved before every point was assembled")
 
+    # a sweep at fixed n assembles through the first point's StiffnessPattern
     monkeypatch.setattr(hz, "assemble", refuse)
+    monkeypatch.setattr(StiffnessPattern, "assemble", lambda pattern, mesh: refuse(mesh))
     monkeypatch.setattr(hz, "lambda_min_sparse", no_solve)
     spec = SweepSpec(dim=2, family=MeshFamily.SHISHKIN, n=8, axis=SweepAxis.EPS,
                      values=(0.2, 0.1), calibration_ref=4)
     with pytest.raises(ValueError, match=r"^sweep point eps=0\.1: degenerate simplex$"):
         hz.run_sweep(spec)
+
+
+def test_fixed_n_fixture_sweeps_assemble_every_point_as_assemble(monkeypatch):
+    # the matrices a fixed-n sweep solves come from the first point's pattern,
+    # with the bytes assemble gives each mesh on its own
+    import meshspectra.fem as fem
+    import meshspectra.harness as hz
+
+    def not_assemble(mesh):
+        raise AssertionError("a point of a fixed-n sweep went through assemble")
+
+    solved = []
+    monkeypatch.setattr(hz, "analyze", lambda stats, A, *args: solved.append(A))
+    monkeypatch.setattr(hz, "assemble", not_assemble)
+    monkeypatch.setattr(fem, "assemble", not_assemble)
+    fixed_n = [spec for spec in FIXTURES.values() if spec.n is not None]
+    assert len(fixed_n) == 8
+    points = 0
+    for spec in fixed_n:
+        solved.clear()
+        hz.run_sweep(spec)
+        assert len(solved) == len(spec.values)
+        for value, A in zip(spec.values, solved):
+            expected = assemble(build_mesh(spec.dim, spec.params_at(value)))
+            for name in ("indptr", "indices", "data"):
+                assert getattr(A, name).tobytes() == getattr(expected, name).tobytes()
+            points += 1
+    assert points == 39
+
+
+def test_run_sweep_frees_each_mesh_and_the_pattern_before_the_first_solve(monkeypatch):
+    import meshspectra.harness as hz
+
+    meshes, patterns = [], []
+
+    def build(dim, params):
+        assert all(ref() is None for ref in meshes)  # the last point's mesh is freed
+        mesh = build_mesh(dim, params)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+
+    class Recorded(StiffnessPattern):
+        def __init__(self, mesh):
+            super().__init__(mesh)
+            patterns.append(weakref.ref(self))
+
+    def solve(A, tol):
+        assert all(ref() is None for ref in meshes + patterns)
+        return lambda_min_sparse(A, tol=tol)
+
+    monkeypatch.setattr(hz, "build_mesh", build)
+    monkeypatch.setattr(hz, "StiffnessPattern", Recorded)
+    monkeypatch.setattr(hz, "lambda_min_sparse", solve)
+    fixed_n = SweepSpec(dim=2, family=MeshFamily.SHISHKIN, n=8, axis=SweepAxis.EPS,
+                        values=(0.2, 0.1, 0.05), calibration_ref=4)
+    hz.run_sweep(fixed_n)
+    assert len(meshes) == 3 and len(patterns) == 1
+    # a sweep over n assembles each point on its own
+    hz.run_sweep(SHISHKIN_SMALL)
+    assert len(meshes) == 5 and len(patterns) == 1
 
 
 # --------------------------------------------------------------------- CSV
