@@ -8,8 +8,12 @@ the effect of mesh nonuniformity on the conditioning (Kamenski-Huang-Xu,
 Math. Comp. 83, 2014) but does not remove it.  That is enough for most 3D
 meshes, but on strongly graded 2D meshes the step count grows into the
 thousands.  There a smoothed-aggregation multigrid hierarchy, built from the
-matrix once with prolongators smoothed by the filtered matrix, gives a V-cycle
-preconditioner that needs far fewer steps.
+matrix once with prolongators smoothed by the filtered matrix, gives a cycle
+preconditioner that needs far fewer steps.  The cycle is a V-cycle except on
+level 1, which repeats its coarse correction MG_LEVEL1_CYCLES times (a W-type
+cycle there, Notay-Vassilevski, Numer. Linear Algebra Appl. 15, 2008): the
+rough solve of the first coarse level, not the smoother, is what the V-cycle's
+extra steps cost.
 
 A matrix with more than MG_EAGER_ROWS rows builds the hierarchy before the
 first step: on the 2D meshes of that size the probe below always calls for
@@ -32,18 +36,19 @@ returned as the error bound.  Inside a cluster of eigenvalues closer than the
 bound, the bound is the only accuracy guarantee.
 
 The fixed cost of a step is kept small, with bitwise the same results.  Every
-sparse product (LOBPCG's A x and A w, the V-cycle's A, P and P^T products)
+sparse product (LOBPCG's A x and A w, the cycle's A, P and P^T products)
 calls csr_matvec from scipy.sparse._sparsetools, the kernel behind A @ x,
 through _matvec into a zeroed preallocated vector, without A @ x's dispatch,
 fresh zeroed vector and copy; the kernel is private, so CI pins scipy.  The
-LOBPCG residual is allocated once per solve and the V-cycle's work vectors
-once per hierarchy.  The Rayleigh-Ritz step calls the LAPACK gufuncs behind
-numpy.linalg.cholesky, inv and eigh (numpy.linalg._umath_linalg) on its 3x3
-Gram matrices, and norms are sqrt(v @ v), without the wrappers' checks on
-every call.  scipy.linalg.lapack has the same kernels, but importing it
-raises the peak RSS of a sweep.  The hierarchy's build is trimmed the same
-way: its matrix products call csr_matmat, the kernel behind A @ B, through
-_matmat, without the symbolic pass that sizes A @ B's output.
+LOBPCG residual is allocated once per solve and the cycle's work vectors
+once per hierarchy, and the cycle writes straight into LOBPCG's w.  The
+Rayleigh-Ritz step calls the LAPACK gufuncs behind numpy.linalg.cholesky, inv
+and eigh (numpy.linalg._umath_linalg) on its 3x3 Gram matrices, and norms are
+sqrt(v @ v), without the wrappers' checks on every call.  scipy.linalg.lapack
+has the same kernels, but importing it raises the peak RSS of a sweep.  The
+hierarchy's build is trimmed the same way: its matrix products call
+csr_matmat, the kernel behind A @ B, through _matmat, without the symbolic
+pass that sizes A @ B's output.
 
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
@@ -86,6 +91,9 @@ MG_PROBE_STEP = 16
 MG_STRENGTH = 0.25
 # the coarsest level, solved exactly, has at most this many rows
 MG_COARSE_ROWS = 100
+# how many times level 1 does its coarse correction, when it is not the
+# coarsest level: its rough solve, not the smoother, is what costs the steps
+MG_LEVEL1_CYCLES = 3
 # a solve stops as stalled after this many steps without a new smallest ||r||:
 # below the rounding floor of about eps ||A|| the residual stops falling, and
 # the steps up to max_outer would be spent for nothing
@@ -309,7 +317,8 @@ def _aggregate(table: np.ndarray) -> np.ndarray:
 
 
 class _Multigrid:
-    """Smoothed-aggregation V-cycle (Vanek-Mandel-Brezina, Computing 56, 1996).
+    """Smoothed-aggregation multigrid cycle (Vanek-Mandel-Brezina, Computing
+    56, 1996).
 
     Levels are Galerkin products P^T A P of smoothed piecewise-constant
     prolongators until one has at most MG_COARSE_ROWS rows, which is solved
@@ -324,15 +333,20 @@ class _Multigrid:
     A_F and to the weighted inverse diagonals of A and A_F.  One damped-Jacobi
     sweep with the true A, of weight 4/(3 rho) before and after each coarse
     correction, rho the Gershgorin bound on D^-1 A, so that the weighted
-    D^-1 A has spectral radius at most 4/3 < 2: the cycle stays symmetric
-    positive definite whatever P is.  Raises np.linalg.LinAlgError when a
-    level is not positive definite.
+    D^-1 A has spectral radius at most 4/3 < 2.  Level 0 and the levels below
+    1 do one coarse correction (a V-cycle); level 1, when it is not the
+    coarsest level, does it MG_LEVEL1_CYCLES times, each followed by a sweep:
+    S (C S)^k with S the sweep, C the correction and k = MG_LEVEL1_CYCLES.  Every level's
+    sequence of steps is a palindrome of symmetric ones, so the cycle stays
+    symmetric positive definite whatever P is.  Raises np.linalg.LinAlgError
+    when a level is not positive definite.
 
     Work vectors are allocated once, with the hierarchy: each level's
     residual (which also takes its P x and A x products) and each coarser
-    level's right-hand side and iterate.  A call allocates only the finest
-    iterate, which it returns, and never writes b.  With no level (M has at
-    most MG_COARSE_ROWS rows) the cycle is the coarse solve alone.
+    level's right-hand side and iterate; level 1's repeats reuse them.  A
+    call allocates at most the finest iterate, which it returns, and never
+    writes b.  With no level (M has at most MG_COARSE_ROWS rows) the cycle is
+    the coarse solve alone.
     """
 
     def __init__(self, levels, coarse_inv):
@@ -376,21 +390,29 @@ class _Multigrid:
     def sizes(self) -> list[int]:
         return [A.shape[0] for A, *_ in self.levels] + [self.coarse_inv.shape[0]]
 
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        """The V-cycle applied to b, in a new array; b is not written."""
-        bs = [b, *self._b]
-        xs = [np.empty(b.shape[0]), *self._x]
-        for (A, wdinv, _, PT), r, b, x, bc in zip(self.levels, self._r, bs, xs, bs[1:]):
-            np.multiply(wdinv, b, out=x)
+    def __call__(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The cycle applied to b, in out (a new array when None); b is not
+        written and must not be out."""
+        x = np.empty(b.shape[0]) if out is None else out
+        self._cycle(0, b, x)
+        return x
+
+    def _cycle(self, i: int, b: np.ndarray, x: np.ndarray) -> None:
+        """x = the cycle from level i down, applied to b."""
+        if i == len(self.levels):
+            np.matmul(self.coarse_inv, b, out=x)
+            return
+        A, wdinv, P, PT = self.levels[i]
+        r, bc, xc = self._r[i], self._b[i], self._x[i]
+        np.multiply(wdinv, b, out=x)
+        for _ in range(MG_LEVEL1_CYCLES if i == 1 else 1):
             np.subtract(b, _matvec(A, x, r), out=r)
             _matvec(PT, r, bc)
-        np.matmul(self.coarse_inv, bs[-1], out=xs[-1])
-        for (A, wdinv, P, _), r, b, x, xc in reversed(list(zip(self.levels, self._r, bs, xs, xs[1:]))):
+            self._cycle(i + 1, bc, xc)
             x += _matvec(P, xc, r)
             np.subtract(b, _matvec(A, x, r), out=r)
             r *= wdinv
             x += r
-        return xs[0]
 
 
 def _build_pays(history: list[float], target: float) -> bool:
@@ -422,10 +444,10 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     """Smallest eigenvalue of the symmetric CSR matrix M (A in the formulas
     below) by preconditioned single-vector LOBPCG.
 
-    The multigrid V-cycle from the first step when M has more than
+    The multigrid cycle from the first step when M has more than
     MG_EAGER_ROWS rows; otherwise Jacobi preconditioning until the residual
     history predicts more than MG_SWITCH_STEP further Jacobi steps (see
-    _build_pays), the V-cycle from then on; Jacobi still when the matrix
+    _build_pays), the cycle from then on; Jacobi still when the matrix
     does not coarsen.
 
     Converged when the eigen-residual of the unit iterate x satisfies
@@ -436,7 +458,8 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     steps in a row bring no smaller ||r||, when the basis degenerates, or when
     a Rayleigh quotient that is not positive and finite or a multigrid level
     that is not positive definite shows A is not SPD; the message names the
-    step, the preconditioner in use and the last estimate and residual.  That
+    step, the preconditioner in use, the last estimate and residual and the
+    target tol * theta, and a stall's also the rounding floor u ||A||_inf.  That
     detection is best effort, not a check of A: an iterate that never meets
     a negative mode can converge to a positive eigenvalue above it, with a
     small error bound and nothing to say that A is indefinite.  Raises
@@ -463,16 +486,23 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     r = np.empty(M.shape[0])
     k = 2  # Ritz basis size; p joins after the first step
     it = 0
-    mg = None  # the V-cycle, once built
+    mg = None  # the multigrid cycle, once built
     eager = M.shape[0] > MG_EAGER_ROWS  # build before the first step, unprobed
     preconditioner = "Jacobi"
     history = []  # ||r|| after 0, 1, ... Jacobi steps
     best, best_step = math.inf, 0  # the smallest ||r|| so far, and its step
 
     def failure(reason: str) -> ConvergenceError:
+        target = f"target {tol * theta:.3g}"
+        if reason.startswith("stalled"):
+            # u ||A||_inf, u the unit roundoff: the rounding of A x in A's
+            # largest row, an upper scale (rows where x is small round less)
+            u = 0.5 * np.finfo(np.float64).eps
+            floor = u * float(np.max(np.add.reduceat(np.abs(M.data), M.indptr[:-1])))
+            target += f", rounding floor {floor:.3g}"
         return ConvergenceError(
             f"LOBPCG {reason} at step {it} (preconditioner {preconditioner}, "
-            f"last estimate {theta:.12g}, residual {resid:.3g}, target {tol * theta:.3g})"
+            f"last estimate {theta:.12g}, residual {resid:.3g}, {target})"
         )
 
     def rayleigh_quotient() -> tuple[float, float]:
@@ -532,7 +562,7 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
         if mg is None:
             np.multiply(dinv, r, out=w)
         else:
-            w[:] = mg(r)
+            mg(r, out=w)
         w /= _norm(w)
         _matvec(M, w, Aw)
         Q = B[:3] @ B.T  # [x, w, p] against [x, w, p, Ax, Aw, Ap]

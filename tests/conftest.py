@@ -4,7 +4,7 @@ statistics, the stiffness matrix, the smallest eigenvalue and the mesh text
 format, used to cross-check the vectorized implementations; the suite's
 conformity check, in sort-and-run-length form, with its counting oracle; and
 the average-patch form of the 3D kernel that cross-checks the estimators, the
-multigrid V-cycle in plain scipy products that cross-checks the one with work
+multigrid cycle in plain scipy products that cross-checks the one with work
 vectors, and the multigrid build's weighted inverse diagonal read back from a
 stored matrix and its MIS(2) aggregation in rounds over the whole strength
 table."""
@@ -25,7 +25,7 @@ from meshspectra import (
     cell_volumes,
 )
 from meshspectra.meshgen import _kuhn_permutations
-from meshspectra.spectra import _index_hash
+from meshspectra.spectra import MG_LEVEL1_CYCLES, _index_hash
 
 MAX_DENSE_DIM = 5000
 
@@ -74,21 +74,21 @@ def lambda_min_dense(A: sp.csr_matrix) -> float:
     return float(x @ (A @ x) / (x @ x))
 
 
-def reference_vcycle(mg, b: np.ndarray) -> np.ndarray:
-    """The V-cycle of the hierarchy mg applied to b, written with plain scipy
-    products that allocate every temporary: the same arithmetic in the same
-    order as spectra._Multigrid.__call__, without its work vectors."""
-    xs, bs = [], []
-    for A, wdinv, _, PT in mg.levels:
-        x = wdinv * b
-        xs.append(x)
-        bs.append(b)
-        b = PT @ (b - A @ x)
-    x = mg.coarse_inv @ b
-    for (A, wdinv, P, _), xf, bf in zip(reversed(mg.levels), reversed(xs), reversed(bs)):
-        xf += P @ x
-        xf += wdinv * (bf - A @ xf)
-        x = xf
+def reference_cycle(mg, b: np.ndarray, level: int = 0) -> np.ndarray:
+    """The multigrid cycle of the hierarchy mg from the given level down,
+    applied to b, written with plain scipy products that allocate every
+    temporary: one damped-Jacobi sweep, then the coarse correction and one
+    sweep, repeated MG_LEVEL1_CYCLES times on level 1 and done once on every
+    other level; the coarsest level is solved exactly.  The same arithmetic
+    in the same order as spectra._Multigrid.__call__, without its work
+    vectors."""
+    if level == len(mg.levels):
+        return mg.coarse_inv @ b
+    A, wdinv, P, PT = mg.levels[level]
+    x = wdinv * b
+    for _ in range(MG_LEVEL1_CYCLES if level == 1 else 1):
+        x += P @ reference_cycle(mg, PT @ (b - A @ x), level + 1)
+        x += wdinv * (b - A @ x)
     return x
 
 

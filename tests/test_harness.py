@@ -544,11 +544,11 @@ def test_fixture_matrices_and_volumes_are_bit_identical():
 
 # SHA-256 of the float-hex lambda_min, iterations, float-hex error_bound and
 # preconditioner of every point of one multigrid sweep and the two 3D Jacobi
-# sweeps whose lowest eigenvalues cluster, written when the multigrid sweep's
-# 16,129-row matrices first built their hierarchy before the first step
-# (MG_EAGER_ROWS).  The same at 2 and 4 OpenBLAS threads; one thread gives
-# ce5a3464e11ab137dacca74ecdec7f9ea8fcc9f6df11e7302a0b87527052892f (see the README)
-EIGEN_DIGEST = "3f4546977c76da4cadcc0901c638a466e9cee64bdd3370ea27422719ec35ff3f"
+# sweeps whose lowest eigenvalues cluster, written when the multigrid cycle
+# first repeated level 1's coarse correction (MG_LEVEL1_CYCLES).  The same at
+# 2 and 4 OpenBLAS threads; one thread gives
+# 8baeab2e7d5b5bdcc7e699e15437893f565464e19d28b91a9db18990ef0e8ab9 (see the README)
+EIGEN_DIGEST = "3fe1202cc0f477c727c1d91db327681af80047edf867a7fc5e9bf8322e669cb2"
 
 
 def test_fixture_eigen_results_are_bit_identical():

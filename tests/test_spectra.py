@@ -30,7 +30,7 @@ from conftest import (
     lambda_min_dense,
     reference_aggregate,
     reference_damped_inverse_diagonal,
-    reference_vcycle,
+    reference_cycle,
 )
 
 
@@ -266,9 +266,18 @@ def test_solve_below_the_rounding_floor_stops_as_stalled():
     # (its eigenvalues span 1e-3..1e3); the residual stops falling and the
     # solve stops after STALL_STEPS steps without a smaller one, not at
     # max_outer (median step 154, at most 329, over seeds 0-99)
+    A = random_symmetric(0)
     with pytest.raises(ConvergenceError, match="stalled \\(no smaller residual in 128 steps\\)") as info:
-        lambda_min_sparse(random_symmetric(0), tol=1e-13)
+        lambda_min_sparse(A, tol=1e-13)
     assert failure_state(info.value)[0] < 500
+    # the message names the target tol * theta and the rounding floor
+    # u ||A||_inf, which lies above the target here
+    match = re.search(r", target (\S+), rounding floor (\S+)\)$", str(info.value))
+    assert match, str(info.value)
+    target, floor = float(match.group(1)), float(match.group(2))
+    u = 0.5 * np.finfo(np.float64).eps
+    assert floor == pytest.approx(u * np.abs(A.toarray()).sum(axis=1).max(), rel=5e-3)
+    assert target < floor
 
 
 @pytest.mark.parametrize("max_outer", [150, 20000])
@@ -423,22 +432,30 @@ def test_multigrid_fallback_switch_matches_dense(monkeypatch):
     check_multigrid_path(spectra.MG_SWITCH_STEP + 1, spectra.MG_SWITCH_STEP + 1)
 
 
-def test_multigrid_step_count_internal_layer():
-    # Jacobi alone needs 1555 steps here, a fixed switch at step 129 took 173
-    # and the probe's switch at step 17 took 71; built before the first step, 55
-    A = assemble(
-        build_mesh(
-            2,
-            GradingParams(
-                MeshFamily.SHISHKIN, 128, eps=0.01, layer_position=LayerPosition.INTERNAL
-            ),
-        )
-    )
+def check_eager_step_count(params, sizes, steps):
+    # a 16,129-row matrix builds its hierarchy before the first step and
+    # converges within a few steps of the count measured when it was pinned
+    A = assemble(build_mesh(2, params))
     assert A.shape[0] > spectra.MG_EAGER_ROWS
     r = lambda_min_sparse(A)
-    assert switch_step(r.preconditioner, "16129/3159/666/146/26") == 1
-    assert r.iterations <= 60
+    assert switch_step(r.preconditioner, sizes) == 1
+    assert r.iterations <= steps + 3
     assert r.error_bound <= 1e-8 * r.lambda_min
+
+
+def test_multigrid_step_count_internal_layer():
+    # Jacobi alone needs 1555 steps here, a fixed switch at step 129 took 173
+    # and the probe's switch at step 17 took 71; built before the first step,
+    # 55 with a V-cycle and 35 with level 1's correction repeated
+    params = GradingParams(MeshFamily.SHISHKIN, 128, eps=0.01, layer_position=LayerPosition.INTERNAL)
+    check_eager_step_count(params, "16129/3159/666/146/26", 35)
+
+
+def test_multigrid_step_count_bakhvalov():
+    # the benchmark's hardest point: 63 steps with a V-cycle, 35 with level 1's
+    # correction repeated
+    params = GradingParams(MeshFamily.BAKHVALOV, 128, eps=0.01)
+    check_eager_step_count(params, "16129/3331/688/184/41", 35)
 
 
 def test_eager_rows_keep_every_3d_mesh_on_the_probe():
@@ -492,6 +509,8 @@ def test_eager_build_on_a_matrix_that_is_not_positive_definite():
     [
         (2, BAKHVALOV_32, [961, 234, 60]),
         (3, GradingParams(MeshFamily.POWER, 8, beta=3.0), [343, 98]),
+        # level 1 repeats a correction that is itself a V-cycle
+        (2, GradingParams(MeshFamily.POWER, 38, beta=4.0), [1369, 356, 104, 20]),
     ],
 )
 def test_vcycle_is_symmetric_positive_definite(dim, params, sizes):
@@ -513,10 +532,12 @@ def test_vcycle_is_symmetric_positive_definite(dim, params, sizes):
     [
         (BAKHVALOV_32, [961, 234, 60]),
         (GradingParams(MeshFamily.BAKHVALOV, 128, eps=0.01), [16129, 3331, 688, 184, 41]),
+        # level 1 is the exact coarse solve, so nothing repeats
+        (GradingParams(MeshFamily.UNIFORM, 16), [225, 34]),
         # at most MG_COARSE_ROWS rows: no level, the exact coarse solve only
         (GradingParams(MeshFamily.UNIFORM, 8), [49]),
     ],
-    ids=["bakhvalov-32", "bakhvalov-128", "no-level"],
+    ids=["bakhvalov-32", "bakhvalov-128", "two-level", "no-level"],
 )
 def test_vcycle_matches_the_plain_scipy_cycle_bit_for_bit(params, sizes):
     mg = spectra._Multigrid.build(assemble(build_mesh(2, params)))
@@ -526,11 +547,15 @@ def test_vcycle_matches_the_plain_scipy_cycle_bit_for_bit(params, sizes):
     b_before = b.copy()
     first = mg(b)
     assert b.tobytes() == b_before.tobytes()
-    assert first.tobytes() == reference_vcycle(mg, b).tobytes()
+    assert first.tobytes() == reference_cycle(mg, b).tobytes()
     first_before = first.copy()
     second = mg(c)
     assert first.tobytes() == first_before.tobytes()
-    assert second.tobytes() == reference_vcycle(mg, c).tobytes()
+    assert second.tobytes() == reference_cycle(mg, c).tobytes()
+    # written into a given array, as LOBPCG's w, the same bits
+    out = np.empty(sizes[0])
+    assert mg(c, out=out) is out
+    assert out.tobytes() == second.tobytes()
 
 
 # SHA-256 of the multigrid hierarchy of every FIXTURES point: per level the
