@@ -21,7 +21,10 @@ Every time is recorded raw and rescaled to a fixed machine speed by
 takes 1 ms), since the speed of a shared machine drifts between runs.  Each
 worker reports medians over its repeats; the file records, per side, the
 median and the quartiles over the runs, and the change from parent to here in
-percent of the parent's median.  Writes `bench/BENCH_multigrid_build.json`.
+percent of the parent's median.  An entry is `resolved` only when the two
+sides' quartile ranges do not overlap and the medians differ by more than the
+parent's own interquartile range; the change of an unresolved entry is not
+told from noise.  Writes `bench/BENCH_multigrid_build.json`.
 """
 
 from __future__ import annotations
@@ -133,7 +136,10 @@ def summary(values: list[float]) -> dict:
 
 def compare(parent: list[float], change: list[float]) -> dict:
     p, c = summary(parent), summary(change)
-    return {"parent": p, "change": c, "change_pct": 100.0 * (c["median"] / p["median"] - 1.0)}
+    resolved = ((c["q3"] < p["q1"] or c["q1"] > p["q3"])
+                and abs(c["median"] - p["median"]) > p["q3"] - p["q1"])
+    return {"parent": p, "change": c, "change_pct": 100.0 * (c["median"] / p["median"] - 1.0),
+            "resolved": resolved}
 
 
 def main() -> int:
@@ -200,7 +206,8 @@ def main() -> int:
     headline = {"fixture_builds_s": result["fixture_builds_s"], "fixture_sweeps_s": result["fixture_sweeps_s"],
                 **{f"{name} aggregate_level0_ms": entry["aggregate_level0_ms"] for name, entry in pinned.items()}}
     for what, scales in headline.items():
-        print(what, " ".join(f"{k} {v['change_pct']:+.1f}%" for k, v in scales.items()))
+        print(what, " ".join(f"{k} {v['change_pct']:+.1f}%{'' if v['resolved'] else ' (unresolved)'}"
+                             for k, v in scales.items()))
     return 0
 
 

@@ -116,12 +116,13 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from .bounds import calibrate
+    from .fem import StiffnessPattern
     from .harness import CSV_COLUMNS, analyze, csv_row, emit_csv, prepare
     from .spectra import check_tol
 
     check_tol(args.tol)
     # a mesh that prepare refuses costs no calibration
-    stats, A = prepare(args.dim, _params_from_args(args))
+    stats, A = prepare(args.dim, _params_from_args(args), StiffnessPattern())
     report = analyze(stats, A, calibrate(args.dim, args.ref), args.tol, args.n)
     # the CSV columns between param and seconds
     columns = zip(CSV_COLUMNS[1:10], csv_row(report)[1:])

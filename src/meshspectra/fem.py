@@ -7,16 +7,17 @@ c_a / det, with det and the cofactor vectors c_a read from the mesh's
 geometry (meshgen.simplex_cofactors, computed once per mesh and shared with
 cell_volumes), so the local entry |K| grad_a . grad_b is (c_a . c_b) /
 (d! |det|): closed form for d <= 3, no inverse.  All cells form one batch of
-array expressions, one contiguous row per local pair, and one COO scatter.
-On Kuhn tensor meshes every coupling that is zero in exact arithmetic is a sum
-of products with a zero factor, so it comes out as an exact zero and is not
-stored.  The result is a plain scipy CSR matrix; assemble imports scipy.sparse
-itself, so that the CLI commands that build no matrix never load scipy.
+array expressions, one contiguous row per local pair.  On Kuhn tensor meshes
+every coupling that is zero in exact arithmetic is a sum of products with a
+zero factor, so it comes out as an exact zero and is not stored.
 
-Meshes with the same cells and boundary vertices (the points of a sweep at
-fixed n) share one StiffnessPattern, which replays the order in which scipy
-sums assemble's duplicates, so each of them is assembled to the same bits
-without the COO conversion.
+Every matrix is assembled through a StiffnessPattern, which finds once per
+topology (cells and boundary vertices) in which order the local entries are
+summed, and derives a new topology in place when a mesh's differs: the points
+of a sweep at fixed n share one topology, those of an n-sweep each have their
+own.  assemble(mesh) goes through a fresh pattern.  The result is a plain
+scipy CSR matrix, exactly symmetric; the pattern imports scipy itself, so
+that the CLI commands that build no matrix never load it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ if TYPE_CHECKING:
 
 def _local_values(mesh: SimplicialMesh) -> np.ndarray:
     """Every cell's local entries (a, b), a <= b, one contiguous row over the
-    cells per pair, the pairs in np.triu_indices order.  Raises on a mesh
-    with no free vertex and on the first degenerate simplex."""
-    if mesh.n_free == 0:
-        raise ValueError("mesh has no free vertices; the Dirichlet system is empty")
+    cells per pair, the pairs in np.triu_indices order.  Raises on the first
+    degenerate simplex."""
     det, cof, scale = mesh.geometry
     bad = (scale == 0.0) | (np.abs(det) < 1e-14 * scale)
     if bad.any():
@@ -56,73 +55,73 @@ def _local_values(mesh: SimplicialMesh) -> np.ndarray:
     return vals
 
 
-def _local_rows_cols(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle row and column of every local pair, shaped like
-    _local_values; the row is -1 where the pair has a boundary vertex."""
-    a, b = np.triu_indices(mesh.dim + 1)
-    # int32, scipy's own index type below 2**31 rows, so the COO keeps these arrays
-    gi = mesh.free_index.astype(np.int32)[mesh.cells.T]
-    return np.minimum(gi[a], gi[b]), np.maximum(gi[a], gi[b])
-
-
-def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
-    """Assemble the stiffness matrix over free vertices.
-
-    Each cell's local pairs (a, b), a <= b, go to the upper triangle in (cell,
-    a, b) order.  scipy's COO-to-CSR conversion keeps that order within each
-    row, then sorts every row by column index alone and sums each run of
-    equal indices left to right.  So the order of the sums depends on the
-    index arrays alone: on rows of at most 16 entries (every 2D row) the sort
-    is an insertion sort and keeps (cell, a, b) order; on longer rows (3D) it
-    is an introsort, which reorders equal indices.  The mirror makes the
-    matrix exactly symmetric, and entries that sum to exactly zero are
-    dropped.  Raises on the first degenerate simplex."""
-    import scipy.sparse as sp
-    n = mesh.n_free
-    vals = _local_values(mesh)
-    rows, cols = _local_rows_cols(mesh)
-    # pairs with a boundary vertex are eliminated; the transposed mask hands
-    # the COO its entries in (cell, a, b) order, one array at a time, so each
-    # pair-major source is freed before the next copy
-    keep = (rows >= 0).T
-    vals = vals.T[keep]
-    rows = rows.T[keep]
-    cols = cols.T[keep]
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    del vals, rows, cols, keep  # the mirror below holds three matrices at once
-    full = (upper + sp.triu(upper, k=1).T).tocsr()
-    full.eliminate_zeros()
-    return full
-
-
 class StiffnessPattern:
-    """assemble's sums, found once for one mesh's cells and boundary vertices.
+    """The stiffness matrix of every mesh of one topology, its sums found once.
 
-    The pattern runs scipy's COO-to-CSR conversion and row sort, as assemble
-    does, on each local pair's position in _local_values instead of its
-    value.  The sort compares column indices only, so it leaves the
-    positions in the order in which it leaves the values.  The pattern keeps
-    that order (source), each entry's run of equal indices (slot), and the
-    upper triangle's rows and columns, all as int32.  It also keeps the
-    exactly symmetric structure without the slots that sum to zero, with
-    each stored entry's slot, and rebuilds it when a mesh's zero slots
-    differ from the last mesh's.
+    A topology is a mesh's cells and boundary vertices.  Each cell's local
+    pairs (a, b), a <= b, go to the upper triangle in (cell, a, b) order;
+    each row is then sorted by column index alone, as scipy's
+    csr_sort_indices does, and each run of equal indices is summed left to
+    right.  On rows of at most 16 entries (every 2D row) that sort is an
+    insertion sort and keeps (cell, a, b) order; on longer rows (3D) it is an
+    introsort, which reorders equal indices.  The order of the sums thus
+    depends on the index arrays alone, so the pattern runs scipy's
+    conversion and sort once, on each local pair's position in _local_values
+    instead of its value.  It keeps that order (source), each entry's run of
+    equal indices (slot), and the upper triangle's rows and columns, all as
+    int32.  It also keeps the exactly symmetric structure without the slots
+    that sum to zero, with each stored entry's slot, and rebuilds it when a
+    mesh's zero slots differ from the last mesh's.
 
-    assemble(mesh) is then one gather of the local values, one np.add.at
-    and one more gather, to the same indptr, indices and data bytes as
-    assemble(mesh).  np.add.at adds each slot's values left to right from
-    0.0, as scipy's csr_sum_duplicates does from the first value; the two
-    differ only in the sign of a zero sum.  assemble's mirror adds zero to
-    every sum, which keeps its bits, and drops every zero, whatever its sign.
+    assemble(mesh) is then one gather of the local values, one np.add.at and
+    one more gather.  A mesh of another topology first makes the pattern
+    derive that topology in place, the old one freed first.  np.add.at adds
+    each slot's values left to right from 0.0, so a sum differs from one
+    begun at its first value only in the sign of a zero, and the matrix
+    stores no zero, whatever its sign.
     """
 
-    def __init__(self, mesh: SimplicialMesh):
+    def __init__(self):
+        self._cells = self._boundary = None  # no topology until the first mesh
+
+    def fits(self, mesh: SimplicialMesh) -> bool:
+        """Whether mesh has the pattern's cells and boundary vertices."""
+        return (self._cells is not None and np.array_equal(mesh.cells, self._cells)
+                and np.array_equal(mesh.boundary_mask, self._boundary))
+
+    def assemble(self, mesh: SimplicialMesh) -> sp.csr_matrix:
+        """mesh's stiffness matrix, the pattern first derived from mesh's
+        topology when it does not fit.  Raises on a mesh with no free vertex
+        and on the first degenerate simplex."""
+        import scipy.sparse as sp
+        if not self.fits(mesh):
+            self._derive(mesh)
+        # indexing and np.add.at read the int32 arrays as they are; take and
+        # np.bincount would first copy them to int64
+        values = _local_values(mesh).ravel()[self._source]
+        upper = np.zeros(self._upper[1].size)
+        np.add.at(upper, self._slot, values)
+        del values
+        nonzero = upper != 0.0
+        if self._nonzero is None or not np.array_equal(nonzero, self._nonzero):
+            self._nonzero, self._full = nonzero, self._mirror(nonzero)
+        indptr, indices, entry = self._full
+        return sp.csr_matrix((upper[entry], indices.copy(), indptr.copy()), shape=(self._n, self._n))
+
+    def _derive(self, mesh: SimplicialMesh) -> None:
+        """Make mesh's cells and boundary vertices the pattern's topology."""
         import scipy.sparse._sparsetools as sparsetools
+        # the old topology goes first; the pattern fits no mesh until the new
+        # one is whole
+        self._cells = self._boundary = self._source = self._slot = self._upper = None
+        self._nonzero = self._full = None
         n = self._n = mesh.n_free
         if n == 0:
             raise ValueError("mesh has no free vertices; the Dirichlet system is empty")
-        self._cells, self._boundary = mesh.cells.astype(np.int32), mesh.boundary_mask
-        rows, cols = _local_rows_cols(mesh)
+        a, b = np.triu_indices(mesh.dim + 1)
+        gi = mesh.free_index.astype(np.int32)[mesh.cells.T]
+        rows, cols = np.minimum(gi[a], gi[b]), np.maximum(gi[a], gi[b])
+        del gi
         # every pair in (cell, a, b) order, without a mask: a pair with a
         # boundary vertex (row -1, the largest uint32) goes to an extra row n
         cell_major = np.empty(rows.shape[::-1], dtype=np.int32)
@@ -147,34 +146,11 @@ class StiffnessPattern:
         n_upper = indptr[-1]
         self._slot = np.repeat(np.arange(n_upper, dtype=np.int32), payload[:n_upper].astype(np.intp))
         self._upper = indptr, indices[:n_upper].copy()
-        self._nonzero = self._full = None
-
-    def fits(self, mesh: SimplicialMesh) -> bool:
-        """Whether mesh has the pattern's cells and boundary vertices."""
-        return (np.array_equal(mesh.cells, self._cells)
-                and np.array_equal(mesh.boundary_mask, self._boundary))
-
-    def assemble(self, mesh: SimplicialMesh) -> sp.csr_matrix:
-        """assemble(mesh), bit for bit: through the pattern when mesh fits it,
-        through assemble itself when it does not."""
-        import scipy.sparse as sp
-        if not self.fits(mesh):
-            return assemble(mesh)
-        # indexing and np.add.at read the int32 arrays as they are; take and
-        # np.bincount would first copy them to int64
-        values = _local_values(mesh).ravel()[self._source]
-        upper = np.zeros(self._upper[1].size)
-        np.add.at(upper, self._slot, values)
-        del values
-        nonzero = upper != 0.0
-        if self._nonzero is None or not np.array_equal(nonzero, self._nonzero):
-            self._nonzero, self._full = nonzero, self._mirror(nonzero)
-        indptr, indices, entry = self._full
-        return sp.csr_matrix((upper[entry], indices.copy(), indptr.copy()), shape=(self._n, self._n))
+        self._cells, self._boundary = mesh.cells.astype(np.int32), mesh.boundary_mask
 
     def _mirror(self, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """indptr and indices of the symmetric matrix over the nonzero upper
-        slots, with each stored entry's slot, in assemble's sorted order."""
+        slots, with each stored entry's slot, each row sorted by column."""
         import scipy.sparse._sparsetools as sparsetools
         n = self._n
         indptr, indices = self._upper
@@ -196,3 +172,8 @@ class StiffnessPattern:
                                     f_indptr, f_indices, f_entry)
         nnz = f_indptr[-1]
         return f_indptr, f_indices[:nnz].copy(), f_entry[:nnz] - 1
+
+
+def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
+    """The stiffness matrix over mesh's free vertices, through a fresh StiffnessPattern."""
+    return StiffnessPattern().assemble(mesh)

@@ -1,13 +1,13 @@
 """Parameter sweeps over mesh families, CSV tables, and log-log SVG plots.
 
 A sweep fixes one grading family and varies a single axis (mesh size n, layer
-width eps, or grading exponent beta).  A sweep first builds every point's mesh,
-its statistics and its stiffness matrix; then it computes each point's exact
-smallest eigenvalue and evaluates the three calibrated estimates.  Calibration
-is computed once per sweep from the pinned uniform reference mesh, whose
-eigenvalue is known in closed form.  Output is deterministic: the CSV's
-seconds column is always 0, so two runs of the same spec produce
-byte-identical CSV.
+width eps, or grading exponent beta).  A sweep first prepares every point:
+its mesh, its statistics and its stiffness matrix, all assembled through one
+StiffnessPattern; then it computes each point's exact smallest eigenvalue and
+evaluates the three calibrated estimates.  Calibration is computed once per
+sweep from the pinned uniform reference mesh, whose eigenvalue is known in
+closed form.  Output is deterministic: the CSV's seconds column is always 0,
+so two runs of the same spec produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, Calibration, calibrate, estimates
-from .fem import StiffnessPattern, assemble
+from .fem import StiffnessPattern
 from .meshgen import (
     GradingParams,
     LayerPosition,
@@ -104,12 +104,14 @@ class SweepSpec:
         return GradingParams(self.family, layer_position=self.layer_position, **settings)
 
 
-def prepare(dim: int, params: GradingParams) -> tuple[PatchStats, sp.csr_matrix]:
-    """One mesh's statistics and assembled matrix.  The mesh and its geometry
-    are freed on return, so a prepared point holds no mesh while it waits to
-    be solved."""
+def prepare(dim: int, params: GradingParams,
+            pattern: StiffnessPattern) -> tuple[PatchStats, sp.csr_matrix]:
+    """One mesh's statistics and its matrix, assembled through pattern, which
+    derives the mesh's topology when it has another.  The mesh and its
+    geometry are freed on return, so a prepared point holds no mesh while it
+    waits to be solved."""
     mesh = build_mesh(dim, params)
-    return patch_stats(mesh), assemble(mesh)
+    return patch_stats(mesh), pattern.assemble(mesh)
 
 
 def analyze(stats: PatchStats, A, cal: Calibration, tol: float = 1e-8, param=0.0) -> BoundReport:
@@ -128,27 +130,19 @@ def csv_row(r: BoundReport) -> tuple:
 def run_sweep(spec: SweepSpec) -> list[BoundReport]:
     """One BoundReport per sweep value, under a single shared calibration.
 
-    Every point's statistics and matrix are prepared before any point is
-    solved, so a mesh that build_mesh, patch_stats or assemble refuses costs
-    no solve.  A sweep at fixed n assembles its points through one
-    StiffnessPattern, built from the first point's mesh (a later point whose
-    cells or boundary vertices differ from the first's goes through assemble),
-    to the same bits as assemble, and drops it before the first solve.  A
+    Every point is prepared before any point is solved, so a mesh that
+    build_mesh, patch_stats or the assembly refuses costs no solve.  The
+    points share one StiffnessPattern, which a sweep at fixed n derives once
+    and an n-sweep at every point; it is dropped before the first solve.  A
     ConvergenceError or ValueError raised for a point gets the prefix
     "sweep point <axis>=<value>".
     """
     cal = calibrate(spec.dim, spec.calibration_ref)
     built, rows = [], []
-    pattern = None
+    pattern = StiffnessPattern()
     try:
         for value in spec.values:
-            mesh = build_mesh(spec.dim, spec.params_at(value))
-            stats = patch_stats(mesh)
-            if spec.n is not None and pattern is None:
-                pattern = StiffnessPattern(mesh)
-            A = assemble(mesh) if pattern is None else pattern.assemble(mesh)
-            del mesh  # as prepare does, so that no mesh waits while the next is built
-            built.append((value, stats, A))
+            built.append((value, *prepare(spec.dim, spec.params_at(value), pattern)))
         del pattern
         for value, stats, A in built:
             rows.append(analyze(stats, A, cal, spec.tol, value))

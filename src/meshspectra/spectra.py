@@ -95,7 +95,7 @@ MG_COARSE_ROWS = 100
 # coarsest level: its rough solve, not the smoother, is what costs the steps
 MG_LEVEL1_CYCLES = 3
 # a solve stops as stalled after this many steps without a new smallest ||r||:
-# below the rounding floor of about eps ||A|| the residual stops falling, and
+# below the rounding floor of about u || |A| |x| || the residual stops falling, and
 # the steps up to max_outer would be spent for nothing
 STALL_STEPS = 128
 
@@ -459,10 +459,11 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     a Rayleigh quotient that is not positive and finite or a multigrid level
     that is not positive definite shows A is not SPD; the message names the
     step, the preconditioner in use, the last estimate and residual and the
-    target tol * theta, and a stall's also the rounding floor u ||A||_inf.  That
-    detection is best effort, not a check of A: an iterate that never meets
-    a negative mode can converge to a positive eigenvalue above it, with a
-    small error bound and nothing to say that A is indefinite.  Raises
+    target tol * theta, and a stall's also the rounding floor u || |A| |x| ||
+    at the last iterate x.  The SPD detection is best effort, not a check of
+    A: an iterate that never meets a negative mode can converge to a
+    positive eigenvalue above it, with a small error bound and nothing to
+    say that A is indefinite.  Raises
     ValueError before the first step when tol fails check_tol, M is
     not square, not float64 CSR (the products read its CSR arrays) or empty,
     or a diagonal entry is not positive and finite.
@@ -495,10 +496,9 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     def failure(reason: str) -> ConvergenceError:
         target = f"target {tol * theta:.3g}"
         if reason.startswith("stalled"):
-            # u ||A||_inf, u the unit roundoff: the rounding of A x in A's
-            # largest row, an upper scale (rows where x is small round less)
-            u = 0.5 * np.finfo(np.float64).eps
-            floor = u * float(np.max(np.add.reduceat(np.abs(M.data), M.indptr[:-1])))
+            # u || |A| |x| ||, u the unit roundoff: the componentwise rounding
+            # of A x at the last iterate, row by row
+            floor = 0.5 * np.finfo(np.float64).eps * _norm(abs(M) @ np.abs(x))
             target += f", rounding floor {floor:.3g}"
         return ConvergenceError(
             f"LOBPCG {reason} at step {it} (preconditioner {preconditioner}, "

@@ -1,7 +1,8 @@
 """Shared brute-force oracles: slow, independent recomputations of the tensor
 meshes (and the index-grid form of the any-dimension builder), the mesh
 statistics, the stiffness matrix, the smallest eigenvalue and the mesh text
-format, used to cross-check the vectorized implementations; the suite's
+format, used to cross-check the vectorized implementations; the COO assembly
+whose bytes every stiffness matrix must reproduce; the suite's
 conformity check, in sort-and-run-length form, with its counting oracle; and
 the average-patch form of the 3D kernel that cross-checks the estimators, the
 multigrid cycle in plain scipy products that cross-checks the one with work
@@ -24,6 +25,7 @@ from meshspectra import (
     SimplicialMesh,
     cell_volumes,
 )
+from meshspectra.fem import _local_values
 from meshspectra.meshgen import _kuhn_permutations
 from meshspectra.spectra import MG_LEVEL1_CYCLES, _index_hash
 
@@ -324,6 +326,27 @@ def brute_assemble(mesh: SimplicialMesh, local=brute_local_stiffness) -> sp.csr_
                 cols.append(j)
                 vals.append(k[a, b])
     upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    full = (upper + sp.triu(upper, k=1).T).tocsr()
+    full.eliminate_zeros()
+    return full
+
+
+def coo_assemble(mesh: SimplicialMesh) -> sp.csr_matrix:
+    """The stiffness matrix through scipy's COO-to-CSR conversion, the bit
+    reference of fem.StiffnessPattern.  Each cell's local pairs (a, b), a <= b,
+    go to the upper triangle in (cell, a, b) order; tocsr sorts each row by
+    column index alone and sums each run of equal indices left to right; the
+    mirror makes the matrix exactly symmetric, and exact zeros are dropped."""
+    n = mesh.n_free
+    vals = _local_values(mesh)
+    a, b = np.triu_indices(mesh.dim + 1)
+    # int32, scipy's own index type below 2**31 rows, so the COO keeps these arrays
+    gi = mesh.free_index.astype(np.int32)[mesh.cells.T]
+    rows, cols = np.minimum(gi[a], gi[b]), np.maximum(gi[a], gi[b])
+    # pairs with a boundary vertex are eliminated; the transposed mask hands
+    # the COO its entries in (cell, a, b) order
+    keep = (rows >= 0).T
+    upper = sp.coo_matrix((vals.T[keep], (rows.T[keep], cols.T[keep])), shape=(n, n)).tocsr()
     full = (upper + sp.triu(upper, k=1).T).tocsr()
     full.eliminate_zeros()
     return full

@@ -12,7 +12,7 @@ from meshspectra import (
 from meshspectra.fem import StiffnessPattern
 from meshspectra.meshgen import uniform_nodes
 
-from conftest import brute_assemble, local_stiffness
+from conftest import brute_assemble, coo_assemble, local_stiffness
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -255,21 +255,30 @@ def fixed_n_points(draw):
     return meshes
 
 
+@st.composite
+def pattern_sequences(draw):
+    """fixed_n_points, in some draws with the first mesh of another dim or n
+    partway, so that a pattern derives that topology and then the first again."""
+    meshes = draw(fixed_n_points())
+    if draw(st.booleans()):
+        other = draw(fixed_n_points())[0]
+        assume(other.cells.shape != meshes[0].cells.shape)
+        meshes.insert(draw(st.integers(1, len(meshes) - 1)), other)
+    return meshes
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(fixed_n_points())
+@given(pattern_sequences())
 def test_stiffness_pattern_property(meshes):
-    # the first mesh's pattern assembles every mesh of its sweep as assemble does
-    pattern = StiffnessPattern(meshes[0])
+    # one pattern assembles every mesh of the sequence as the COO reference does
+    pattern = StiffnessPattern()
     for mesh in meshes:
+        _assert_same_bytes(pattern.assemble(mesh), coo_assemble(mesh))
         assert pattern.fits(mesh)
-        _assert_same_bytes(pattern.assemble(mesh), assemble(mesh))
 
 
-def test_stiffness_pattern_hands_another_topology_to_assemble(monkeypatch):
-    import meshspectra.fem as fem
-
+def test_stiffness_pattern_derives_another_topology(monkeypatch):
     mesh = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1))
-    pattern = StiffnessPattern(mesh)
     others = {
         "other n": build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 16, eps=0.1)),
         "other dim": build_mesh(3, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.1)),
@@ -277,23 +286,28 @@ def test_stiffness_pattern_hands_another_topology_to_assemble(monkeypatch):
         # the same cells, but no vertex on the box's boundary, so none is eliminated
         "other boundary": replace(mesh, vertices=0.25 + 0.5 * mesh.vertices),
     }
-    calls = []
+    derived = []
+    derive = StiffnessPattern._derive
 
-    def spy(m):
-        calls.append(m)
-        return assemble(m)
+    def spy(pattern, m):
+        derived.append(m)
+        derive(pattern, m)
 
-    monkeypatch.setattr(fem, "assemble", spy)
+    monkeypatch.setattr(StiffnessPattern, "_derive", spy)
+    pattern = StiffnessPattern()
+    # a mesh of the same topology reuses the first mesh's
+    same = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.01))
+    for m in (mesh, same):
+        _assert_same_bytes(pattern.assemble(m), coo_assemble(m))
+    assert len(derived) == 1 and derived[0] is mesh
     for name, other in others.items():
         assert not pattern.fits(other), name
-        _assert_same_bytes(pattern.assemble(other), assemble(other))
-        assert calls[-1] is other
-    assert len(calls) == len(others)
-    # a mesh of the same topology goes through the pattern
-    same = build_mesh(2, GradingParams(MeshFamily.SHISHKIN, 8, eps=0.01))
-    assert pattern.fits(same)
-    _assert_same_bytes(pattern.assemble(same), assemble(same))
-    assert len(calls) == len(others)
+        _assert_same_bytes(pattern.assemble(other), coo_assemble(other))
+        assert derived[-1] is other and not pattern.fits(mesh), name
+        # and back to the first topology
+        _assert_same_bytes(pattern.assemble(same), coo_assemble(same))
+        assert derived[-1] is same, name
+    assert len(derived) == 1 + 2 * len(others)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 6), (3, 4)])
@@ -304,13 +318,19 @@ def test_stiffness_pattern_follows_a_mesh_whose_zeros_differ(dim, n):
     vertices = mesh.vertices.copy()
     vertices[np.flatnonzero(~mesh.boundary_mask)[0]] += 0.1 / n
     moved = replace(mesh, vertices=vertices)
-    assert assemble(moved).nnz > assemble(mesh).nnz
-    pattern = StiffnessPattern(mesh)
+    assert coo_assemble(moved).nnz > coo_assemble(mesh).nnz
+    pattern = StiffnessPattern()
     for m in (mesh, moved, moved, mesh):
-        _assert_same_bytes(pattern.assemble(m), assemble(m))
+        _assert_same_bytes(pattern.assemble(m), coo_assemble(m))
 
 
 def test_stiffness_pattern_refuses_a_mesh_with_no_free_vertices():
-    mesh = SimplicialMesh(UNIT_TRI, np.array([[0, 1, 2]]))
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    empty = SimplicialMesh(UNIT_TRI, np.array([[0, 1, 2]]))
+    pattern = StiffnessPattern()
+    pattern.assemble(mesh)
     with pytest.raises(ValueError, match="^mesh has no free vertices; the Dirichlet system is empty$"):
-        StiffnessPattern(mesh)
+        pattern.assemble(empty)
+    # the refused derivation dropped the last topology first
+    assert not pattern.fits(mesh) and not pattern.fits(empty)
+    _assert_same_bytes(pattern.assemble(mesh), coo_assemble(mesh))

@@ -31,6 +31,8 @@ from meshspectra import (
 from meshspectra.fem import StiffnessPattern
 from meshspectra.harness import csv_row
 
+from conftest import coo_assemble
+
 CSV_HEADER = "param,n_free,lambda_exact,lambda_new,lambda_gm,lambda_khx,omega_min,k_min,M,H,seconds"
 
 SHISHKIN_SMALL = SweepSpec(
@@ -264,10 +266,10 @@ def test_prepare_frees_the_mesh_on_return(monkeypatch):
 
     monkeypatch.setattr(hz, "build_mesh", build)
     params = SHISHKIN_SMALL.params_at(8)
-    stats, A = hz.prepare(2, params)
+    stats, A = hz.prepare(2, params, StiffnessPattern())
     assert len(built) == 1 and built[0]() is None
     mesh = build_mesh(2, params)
-    expected = assemble(mesh)
+    expected = coo_assemble(mesh)
     assert stats.patch_volumes.tobytes() == patch_stats(mesh).patch_volumes.tobytes()
     for name in ("data", "indices", "indptr"):
         assert getattr(A, name).tobytes() == getattr(expected, name).tobytes()
@@ -277,58 +279,53 @@ def test_run_sweep_labels_refused_points(monkeypatch):
     import meshspectra.harness as hz
 
     assembled = []
+    assemble_through = StiffnessPattern.assemble
 
-    def refuse(mesh):
+    def refuse(pattern, mesh):
         assembled.append(mesh)
         if len(assembled) == 2:
             raise ValueError("degenerate simplex")
-        return assemble(mesh)
+        return assemble_through(pattern, mesh)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a point was solved before every point was assembled")
 
-    # a sweep at fixed n assembles through the first point's StiffnessPattern
-    monkeypatch.setattr(hz, "assemble", refuse)
-    monkeypatch.setattr(StiffnessPattern, "assemble", lambda pattern, mesh: refuse(mesh))
+    # every point is assembled through the sweep's one StiffnessPattern
+    monkeypatch.setattr(StiffnessPattern, "assemble", refuse)
     monkeypatch.setattr(hz, "lambda_min_sparse", no_solve)
-    spec = SweepSpec(dim=2, family=MeshFamily.SHISHKIN, n=8, axis=SweepAxis.EPS,
-                     values=(0.2, 0.1), calibration_ref=4)
-    with pytest.raises(ValueError, match=r"^sweep point eps=0\.1: degenerate simplex$"):
-        hz.run_sweep(spec)
+    for spec in (SweepSpec(dim=2, family=MeshFamily.SHISHKIN, n=8, axis=SweepAxis.EPS,
+                           values=(0.2, 0.1), calibration_ref=4),
+                 replace(SHISHKIN_SMALL, calibration_ref=4)):
+        assembled.clear()
+        label = f"{spec.axis.value}={spec.values[1]}"
+        with pytest.raises(ValueError, match=rf"^sweep point {label}: degenerate simplex$"):
+            hz.run_sweep(spec)
 
 
-def test_fixed_n_fixture_sweeps_assemble_every_point_as_assemble(monkeypatch):
-    # the matrices a fixed-n sweep solves come from the first point's pattern,
-    # with the bytes assemble gives each mesh on its own
-    import meshspectra.fem as fem
+def test_fixture_sweeps_solve_the_coo_assembly_of_every_point(monkeypatch):
+    # the matrix each fixture sweep solves has the bytes of its mesh's COO
+    # assembly, whether its points share a topology (fixed n) or not
     import meshspectra.harness as hz
-
-    def not_assemble(mesh):
-        raise AssertionError("a point of a fixed-n sweep went through assemble")
 
     solved = []
     monkeypatch.setattr(hz, "analyze", lambda stats, A, *args: solved.append(A))
-    monkeypatch.setattr(hz, "assemble", not_assemble)
-    monkeypatch.setattr(fem, "assemble", not_assemble)
-    fixed_n = [spec for spec in FIXTURES.values() if spec.n is not None]
-    assert len(fixed_n) == 8
     points = 0
-    for spec in fixed_n:
+    for spec in FIXTURES.values():
         solved.clear()
         hz.run_sweep(spec)
         assert len(solved) == len(spec.values)
         for value, A in zip(spec.values, solved):
-            expected = assemble(build_mesh(spec.dim, spec.params_at(value)))
+            expected = coo_assemble(build_mesh(spec.dim, spec.params_at(value)))
             for name in ("indptr", "indices", "data"):
                 assert getattr(A, name).tobytes() == getattr(expected, name).tobytes()
             points += 1
-    assert points == 39
+    assert points == 89
 
 
 def test_run_sweep_frees_each_mesh_and_the_pattern_before_the_first_solve(monkeypatch):
     import meshspectra.harness as hz
 
-    meshes, patterns = [], []
+    meshes, patterns, derived = [], [], []
 
     def build(dim, params):
         assert all(ref() is None for ref in meshes)  # the last point's mesh is freed
@@ -337,9 +334,13 @@ def test_run_sweep_frees_each_mesh_and_the_pattern_before_the_first_solve(monkey
         return mesh
 
     class Recorded(StiffnessPattern):
-        def __init__(self, mesh):
-            super().__init__(mesh)
+        def __init__(self):
+            super().__init__()
             patterns.append(weakref.ref(self))
+
+        def _derive(self, mesh):
+            derived.append(mesh.n_free)
+            super()._derive(mesh)
 
     def solve(A, tol):
         assert all(ref() is None for ref in meshes + patterns)
@@ -348,13 +349,18 @@ def test_run_sweep_frees_each_mesh_and_the_pattern_before_the_first_solve(monkey
     monkeypatch.setattr(hz, "build_mesh", build)
     monkeypatch.setattr(hz, "StiffnessPattern", Recorded)
     monkeypatch.setattr(hz, "lambda_min_sparse", solve)
+    # one pattern per sweep: a sweep at fixed n derives its one topology once,
+    # an n-sweep one per point
     fixed_n = SweepSpec(dim=2, family=MeshFamily.SHISHKIN, n=8, axis=SweepAxis.EPS,
                         values=(0.2, 0.1, 0.05), calibration_ref=4)
-    hz.run_sweep(fixed_n)
-    assert len(meshes) == 3 and len(patterns) == 1
-    # a sweep over n assembles each point on its own
-    hz.run_sweep(SHISHKIN_SMALL)
-    assert len(meshes) == 5 and len(patterns) == 1
+    n_sweep = replace(SHISHKIN_SMALL, values=(8, 16, 32), calibration_ref=4)
+    for spec, n_free in ((fixed_n, [49]), (n_sweep, [49, 225, 961])):
+        meshes.clear()
+        patterns.clear()
+        derived.clear()
+        hz.run_sweep(spec)
+        assert len(meshes) == 3 and len(patterns) == 1
+        assert derived == n_free
 
 
 # --------------------------------------------------------------------- CSV

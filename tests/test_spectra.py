@@ -271,12 +271,15 @@ def test_solve_below_the_rounding_floor_stops_as_stalled():
         lambda_min_sparse(A, tol=1e-13)
     assert failure_state(info.value)[0] < 500
     # the message names the target tol * theta and the rounding floor
-    # u ||A||_inf, which lies above the target here
+    # u || |A| |x| || at the last iterate, which lies above the target here;
+    # the iterate is the eigenvector to far below the message's three digits
     match = re.search(r", target (\S+), rounding floor (\S+)\)$", str(info.value))
     assert match, str(info.value)
     target, floor = float(match.group(1)), float(match.group(2))
     u = 0.5 * np.finfo(np.float64).eps
-    assert floor == pytest.approx(u * np.abs(A.toarray()).sum(axis=1).max(), rel=5e-3)
+    dense = A.toarray()
+    v = np.linalg.eigh(dense)[1][:, 0]
+    assert floor == pytest.approx(u * np.linalg.norm(np.abs(dense) @ np.abs(v)), rel=5e-3)
     assert target < floor
 
 
