@@ -16,21 +16,19 @@ topology (cells and boundary vertices) in which order the local entries are
 summed, and derives a new topology in place when a mesh's differs: the points
 of a sweep at fixed n share one topology, those of an n-sweep each have their
 own.  assemble(mesh) goes through a fresh pattern.  The result is a plain
-scipy CSR matrix, exactly symmetric; the pattern imports scipy itself, so
-that the CLI commands that build no matrix never load it.
+scipy CSR matrix, exactly symmetric.  The CLI commands that build no matrix
+never import this module, so they never load scipy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse._sparsetools as sparsetools
 
 from .meshgen import SimplicialMesh
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 def _local_values(mesh: SimplicialMesh) -> np.ndarray:
@@ -93,7 +91,6 @@ class StiffnessPattern:
         """mesh's stiffness matrix, the pattern first derived from mesh's
         topology when it does not fit.  Raises on a mesh with no free vertex
         and on the first degenerate simplex."""
-        import scipy.sparse as sp
         if not self.fits(mesh):
             self._derive(mesh)
         # indexing and np.add.at read the int32 arrays as they are; take and
@@ -110,7 +107,6 @@ class StiffnessPattern:
 
     def _derive(self, mesh: SimplicialMesh) -> None:
         """Make mesh's cells and boundary vertices the pattern's topology."""
-        import scipy.sparse._sparsetools as sparsetools
         # the old topology goes first; the pattern fits no mesh until the new
         # one is whole
         self._cells = self._boundary = self._source = self._slot = self._upper = None
@@ -151,27 +147,15 @@ class StiffnessPattern:
     def _mirror(self, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """indptr and indices of the symmetric matrix over the nonzero upper
         slots, with each stored entry's slot, each row sorted by column."""
-        import scipy.sparse._sparsetools as sparsetools
-        n = self._n
         indptr, indices = self._upper
         kept = np.flatnonzero(nonzero).astype(np.int32)
         counts = np.zeros(nonzero.size + 1, dtype=np.int32)
         np.cumsum(nonzero, out=counts[1:])
-        indptr, indices = counts[indptr], indices[kept]
         # the payload is slot + 1 > 0: the transpose's diagonal meets the upper
         # triangle's in an elementwise maximum, and no entry reads as zero
-        kept += 1
-        t_indptr = np.empty(n + 1, dtype=np.int32)
-        t_indices = np.empty(kept.size, dtype=np.int32)
-        t_kept = np.empty(kept.size, dtype=np.int32)
-        sparsetools.csr_tocsc(n, n, indptr, indices, kept, t_indptr, t_indices, t_kept)
-        f_indptr = np.empty(n + 1, dtype=np.int32)
-        f_indices = np.empty(2 * kept.size, dtype=np.int32)
-        f_entry = np.empty(2 * kept.size, dtype=np.int32)
-        sparsetools.csr_maximum_csr(n, n, indptr, indices, kept, t_indptr, t_indices, t_kept,
-                                    f_indptr, f_indices, f_entry)
-        nnz = f_indptr[-1]
-        return f_indptr, f_indices[:nnz].copy(), f_entry[:nnz] - 1
+        upper = sp.csr_matrix((kept + 1, indices[kept], counts[indptr]), shape=(self._n, self._n))
+        full = upper.maximum(upper.T.tocsr())
+        return full.indptr, full.indices, full.data - 1
 
 
 def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import scipy.sparse as sp
 
 from .bounds import BoundReport, Calibration, calibrate, estimates
 from .fem import StiffnessPattern
@@ -31,9 +32,6 @@ from .meshgen import (
     patch_stats,
 )
 from .spectra import ConvergenceError, check_tol, lambda_min_sparse
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # y-series selectable for plotting, with their legend labels and colours
 PLOT_COLUMNS = {

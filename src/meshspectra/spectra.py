@@ -53,21 +53,19 @@ pass that sizes A @ B's output.
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
 fixed by an index hash and the switch reads the row count and residual
-norms, never the clock, so repeated runs agree bitwise.  Only the multigrid
-build and the products import scipy.sparse, so this module loads with numpy
-alone and the CLI import stays scipy-free.
+norms, never the clock, so repeated runs agree bitwise.  This module loads
+scipy.sparse; the CLI imports it only in the commands that solve, so the CLI
+import and the commands that build no matrix stay scipy-free.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse._sparsetools as sparsetools
 from numpy.linalg import _umath_linalg
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # what the switch charges for building the multigrid hierarchy, in Jacobi
 # LOBPCG steps, on a matrix with at most MG_EAGER_ROWS rows: the hierarchy is
@@ -116,7 +114,6 @@ def _matvec(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = A @ x for a float64 CSR matrix A, through the kernel that A @ x
     calls, so bit for bit the same; returns out.  The kernel adds into out
     and checks no bounds: out must have A's rows and x its columns."""
-    import scipy.sparse._sparsetools as sparsetools  # 4x cheaper than from-import
     out.fill(0.0)
     sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
     return out
@@ -128,8 +125,6 @@ def _matmat(A: sp.csr_matrix, B: sp.csr_matrix) -> sp.csr_matrix:
     output in a symbolic pass that costs about as much as the product; here
     the output has room for one entry per scalar product, which is at least
     the result's number of entries, and is trimmed to them."""
-    import scipy.sparse as sp
-    import scipy.sparse._sparsetools as sparsetools
     shape = (A.shape[0], B.shape[1])
     products = int(np.diff(B.indptr).take(A.indices).sum())
     idx = np.int64 if products > np.iinfo(np.int32).max else np.result_type(A.indices, B.indices)
@@ -250,7 +245,6 @@ def _filtered(
     positive keeps all its entries unfiltered; that happens on a few rows of
     some coarse levels, and then the filtered matrix is not symmetric.
     """
-    import scipy.sparse as sp
     n = M.shape[0]
     keep = strong | diag
     weak = np.flatnonzero(~keep)
@@ -361,7 +355,6 @@ class _Multigrid:
     @classmethod
     def build(cls, M: sp.csr_matrix):
         """The hierarchy for M, or None when a level fails to halve its rows."""
-        import scipy.sparse as sp
         levels = []
         A = M
         while A.shape[0] > MG_COARSE_ROWS:

@@ -262,10 +262,12 @@ def test_random_spd_matrices_are_never_called_indefinite():
 
 
 def test_solve_below_the_rounding_floor_stops_as_stalled():
-    # at tol 1e-13 the target lies below what rounding allows on this matrix
-    # (its eigenvalues span 1e-3..1e3); the residual stops falling and the
-    # solve stops after STALL_STEPS steps without a smaller one, not at
-    # max_outer (median step 154, at most 329, over seeds 0-99)
+    # at tol 1e-13 the target lies below the rounding floor on this matrix
+    # (its eigenvalues span 1e-3..1e3), but the stall is the iteration's
+    # stagnation, not rounding: the residual stops falling at about 1.17e-11,
+    # far above the floor of 4.2e-14.  The solve stops after STALL_STEPS steps
+    # without a smaller residual, not at max_outer (median step 154, at most
+    # 329, over seeds 0-99)
     A = random_symmetric(0)
     with pytest.raises(ConvergenceError, match="stalled \\(no smaller residual in 128 steps\\)") as info:
         lambda_min_sparse(A, tol=1e-13)
