@@ -16,18 +16,15 @@ rough solve of the first coarse level, not the smoother, is what the V-cycle's
 extra steps cost.
 
 A matrix with more than MG_EAGER_ROWS rows builds the hierarchy before the
-first step: on the 2D meshes of that size the probe below always calls for
-the build, so its Jacobi steps would only delay it.  On smaller matrices the
-build costs at most about MG_SWITCH_STEP Jacobi steps, so the solve's own
-residual history decides when it pays: after MG_PROBE_STEP steps, the
-reduction of ||r|| over the last few Jacobi steps predicts how many more
-Jacobi would need, and the hierarchy is built as soon as that exceeds
-MG_SWITCH_STEP, or at step MG_SWITCH_STEP + 1 at the latest.  A solve that Jacobi is predicted to finish sooner stays on
-Jacobi, which also keeps the mesh's symmetry: on 3D power meshes with
-beta >= 3 the six lowest eigenvalues form a tight cluster, well below the next
-eigenvalue, which the symmetric start vector and Jacobi steps resolve to the
-dense oracle, while hash-ordered aggregation breaks the symmetry and moves the
-result off it.  No 3D mesh has more than MG_EAGER_ROWS rows.
+first step: on the 2D meshes of that size Jacobi always needs far more steps
+than a build costs, so its steps would only delay the build.  A smaller
+matrix builds it at step MG_SWITCH_STEP + 1, when Jacobi has not converged
+by then.  A solve that Jacobi finishes sooner stays on Jacobi, which also
+keeps the mesh's symmetry: on 3D power meshes with beta >= 3 the six lowest
+eigenvalues form a tight cluster, well below the next eigenvalue, which the
+symmetric start vector and Jacobi steps resolve to the dense oracle, while
+hash-ordered aggregation breaks the symmetry and moves the result off it.
+No 3D mesh has more than MG_EAGER_ROWS rows.
 
 The iteration stops on the relative residual ||Ax - theta x|| <= tol * theta,
 which does not change when A is scaled; for symmetric A some eigenvalue lies
@@ -52,8 +49,8 @@ pass that sizes A @ B's output.
 
 The tests check it against a dense eigendecomposition on small matrices.
 Everything is deterministic: the starting vector and the aggregation are
-fixed by an index hash and the switch reads the row count and residual
-norms, never the clock, so repeated runs agree bitwise.  This module loads
+fixed by an index hash and the switch reads the row count and the step,
+never the clock, so repeated runs agree bitwise.  This module loads
 scipy.sparse; the CLI imports it only in the commands that solve, so the CLI
 import and the commands that build no matrix stay scipy-free.
 """
@@ -67,24 +64,19 @@ import scipy.sparse as sp
 import scipy.sparse._sparsetools as sparsetools
 from numpy.linalg import _umath_linalg
 
-# what the switch charges for building the multigrid hierarchy, in Jacobi
-# LOBPCG steps, on a matrix with at most MG_EAGER_ROWS rows: the hierarchy is
-# built once the Jacobi steps still needed, predicted from the residual
-# history, exceed it, and at step MG_SWITCH_STEP + 1 at the latest.  Measured
+# on a matrix with at most MG_EAGER_ROWS rows, the Jacobi LOBPCG steps before
+# the multigrid hierarchy is built, at step MG_SWITCH_STEP + 1.  Measured
 # (median of 21 adjacent build/step timings, one BLAS thread), a build costs
 # 48-55 steps at 16,129 unknowns, 46 on 3D single-layer n=12 and 19-38 at
-# 225-961 unknowns.  Set to 79 or lower, it would move 2D Shishkin eps=0.1
+# 225-961 unknowns.  Set to 80 or lower, it would move 2D Shishkin eps=0.1
 # n=16 (81 Jacobi steps) off Jacobi and change that golden-CSV row's bytes
 MG_SWITCH_STEP = 128
-# a matrix with more rows builds the hierarchy before the first step, without
-# the probe: on 2D meshes of that size the probe always calls for the build,
-# so its Jacobi steps only delay it.  It is the most rows a 3D mesh has at the
-# cap (single-layer n=16: 16 x 15 x 15), so every 3D solve keeps the probe and
-# the 3D power clusters their Jacobi start
+# a matrix with more rows builds the hierarchy before the first step: on 2D
+# meshes of that size Jacobi needs far more than MG_SWITCH_STEP steps, so its
+# steps only delay the build.  It is the most rows a 3D mesh has at the cap
+# (single-layer n=16: 16 x 15 x 15), so every 3D solve starts on Jacobi and
+# the 3D power clusters keep their Jacobi start
 MG_EAGER_ROWS = 3600
-# the first step at which the prediction is made; it reads the residual
-# reduction over the last MG_PROBE_STEP // 2 steps
-MG_PROBE_STEP = 16
 # strength-of-connection threshold of the aggregation
 MG_STRENGTH = 0.25
 # the coarsest level, solved exactly, has at most this many rows
@@ -408,25 +400,6 @@ class _Multigrid:
             x += r
 
 
-def _build_pays(history: list[float], target: float) -> bool:
-    """Whether building the multigrid hierarchy pays before the next step.
-
-    history[i] is ||r|| after i Jacobi steps.  After MG_PROBE_STEP steps, the
-    per-step reduction q of ||r|| over the last MG_PROBE_STEP // 2 steps
-    predicts log(target / ||r||) / log(q) more Jacobi steps; the build pays when
-    that exceeds MG_SWITCH_STEP (a residual that did not fall predicts no end).
-    After MG_SWITCH_STEP steps it pays regardless.
-    """
-    steps = len(history) - 1
-    if steps >= MG_SWITCH_STEP:
-        return True
-    if steps < MG_PROBE_STEP:
-        return False
-    window = MG_PROBE_STEP // 2
-    q = (history[-1] / history[-1 - window]) ** (1.0 / window)
-    return q >= 1.0 or math.log(target / history[-1]) / math.log(q) > MG_SWITCH_STEP
-
-
 def check_tol(tol: float) -> None:
     """Raise unless the relative residual target tol lies in (1e-14, 1e-2)."""
     if not 1e-14 < tol < 1e-2:
@@ -438,30 +411,31 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     below) by preconditioned single-vector LOBPCG.
 
     The multigrid cycle from the first step when M has more than
-    MG_EAGER_ROWS rows; otherwise Jacobi preconditioning until the residual
-    history predicts more than MG_SWITCH_STEP further Jacobi steps (see
-    _build_pays), the cycle from then on; Jacobi still when the matrix
-    does not coarsen.
+    MG_EAGER_ROWS rows; otherwise Jacobi preconditioning for MG_SWITCH_STEP
+    steps and the cycle from step MG_SWITCH_STEP + 1 on; Jacobi still when
+    the matrix does not coarsen.
 
     Converged when the eigen-residual of the unit iterate x satisfies
     ||Ax - theta x|| <= tol * theta.  The loop updates A x implicitly, one
     sparse product per step, so every verdict below, convergence included,
-    is decided on an explicit product A x.  max_outer caps the number of
-    steps.  Raises ConvergenceError when the cap is reached, when STALL_STEPS
-    steps in a row bring no smaller ||r||, when the basis degenerates, or when
-    a Rayleigh quotient that is not positive and finite or a multigrid level
-    that is not positive definite shows A is not SPD; the message names the
-    step, the preconditioner in use, the last estimate and residual and the
-    target tol * theta, and a stall's also the rounding floor u || |A| |x| ||
-    at the last iterate x.  The SPD detection is best effort, not a check of
-    A: an iterate that never meets a negative mode can converge to a
-    positive eigenvalue above it, with a small error bound and nothing to
-    say that A is indefinite.  Raises
-    ValueError before the first step when tol fails check_tol, M is
-    not square, not float64 CSR (the products read its CSR arrays) or empty,
-    or a diagonal entry is not positive and finite.
+    is decided on an explicit product A x.  max_outer, a nonnegative int,
+    caps the number of steps.  Raises ConvergenceError when the cap is
+    reached, when STALL_STEPS steps in a row bring no smaller ||r||, when the
+    basis degenerates, or when a Rayleigh quotient that is not positive and
+    finite or a multigrid level that is not positive definite shows A is not
+    SPD; the message names the step, the preconditioner in use, the last
+    estimate and residual and the target tol * theta, and a stall's also the
+    rounding floor u || |A| |x| || at the last iterate x.  The SPD detection
+    is best effort, not a check of A: an iterate that never meets a negative
+    mode can converge to a positive eigenvalue above it, with a small error
+    bound and nothing to say that A is indefinite.  Raises ValueError before
+    the first step when tol fails check_tol, max_outer is negative or not an
+    int, M is not square, not float64 CSR (the products read its CSR arrays)
+    or empty, or a diagonal entry is not positive and finite.
     """
     check_tol(tol)
+    if not isinstance(max_outer, (int, np.integer)) or max_outer < 0:
+        raise ValueError(f"max_outer must be a nonnegative int, got {max_outer!r}")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if M.format != "csr" or M.dtype != np.float64:
@@ -481,9 +455,8 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     k = 2  # Ritz basis size; p joins after the first step
     it = 0
     mg = None  # the multigrid cycle, once built
-    eager = M.shape[0] > MG_EAGER_ROWS  # build before the first step, unprobed
+    build_step = 1 if M.shape[0] > MG_EAGER_ROWS else MG_SWITCH_STEP + 1
     preconditioner = "Jacobi"
-    history = []  # ||r|| after 0, 1, ... Jacobi steps
     best, best_step = math.inf, 0  # the smallest ||r|| so far, and its step
 
     def failure(reason: str) -> ConvergenceError:
@@ -538,20 +511,16 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
         if reason is not None:
             raise failure(reason)
         it += 1
-        if preconditioner == "Jacobi":  # no build tried yet
-            history.append(resid)
-            if eager or _build_pays(history, tol * theta):
-                try:
-                    mg = _Multigrid.build(M)
-                except np.linalg.LinAlgError:
-                    raise failure(
-                        "broke down: a multigrid level is not positive definite"
-                    ) from None
-                if mg is None:
-                    preconditioner = f"Jacobi (multigrid coarsening stalled at step {it})"
-                else:
-                    sizes = "/".join(str(m) for m in mg.sizes)
-                    preconditioner = f"multigrid {sizes} from step {it}"
+        if it == build_step:
+            try:
+                mg = _Multigrid.build(M)
+            except np.linalg.LinAlgError:
+                raise failure("broke down: a multigrid level is not positive definite") from None
+            if mg is None:
+                preconditioner = f"Jacobi (multigrid coarsening stalled at step {it})"
+            else:
+                sizes = "/".join(str(m) for m in mg.sizes)
+                preconditioner = f"multigrid {sizes} from step {it}"
         if mg is None:
             np.multiply(dinv, r, out=w)
         else:

@@ -102,6 +102,15 @@ def test_unread_grading_flag_exits_1_before_any_work(
       "--out", "s"), "a sweep over 'n' takes no fixed 'n'"),
     (("sweep", "--family", "power", "--n", "16", "--beta", "3", "--axis", "beta",
       "--values", "1,2", "--out", "s"), "a sweep over 'beta' takes no fixed 'beta'"),
+    # an infinite c_sigma made the Bakhvalov nodes inf * 0 = NaN, behind numpy's
+    # "invalid value encountered in multiply", and clamped the Shishkin
+    # transition to 1, the uniform mesh
+    (("analyze", "--family", "bakhvalov", "--n", "8", "--c-sigma", "inf"),
+     "c_sigma must be positive and finite, got inf"),
+    (("analyze", "--family", "shishkin", "--n", "8", "--c-sigma", "inf"),
+     "c_sigma must be positive and finite, got inf"),
+    (("analyze", "--family", "power", "--n", "8", "--beta", "inf"),
+     "beta must be >= 1 and finite, got inf"),
 ])
 def test_refused_setting_exits_1_before_any_work(argv, message, tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
@@ -504,9 +513,9 @@ def test_sweep_normalize_flag_and_config(tmp_path):
     (("--family", "uniform", "--axis", "n", "--values", "8,inf"),
      "mesh sizes must be integers, got inf"),
     (("--family", "shishkin", "--c-sigma", "nan", "--axis", "n", "--values", "8,16"),
-     "c_sigma must be positive, got nan"),
+     "c_sigma must be positive and finite, got nan"),
     (("--family", "power", "--beta", "nan", "--axis", "n", "--values", "8,16"),
-     "beta must be >= 1, got nan"),
+     "beta must be >= 1 and finite, got nan"),
     # an axis the family's nodes do not read: every point would be the same mesh
     (("--family", "uniform", "--n", "32", "--axis", "eps", "--values", "0.2,0.1"),
      "uniform grading does not depend on eps"),

@@ -100,6 +100,11 @@ def test_uniform_nodes_rejects_tiny_n():
         dict(family=MeshFamily.POWER, n=8, beta=math.nan),
         # a NaN c_sigma used to clamp the Shishkin transition to 1, the uniform mesh
         dict(family=MeshFamily.SHISHKIN, n=8, c_sigma=math.nan),
+        # an infinite c_sigma clamped the Shishkin transition to 1 too, and made
+        # the Bakhvalov nodes inf * 0 = NaN
+        dict(family=MeshFamily.SHISHKIN, n=8, c_sigma=math.inf),
+        dict(family=MeshFamily.BAKHVALOV, n=8, c_sigma=math.inf),
+        dict(family=MeshFamily.POWER, n=8, beta=math.inf),
     ],
 )
 def test_grading_params_validation(kw):

@@ -114,6 +114,16 @@ def no_step(n):
     raise AssertionError("the solver started on a matrix it should refuse")
 
 
+def test_max_outer_validation_before_first_step(monkeypatch):
+    # no step count equals a negative or fractional cap, so the cap would
+    # silently vanish: uniform n=8 returned after 22 steps with either
+    A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 8)))
+    monkeypatch.setattr(spectra, "_start_vector", no_step)
+    for bad in (-1, 2.5, 100.0, "100", None):
+        with pytest.raises(ValueError, match="max_outer must be a nonnegative int"):
+            lambda_min_sparse(A, max_outer=bad)
+
+
 def test_matrix_validation_before_first_step(monkeypatch):
     monkeypatch.setattr(spectra, "_start_vector", no_step)
     with pytest.raises(ValueError, match=re.escape("matrix must be square, got shape (2, 3)")):
@@ -248,7 +258,9 @@ def test_random_spd_matrices_are_never_called_indefinite():
     # the loop updates A x implicitly; on these matrices its Rayleigh quotient
     # drifted to <= 0 while x A x did not, and 114 of the 200 solves reported
     # "not positive definite".  At tol 1e-13 most cannot converge (the target
-    # lies below rounding), so the cap is kept small and only the verdict read
+    # lies below rounding), so the cap is kept small and only the verdict read.
+    # With the smallest eigenvalue negated, every seed is caught by a Rayleigh
+    # quotient <= 0 within 200 steps (seed 0 at step 112)
     for seed in range(200):
         try:
             lambda_min_sparse(random_symmetric(seed), tol=1e-13, max_outer=100)
@@ -258,7 +270,7 @@ def test_random_spd_matrices_are_never_called_indefinite():
         A = random_symmetric(seed, negate_smallest=True)
         if np.all(A.diagonal() > 0.0):
             with pytest.raises(ConvergenceError, match="not positive definite"):
-                lambda_min_sparse(A, tol=1e-13, max_outer=100)
+                lambda_min_sparse(A, tol=1e-13, max_outer=200)
 
 
 def test_solve_below_the_rounding_floor_stops_as_stalled():
@@ -415,26 +427,18 @@ def switch_step(preconditioner, sizes):
     return int(match.group(1))
 
 
-def check_multigrid_path(first_step, last_step):
+def test_multigrid_fallback_switch_matches_dense():
+    # Jacobi has not converged after MG_SWITCH_STEP steps, so the hierarchy
+    # is built at the next one
     A = assemble(build_mesh(2, BAKHVALOV_32))
+    assert A.shape[0] <= spectra.MG_EAGER_ROWS
     tol = 1e-8
     lam_dense = lambda_min_dense(A)
     r = lambda_min_sparse(A, tol=tol)
-    assert first_step <= switch_step(r.preconditioner, "961/234/60") <= last_step
+    assert switch_step(r.preconditioner, "961/234/60") == spectra.MG_SWITCH_STEP + 1
     assert abs(r.lambda_min - lam_dense) <= 1e-10 * lam_dense
     assert abs(r.lambda_min - lam_dense) <= r.error_bound <= tol * r.lambda_min
     assert lambda_min_sparse(A, tol=tol) == r
-
-
-def test_multigrid_switch_path_matches_dense():
-    # the residual history predicts more than MG_SWITCH_STEP Jacobi steps
-    check_multigrid_path(spectra.MG_PROBE_STEP + 1, spectra.MG_SWITCH_STEP)
-
-
-def test_multigrid_fallback_switch_matches_dense(monkeypatch):
-    # with no step left to probe, the build waits for the fallback step
-    monkeypatch.setattr(spectra, "MG_PROBE_STEP", spectra.MG_SWITCH_STEP)
-    check_multigrid_path(spectra.MG_SWITCH_STEP + 1, spectra.MG_SWITCH_STEP + 1)
 
 
 def check_eager_step_count(params, sizes, steps):
@@ -449,9 +453,9 @@ def check_eager_step_count(params, sizes, steps):
 
 
 def test_multigrid_step_count_internal_layer():
-    # Jacobi alone needs 1555 steps here, a fixed switch at step 129 took 173
-    # and the probe's switch at step 17 took 71; built before the first step,
-    # 55 with a V-cycle and 35 with level 1's correction repeated
+    # Jacobi alone needs 1555 steps here, a switch at step 129 took 173 and
+    # one at step 17 took 71; built before the first step, 55 with a V-cycle
+    # and 35 with level 1's correction repeated
     params = GradingParams(MeshFamily.SHISHKIN, 128, eps=0.01, layer_position=LayerPosition.INTERNAL)
     check_eager_step_count(params, "16129/3159/666/146/26", 35)
 
@@ -463,7 +467,7 @@ def test_multigrid_step_count_bakhvalov():
     check_eager_step_count(params, "16129/3331/688/184/41", 35)
 
 
-def test_eager_rows_keep_every_3d_mesh_on_the_probe():
+def test_eager_rows_keep_every_3d_mesh_on_jacobi():
     # 3D power meshes with beta >= 3 resolve their eigenvalue cluster from the
     # Jacobi start (see the spectra docstring), so no 3D mesh builds eagerly
     cap = MAX_INTERVALS[3]
@@ -481,18 +485,19 @@ def test_eager_rows_keep_every_3d_mesh_on_the_probe():
 @pytest.mark.parametrize("eager_rows", [960, 961])
 def test_eager_build_starts_above_mg_eager_rows(monkeypatch, eager_rows):
     # Bakhvalov n=32 has 961 rows: above the threshold the hierarchy is built
-    # before the first step, at it the probe's rule runs bit for bit
+    # before the first step, at it the build waits for step MG_SWITCH_STEP + 1
+    # bit for bit
     A = assemble(build_mesh(2, BAKHVALOV_32))
-    probed = lambda_min_sparse(A)
-    assert switch_step(probed.preconditioner, "961/234/60") > spectra.MG_PROBE_STEP
+    late = lambda_min_sparse(A)
+    assert switch_step(late.preconditioner, "961/234/60") == spectra.MG_SWITCH_STEP + 1
     monkeypatch.setattr(spectra, "MG_EAGER_ROWS", eager_rows)
     r = lambda_min_sparse(A)
     if A.shape[0] > eager_rows:
         assert switch_step(r.preconditioner, "961/234/60") == 1
         assert abs(r.lambda_min - lambda_min_dense(A)) <= r.error_bound <= 1e-8 * r.lambda_min
-        assert r.iterations < probed.iterations
+        assert r.iterations < late.iterations
     else:
-        assert r == probed
+        assert r == late
 
 
 def test_eager_build_on_a_matrix_that_is_not_positive_definite():
@@ -750,7 +755,7 @@ def test_indefinite_matrix_past_switch_raises_convergence_error():
     with pytest.raises(ConvergenceError, match=message) as info:
         lambda_min_sparse(A)
     step, estimate, residual = failure_state(info.value)
-    assert spectra.MG_PROBE_STEP < step <= spectra.MG_SWITCH_STEP + 1
+    assert step == spectra.MG_SWITCH_STEP + 1
     assert estimate > 0.0 and residual > 0.0
 
 
