@@ -91,10 +91,13 @@ class GradingParams:
             )
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ValueError(f"layer parameter eps must lie in (0, 1), got {self.eps}")
-        if self.beta is not None and not 1.0 <= self.beta < math.inf:
-            raise ValueError(f"grading exponent beta must be >= 1 and finite, got {self.beta}")
-        if self.c_sigma is not None and not 0.0 < self.c_sigma < math.inf:
-            raise ValueError(f"transition constant c_sigma must be positive and finite, got {self.c_sigma}")
+        if self.beta is not None and not self.beta >= 1.0:
+            raise ValueError(f"grading exponent beta must be >= 1, got {self.beta}")
+        if self.c_sigma is not None and not self.c_sigma > 0.0:
+            raise ValueError(f"transition constant c_sigma must be positive, got {self.c_sigma}")
+        for key in ("beta", "c_sigma"):
+            if getattr(self, key) == math.inf:
+                raise ValueError(f"{key} must be finite, got inf")
         if self.layer_position is LayerPosition.INTERNAL and self.family not in (
             MeshFamily.SHISHKIN,
             MeshFamily.BAKHVALOV,
