@@ -2,7 +2,8 @@
 
 Subcommands: mesh (generate and export), analyze (one mesh, full report),
 sweep (parameter sweep to CSV + SVG), calibrate (print/store the reference
-constants).  Exit codes: 0 success, 1 usage error, 2 numerical failure.
+constants).  Exit codes: 0 success, 1 usage or parameter error, 2 numerical
+failure (non-convergence, unreadable files).
 
 Importing this module loads the mesh layer only; each command imports the
 layers it runs, so `mesh` loads nothing more, `calibrate` adds bounds, and

@@ -9,15 +9,17 @@ cell_volumes), so the local entry |K| grad_a . grad_b is (c_a . c_b) /
 (d! |det|): closed form for d <= 3, no inverse.  All cells form one batch of
 array expressions, one contiguous row per local pair.  On Kuhn tensor meshes
 every coupling that is zero in exact arithmetic is a sum of products with a
-zero factor, so it comes out as an exact zero and is not stored.
+zero factor, so it comes out as an exact zero; scipy's eliminate_zeros drops
+it, and every other exact zero, from the assembled matrix.
 
 Every matrix is assembled through a StiffnessPattern, which finds once per
 topology (cells and boundary vertices) in which order the local entries are
-summed, and derives a new topology in place when a mesh's differs: the points
-of a sweep at fixed n share one topology, those of an n-sweep each have their
-own.  assemble(mesh) goes through a fresh pattern.  The result is a plain
-scipy CSR matrix, exactly symmetric.  The CLI commands that build no matrix
-never import this module, so they never load scipy.
+summed and the one symmetric structure they fill, and derives a new topology
+in place when a mesh's differs: the points of a sweep at fixed n share one
+topology, those of an n-sweep each have their own.  assemble(mesh) goes
+through a fresh pattern.  The result is a plain scipy CSR matrix, exactly
+symmetric.  The CLI commands that build no matrix never import this module,
+so they never load scipy.
 """
 
 from __future__ import annotations
@@ -66,17 +68,16 @@ class StiffnessPattern:
     depends on the index arrays alone, so the pattern runs scipy's
     conversion and sort once, on each local pair's position in _local_values
     instead of its value.  It keeps that order (source), each entry's run of
-    equal indices (slot), and the upper triangle's rows and columns, all as
-    int32.  It also keeps the exactly symmetric structure without the slots
-    that sum to zero, with each stored entry's slot, and rebuilds it when a
-    mesh's zero slots differ from the last mesh's.
+    equal indices (slot), and the exactly symmetric structure over every
+    slot, with each stored entry's slot, all as int32.
 
-    assemble(mesh) is then one gather of the local values, one np.add.at and
-    one more gather.  A mesh of another topology first makes the pattern
-    derive that topology in place, the old one freed first.  np.add.at adds
-    each slot's values left to right from 0.0, so a sum differs from one
-    begun at its first value only in the sign of a zero, and the matrix
-    stores no zero, whatever its sign.
+    assemble(mesh) is then one gather of the local values, one np.add.at, one
+    more gather and scipy's eliminate_zeros, which drops the slots that sum to
+    an exact zero for this mesh's vertices.  A mesh of another topology first
+    makes the pattern derive that topology in place, the old one freed first.
+    np.add.at adds each slot's values left to right from 0.0, so a sum
+    differs from one begun at its first value only in the sign of a zero, and
+    the matrix stores no zero, whatever its sign.
     """
 
     def __init__(self):
@@ -96,21 +97,19 @@ class StiffnessPattern:
         # indexing and np.add.at read the int32 arrays as they are; take and
         # np.bincount would first copy them to int64
         values = _local_values(mesh).ravel()[self._source]
-        upper = np.zeros(self._upper[1].size)
+        upper = np.zeros(self._n_upper)
         np.add.at(upper, self._slot, values)
         del values
-        nonzero = upper != 0.0
-        if self._nonzero is None or not np.array_equal(nonzero, self._nonzero):
-            self._nonzero, self._full = nonzero, self._mirror(nonzero)
         indptr, indices, entry = self._full
-        return sp.csr_matrix((upper[entry], indices.copy(), indptr.copy()), shape=(self._n, self._n))
+        A = sp.csr_matrix((upper[entry], indices.copy(), indptr.copy()), shape=(self._n, self._n))
+        A.eliminate_zeros()
+        return A
 
     def _derive(self, mesh: SimplicialMesh) -> None:
         """Make mesh's cells and boundary vertices the pattern's topology."""
         # the old topology goes first; the pattern fits no mesh until the new
         # one is whole
-        self._cells = self._boundary = self._source = self._slot = self._upper = None
-        self._nonzero = self._full = None
+        self._cells = self._boundary = self._source = self._slot = self._full = None
         n = self._n = mesh.n_free
         if n == 0:
             raise ValueError("mesh has no free vertices; the Dirichlet system is empty")
@@ -139,23 +138,15 @@ class StiffnessPattern:
         # upper triangle's rows and columns in indptr and indices
         payload.fill(1.0)
         sparsetools.csr_sum_duplicates(n, n, indptr, indices, payload)
-        n_upper = indptr[-1]
+        n_upper = self._n_upper = indptr[-1]
         self._slot = np.repeat(np.arange(n_upper, dtype=np.int32), payload[:n_upper].astype(np.intp))
-        self._upper = indptr, indices[:n_upper].copy()
-        self._cells, self._boundary = mesh.cells.astype(np.int32), mesh.boundary_mask
-
-    def _mirror(self, nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """indptr and indices of the symmetric matrix over the nonzero upper
-        slots, with each stored entry's slot, each row sorted by column."""
-        indptr, indices = self._upper
-        kept = np.flatnonzero(nonzero).astype(np.int32)
-        counts = np.zeros(nonzero.size + 1, dtype=np.int32)
-        np.cumsum(nonzero, out=counts[1:])
         # the payload is slot + 1 > 0: the transpose's diagonal meets the upper
         # triangle's in an elementwise maximum, and no entry reads as zero
-        upper = sp.csr_matrix((kept + 1, indices[kept], counts[indptr]), shape=(self._n, self._n))
+        upper = sp.csr_matrix((np.arange(1, n_upper + 1, dtype=np.int32), indices[:n_upper], indptr),
+                              shape=(n, n))
         full = upper.maximum(upper.T.tocsr())
-        return full.indptr, full.indices, full.data - 1
+        self._full = full.indptr, full.indices, full.data - 1
+        self._cells, self._boundary = mesh.cells.astype(np.int32), mesh.boundary_mask
 
 
 def assemble(mesh: SimplicialMesh) -> sp.csr_matrix:

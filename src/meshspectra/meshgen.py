@@ -273,7 +273,11 @@ class SimplicialMesh:
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(det, cof, scale) of every cell, from simplex_cofactors, read-only
-        since every reader shares them."""
+        since every reader shares them.  Raises on the first vertex with a
+        NaN or infinite coordinate."""
+        bad = ~np.isfinite(self.vertices).all(axis=1)
+        if bad.any():
+            raise ValueError(f"vertex {int(np.argmax(bad))} has a non-finite coordinate")
         geometry = simplex_cofactors(self.vertices, self.cells)
         for a in geometry:
             a.setflags(write=False)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -311,7 +312,7 @@ def test_stiffness_pattern_derives_another_topology(monkeypatch):
 
 
 @pytest.mark.parametrize("dim, n", [(2, 6), (3, 4)])
-def test_stiffness_pattern_follows_a_mesh_whose_zeros_differ(dim, n):
+def test_stiffness_pattern_follows_a_mesh_whose_zeros_differ(dim, n, monkeypatch):
     # one interior vertex moved: the couplings across the Kuhn diagonals next
     # to it are no longer exact zeros, so the stored entries change
     mesh = build_mesh(dim, GradingParams(MeshFamily.UNIFORM, n))
@@ -319,9 +320,26 @@ def test_stiffness_pattern_follows_a_mesh_whose_zeros_differ(dim, n):
     vertices[np.flatnonzero(~mesh.boundary_mask)[0]] += 0.1 / n
     moved = replace(mesh, vertices=vertices)
     assert coo_assemble(moved).nnz > coo_assemble(mesh).nnz
+    derived, mirrored = [], []
+    derive, maximum = StiffnessPattern._derive, sp.csr_matrix.maximum
+
+    def spy_derive(pattern, m):
+        derived.append(m)
+        derive(pattern, m)
+
+    def spy_maximum(A, other):
+        mirrored.append(A.shape)
+        return maximum(A, other)
+
+    monkeypatch.setattr(StiffnessPattern, "_derive", spy_derive)
+    monkeypatch.setattr(sp.csr_matrix, "maximum", spy_maximum)
     pattern = StiffnessPattern()
     for m in (mesh, moved, moved, mesh):
         _assert_same_bytes(pattern.assemble(m), coo_assemble(m))
+    # the topology, and with it the symmetric structure, is derived once;
+    # each mesh's exact zeros are dropped from that one structure
+    assert len(derived) == 1 and derived[0] is mesh
+    assert len(mirrored) == 1
 
 
 def test_stiffness_pattern_refuses_a_mesh_with_no_free_vertices():

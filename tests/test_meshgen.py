@@ -529,6 +529,19 @@ def test_bad_cell_index_is_refused_by_patch_stats_and_assemble(bad):
             reader(SimplicialMesh(mesh.vertices, cells))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_is_refused_by_every_geometry_reader(bad):
+    mesh = build_mesh(2, GradingParams(MeshFamily.UNIFORM, 4))
+    vertices = mesh.vertices.copy()
+    vertices[7, 1] = bad
+    # the mesh is made (the exporter writes any float64); its geometry is
+    # refused, and not cached, so every reader raises
+    moved = replace(mesh, vertices=vertices)
+    for reader in (patch_stats, cell_volumes, assemble):
+        with pytest.raises(ValueError, match=r"^vertex 7 has a non-finite coordinate$"):
+            reader(moved)
+
+
 def test_tensor_mesh_4d():
     skewed = NodeSet1D(np.array([0.0, 0.3, 1.0]))
     mesh = tensor_mesh(uniform_nodes(2), skewed, uniform_nodes(3), uniform_nodes(2))
