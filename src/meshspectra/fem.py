@@ -140,8 +140,11 @@ class StiffnessPattern:
         sparsetools.csr_sum_duplicates(n, n, indptr, indices, payload)
         n_upper = self._n_upper = indptr[-1]
         self._slot = np.repeat(np.arange(n_upper, dtype=np.int32), payload[:n_upper].astype(np.intp))
-        # the payload is slot + 1 > 0: the transpose's diagonal meets the upper
-        # triangle's in an elementwise maximum, and no entry reads as zero
+        # the pair-length payload is freed before the mirror allocates its
+        # buffers, which keeps the derive's peak memory at the pairs' own
+        del payload
+        # each upper entry carries slot + 1 > 0: the transpose's diagonal meets
+        # the upper triangle's in an elementwise maximum, and none reads as zero
         upper = sp.csr_matrix((np.arange(1, n_upper + 1, dtype=np.int32), indices[:n_upper], indptr),
                               shape=(n, n))
         full = upper.maximum(upper.T.tocsr())
