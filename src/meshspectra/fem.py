@@ -140,8 +140,7 @@ class StiffnessPattern:
         sparsetools.csr_sum_duplicates(n, n, indptr, indices, payload)
         n_upper = self._n_upper = indptr[-1]
         self._slot = np.repeat(np.arange(n_upper, dtype=np.int32), payload[:n_upper].astype(np.intp))
-        # the pair-length payload is freed before the mirror allocates its
-        # buffers, which keeps the derive's peak memory at the pairs' own
+        # freed before the mirror allocates its buffers, to lower the peak memory
         del payload
         # each upper entry carries slot + 1 > 0: the transpose's diagonal meets
         # the upper triangle's in an elementwise maximum, and none reads as zero
