@@ -1,6 +1,6 @@
 """What building the multigrid hierarchy costs, at a parent commit and here.
 
-    python3 bench/multigrid_build.py --parent REV [--runs 5] [--out FILE]
+    python3 bench/multigrid_build.py --parent REV [--runs 10] [--out FILE]
 
 Extracts `src/` of commit REV with `git archive` into a temporary directory,
 then starts one worker process per measurement run, on the parent's `src/` and
@@ -21,8 +21,9 @@ Every time is recorded raw and rescaled to a fixed machine speed by
 takes 1 ms), since the speed of a shared machine drifts between runs.  Each
 worker reports medians over its repeats; the file records, per side, the
 median and the quartiles over the runs, and the change from parent to here in
-percent of the parent's median.  An entry is `resolved` only when the two
-sides' quartile ranges do not overlap and the medians differ by more than the
+percent of the parent's median.  Run k of each side forms pair k; an entry
+is `resolved` only when one side is faster in at least 9 of every 10 pairs
+(ties count for neither side) and the medians differ by more than the
 parent's own interquartile range; the change of an unresolved entry is not
 told from noise.  Writes `bench/BENCH_multigrid_build.json`.
 """
@@ -136,7 +137,9 @@ def summary(values: list[float]) -> dict:
 
 def compare(parent: list[float], change: list[float]) -> dict:
     p, c = summary(parent), summary(change)
-    resolved = ((c["q3"] < p["q1"] or c["q1"] > p["q3"])
+    faster = sum(b < a for a, b in zip(parent, change))
+    slower = sum(b > a for a, b in zip(parent, change))
+    resolved = (10 * max(faster, slower) >= 9 * len(parent)
                 and abs(c["median"] - p["median"]) > p["q3"] - p["q1"])
     return {"parent": p, "change": c, "change_pct": 100.0 * (c["median"] / p["median"] - 1.0),
             "resolved": resolved}
@@ -145,7 +148,7 @@ def compare(parent: list[float], change: list[float]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare with")
-    parser.add_argument("--runs", type=int, default=5, help="worker runs per side")
+    parser.add_argument("--runs", type=int, default=10, help="worker runs per side")
     parser.add_argument("--out", default=str(HERE / "BENCH_multigrid_build.json"))
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args()

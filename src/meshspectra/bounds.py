@@ -4,8 +4,9 @@ Three families of estimates, all driven by mesh geometry alone:
 
 * "new"  - patch-volume bound; 2D uses N and the smallest patch through a
   log factor, 3D uses the (-1/2)-power sum of all free-vertex patches.
-* "gm"   - the same shapes weighted by the mesh constants M (max cells per
-  vertex) and H (max volume ratio of touching cells).
+* "gm"   - Graham-McLean: the patch kernel with every patch volume divided by
+  M*H, M the max cells per vertex and H the max volume ratio of touching
+  cells.
 * "khx"  - element-volume analog running over cells instead of patches.
 
 Each bound carries an unknown multiplicative constant; `calibrate` fixes it
@@ -87,13 +88,14 @@ class BoundReport:
                 raise ValueError(f"{name} must be positive")
 
 
-def _volume_kernel(volumes: np.ndarray, dim: int) -> float:
-    """Shape shared by the new (patch) and KHX (cell) kernels: in 2D
-    1/(n(1 + |ln(n v_min)|)) with n volumes, in 3D (sum v^-1/2)^(-2/3)."""
+def _volume_kernel(volumes: np.ndarray, dim: int, scale: float = 1.0) -> float:
+    """Shape shared by all three kernels, with every volume divided by scale:
+    in 2D 1/(n(1 + |ln(n v_min / scale)|)) with n volumes, in 3D
+    scale^(-1/3) (sum v^-1/2)^(-2/3)."""
     if dim == 2:
         n = volumes.size
-        return 1.0 / (n * (1.0 + abs(math.log(n * float(volumes.min())))))
-    return float(np.sum(volumes**-0.5)) ** (-2.0 / 3.0)
+        return 1.0 / (n * (1.0 + abs(math.log(n * float(volumes.min()) / scale))))
+    return scale ** (-1.0 / 3.0) * float(np.sum(volumes**-0.5)) ** (-2.0 / 3.0)
 
 
 def _kernels(stats: PatchStats) -> tuple[float, float, float]:
@@ -101,14 +103,11 @@ def _kernels(stats: PatchStats) -> tuple[float, float, float]:
     calibration constant times its kernel."""
     if stats.cell_volumes.size == 0 or np.any(stats.cell_volumes <= 0.0):
         raise ValueError("cell volumes must be a nonempty positive array")
-    new = _volume_kernel(stats.patch_volumes, stats.dim)
-    mh = stats.m_const * stats.h_const
-    if stats.dim == 2:
-        n = stats.n_free
-        gm = 1.0 / (n * (1.0 + abs(math.log(n * stats.omega_min / mh))))
-    else:
-        gm = mh ** (-1.0 / 3.0) * new
-    return new, gm, _volume_kernel(stats.cell_volumes, stats.dim)
+    return (
+        _volume_kernel(stats.patch_volumes, stats.dim),
+        _volume_kernel(stats.patch_volumes, stats.dim, stats.m_const * stats.h_const),
+        _volume_kernel(stats.cell_volumes, stats.dim),
+    )
 
 
 def estimates(stats: PatchStats, cal: Calibration) -> tuple[float, float, float]:

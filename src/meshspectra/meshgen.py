@@ -59,11 +59,13 @@ class GradingParams:
     """Parameters selecting one 1D grading.
 
     n counts intervals per direction; it must be a whole number, and 8.0 is
-    stored as the int 8.  eps is the layer width parameter for the
-    layer-adapted families, beta the exponent of the power grading, c_sigma the
-    transition constant of the Shishkin/Bakhvalov constructions.  A setting the
-    family reads (FAMILY_PARAMS) defaults to eps=0.05, beta=3.0, c_sigma=1.0; one
-    it does not read stays None, and giving it is an error.
+    stored as the int 8.  Every family but uniform needs n even, an internal
+    layer n divisible by 4, and Shishkin n >= 4 (n >= 8 internal).  eps is
+    the layer width parameter for the layer-adapted families, beta the
+    exponent of the power grading, c_sigma the transition constant of the
+    Shishkin/Bakhvalov constructions.  A setting the family reads
+    (FAMILY_PARAMS) defaults to eps=0.05, beta=3.0, c_sigma=1.0; one it does
+    not read stays None, and giving it is an error.
     """
 
     family: MeshFamily
@@ -98,11 +100,14 @@ class GradingParams:
         for key in ("beta", "c_sigma"):
             if getattr(self, key) == math.inf:
                 raise ValueError(f"{key} must be finite, got inf")
-        if self.layer_position is LayerPosition.INTERNAL and self.family not in (
-            MeshFamily.SHISHKIN,
-            MeshFamily.BAKHVALOV,
-        ):
+        internal = self.layer_position is LayerPosition.INTERNAL
+        if internal and self.family not in (MeshFamily.SHISHKIN, MeshFamily.BAKHVALOV):
             raise ValueError("internal layer placement only applies to shishkin/bakhvalov gradings")
+        if internal and self.n % 4 != 0:
+            raise ValueError(f"internal layer placement needs n divisible by 4, got {self.n}")
+        # an internal layer mirrors a boundary set of n/2 intervals
+        if self.family is MeshFamily.SHISHKIN and self.n < (8 if internal else 4):
+            raise ValueError(f"shishkin grading needs n >= 4, or n >= 8 with an internal layer, got {self.n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +143,6 @@ def shishkin_nodes(p: GradingParams) -> NodeSet1D:
     The transition tau = min(1, 2*c_sigma*eps*ln n) clamps to 1 for large eps,
     in which case the node set degenerates to the uniform one (not an error).
     """
-    if p.n < 4:
-        raise ValueError(f"shishkin grading needs n >= 4, got {p.n}")
     tau = min(1.0, 2.0 * p.c_sigma * p.eps * math.log(p.n))
     half = p.n // 2
     fine = tau * (np.arange(half + 1) / p.n)
@@ -165,7 +168,7 @@ def bakhvalov_nodes(p: GradingParams) -> NodeSet1D:
     if fine[-1] >= 1.0:
         raise ValueError(
             f"fine region reaches the far boundary (transition {fine[-1]:.4g} >= 1); "
-            f"reduce c_sigma*eps"
+            f"reduce c_sigma*eps (c_sigma={p.c_sigma:g}, eps={p.eps:g})"
         )
     coarse = np.linspace(fine[-1], 1.0, half + 1)
     return NodeSet1D(np.concatenate([fine, coarse[1:]]))
@@ -190,10 +193,13 @@ def power_nodes(p: GradingParams) -> NodeSet1D:
 
 def single_layer_nodes(p: GradingParams) -> NodeSet1D:
     """Uniform grid plus one extra node at 1/2 + eps/n: a single slab of relative width eps."""
-    # eps < 1 strictly keeps the inserted node off the neighbor node 1/2 + 1/n
     base = np.linspace(0.0, 1.0, p.n + 1)
     mid = p.n // 2
     extra = 0.5 + p.eps / p.n
+    # 0 < eps < 1 keeps it between 1/2 and 1/2 + 1/n, unless it rounds onto one
+    if not base[mid] < extra < base[mid + 1]:
+        raise ValueError(f"eps={p.eps} is too close to 0 or 1 for single_layer grading at n={p.n}: "
+                         "the node 1/2 + eps/n rounds onto its neighbour")
     return NodeSet1D(np.concatenate([base[: mid + 1], [extra], base[mid + 1 :]]))
 
 
@@ -223,8 +229,6 @@ def graded_nodes(p: GradingParams) -> NodeSet1D:
     if p.layer_position is LayerPosition.INTERNAL:
         # build the boundary-layer set at half resolution, then mirror to the
         # center: the result has exactly p.n intervals again
-        if p.n % 4 != 0:
-            raise ValueError(f"internal layer placement needs n divisible by 4, got {p.n}")
         base = replace(p, n=p.n // 2, layer_position=LayerPosition.BOUNDARY)
         return internalize(_NODE_BUILDERS[p.family](base))
     return _NODE_BUILDERS[p.family](p)

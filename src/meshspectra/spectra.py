@@ -86,8 +86,10 @@ MG_COARSE_ROWS = 100
 MG_LEVEL1_CYCLES = 3
 # a solve stops as stalled after this many steps without a new smallest ||r||:
 # below the rounding floor of about u || |A| |x| || the residual stops falling, and
-# the steps up to max_outer would be spent for nothing
+# the steps up to MAX_STEPS would be spent for nothing
 STALL_STEPS = 128
+# a solve that has not converged after this many steps stops as failed
+MAX_STEPS = 20000
 
 
 # the LAPACK gufuncs behind np.linalg.cholesky, inv and eigh, without the
@@ -406,7 +408,7 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in (1e-14, 1e-2), got {tol:g}")
 
 
-def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 20000) -> EigenResult:
+def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8) -> EigenResult:
     """Smallest eigenvalue of the symmetric CSR matrix M (A in the formulas
     below) by preconditioned single-vector LOBPCG.
 
@@ -418,9 +420,8 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     Converged when the eigen-residual of the unit iterate x satisfies
     ||Ax - theta x|| <= tol * theta.  The loop updates A x implicitly, one
     sparse product per step, so every verdict below, convergence included,
-    is decided on an explicit product A x.  max_outer, a nonnegative int,
-    caps the number of steps.  Raises ConvergenceError when the cap is
-    reached, when STALL_STEPS steps in a row bring no smaller ||r||, when the
+    is decided on an explicit product A x.  Raises ConvergenceError after
+    MAX_STEPS steps, when STALL_STEPS steps in a row bring no smaller ||r||, when the
     basis degenerates, or when a Rayleigh quotient that is not positive and
     finite or a multigrid level that is not positive definite shows A is not
     SPD; the message names the step, the preconditioner in use, the last
@@ -429,13 +430,11 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
     is best effort, not a check of A: an iterate that never meets a negative
     mode can converge to a positive eigenvalue above it, with a small error
     bound and nothing to say that A is indefinite.  Raises ValueError before
-    the first step when tol fails check_tol, max_outer is negative or not an
-    int, M is not square, not float64 CSR (the products read its CSR arrays)
-    or empty, or a diagonal entry is not positive and finite.
+    the first step when tol fails check_tol, M is not square, not float64 CSR
+    (the products read its CSR arrays) or empty, or a diagonal entry is not
+    positive and finite.
     """
     check_tol(tol)
-    if not isinstance(max_outer, (int, np.integer)) or max_outer < 0:
-        raise ValueError(f"max_outer must be a nonnegative int, got {max_outer!r}")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if M.format != "csr" or M.dtype != np.float64:
@@ -483,8 +482,8 @@ def lambda_min_sparse(M: sp.csr_matrix, tol: float = 1e-8, max_outer: int = 2000
             return "converged"
         if not (theta > 0.0 and math.isfinite(resid)):
             return "broke down: A is not positive definite or not finite"
-        if it == max_outer:
-            return f"did not converge in {max_outer} iterations"
+        if it == MAX_STEPS:
+            return f"did not converge in {MAX_STEPS} iterations"
         if it - best_step == STALL_STEPS:
             return f"stalled (no smaller residual in {STALL_STEPS} steps)"
         return None

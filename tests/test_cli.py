@@ -539,6 +539,11 @@ def test_sweep_normalize_flag_and_config(tmp_path):
     # 1 - x_1 rounds onto 1.0 at the cap
     (("--family", "power", "--n", "256", "--axis", "beta", "--values", "2,8"),
      "beta=8 is too large for power grading at n=256"),
+    # which of the values failed: the message names the value, and c_sigma
+    (("--family", "bakhvalov", "--n", "8", "--c-sigma", "100", "--axis", "eps", "--values", "0.001,0.9"),
+     "reduce c_sigma*eps (c_sigma=100, eps=0.9)"),
+    (("--family", "single_layer", "--n", "8", "--axis", "eps", "--values", "0.1,1e-20"),
+     "eps=1e-20 is too close to 0 or 1 for single_layer grading at n=8"),
 ])
 def test_sweep_rejects_bad_point_before_solving(flags, message, tmp_path, monkeypatch, capsys):
     import meshspectra.harness as hz

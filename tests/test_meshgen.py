@@ -272,6 +272,15 @@ def test_single_layer_hand_values():
     assert np.array_equal(ns.nodes, [0.0, 0.5, 0.6, 1.0])
 
 
+@pytest.mark.parametrize("eps", [1e-20, 0.9999999999999999])
+def test_single_layer_refuses_eps_whose_node_rounds_onto_a_neighbour(eps):
+    # 1/2 + eps/8 rounds to 1/2 at eps=1e-20 and to 5/8 just below eps=1: the
+    # refusal names eps and n, not the node set's ordering rule
+    with pytest.raises(ValueError, match=rf"^eps={eps} is too close to 0 or 1 for single_layer "
+                                         rf"grading at n=8: the node 1/2 \+ eps/n rounds onto"):
+        single_layer_nodes(params(MeshFamily.SINGLE_LAYER, 8, eps=eps))
+
+
 def test_single_layer_counts_and_thinnest():
     ns = single_layer_nodes(params(MeshFamily.SINGLE_LAYER, 8, eps=0.05))
     assert len(ns) == 10  # n + 2 nodes
@@ -299,9 +308,15 @@ def test_graded_nodes_internal_dispatch():
 
 
 def test_graded_nodes_internal_needs_multiple_of_4():
-    p = params(MeshFamily.BAKHVALOV, 6, eps=0.1, layer_position=LayerPosition.INTERNAL)
-    with pytest.raises(ValueError):
-        graded_nodes(p)
+    with pytest.raises(ValueError, match="internal layer placement needs n divisible by 4, got 6"):
+        params(MeshFamily.BAKHVALOV, 6, eps=0.1, layer_position=LayerPosition.INTERNAL)
+
+
+def test_internal_shishkin_needs_n_at_least_8():
+    # the internal layer mirrors a boundary Shishkin set of n/2 = 2 intervals;
+    # the refusal names the n given, not the half
+    with pytest.raises(ValueError, match="n >= 8 with an internal layer, got 4$"):
+        params(MeshFamily.SHISHKIN, 4, eps=0.05, layer_position=LayerPosition.INTERNAL)
 
 
 def test_node_family_invariants():
@@ -678,11 +693,12 @@ def test_conforming_passes_every_fixture_mesh():
 
 
 def _accepted_placements():
-    """Every (family, layer placement) pair that GradingParams accepts."""
+    """Every (family, layer placement) pair that GradingParams accepts, probed
+    at n=8, the least n an internal Shishkin layer takes."""
     pairs = []
     for family, position in itertools.product(MeshFamily, LayerPosition):
         try:
-            GradingParams(family, 4, layer_position=position)
+            GradingParams(family, 8, layer_position=position)
         except ValueError:
             continue
         pairs.append((family, position))

@@ -114,16 +114,6 @@ def no_step(n):
     raise AssertionError("the solver started on a matrix it should refuse")
 
 
-def test_max_outer_validation_before_first_step(monkeypatch):
-    # no step count equals a negative or fractional cap, so the cap would
-    # silently vanish: uniform n=8 returned after 22 steps with either
-    A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 8)))
-    monkeypatch.setattr(spectra, "_start_vector", no_step)
-    for bad in (-1, 2.5, 100.0, "100", None):
-        with pytest.raises(ValueError, match="max_outer must be a nonnegative int"):
-            lambda_min_sparse(A, max_outer=bad)
-
-
 def test_matrix_validation_before_first_step(monkeypatch):
     monkeypatch.setattr(spectra, "_start_vector", no_step)
     with pytest.raises(ValueError, match=re.escape("matrix must be square, got shape (2, 3)")):
@@ -220,10 +210,11 @@ def failure_state(err):
     return int(match.group(1)), float(match.group(2)), float(match.group(3))
 
 
-def test_outer_convergence_error_carries_state():
+def test_outer_convergence_error_carries_state(monkeypatch):
     A = assemble(build_mesh(2, GradingParams(MeshFamily.UNIFORM, 8)))
+    monkeypatch.setattr(spectra, "MAX_STEPS", 1)
     with pytest.raises(ConvergenceError, match="did not converge in 1 iterations") as info:
-        lambda_min_sparse(A, tol=1e-12, max_outer=1)
+        lambda_min_sparse(A, tol=1e-12)
     step, estimate, residual = failure_state(info.value)
     assert step == 1
     assert estimate > 0.0 and residual > 1e-12 * estimate
@@ -254,23 +245,25 @@ def random_symmetric(seed, negate_smallest=False):
     return sp.csr_matrix(0.5 * (a + a.T))
 
 
-def test_random_spd_matrices_are_never_called_indefinite():
+def test_random_spd_matrices_are_never_called_indefinite(monkeypatch):
     # the loop updates A x implicitly; on these matrices its Rayleigh quotient
     # drifted to <= 0 while x A x did not, and 114 of the 200 solves reported
     # "not positive definite".  At tol 1e-13 most cannot converge (the target
     # lies below rounding), so the cap is kept small and only the verdict read.
     # With the smallest eigenvalue negated, every seed is caught by a Rayleigh
     # quotient <= 0 within 200 steps (seed 0 at step 112)
+    monkeypatch.setattr(spectra, "MAX_STEPS", 100)
     for seed in range(200):
         try:
-            lambda_min_sparse(random_symmetric(seed), tol=1e-13, max_outer=100)
+            lambda_min_sparse(random_symmetric(seed), tol=1e-13)
         except ConvergenceError as exc:
             assert "did not converge in 100 iterations" in str(exc)
+    monkeypatch.setattr(spectra, "MAX_STEPS", 200)
     for seed in range(20):
         A = random_symmetric(seed, negate_smallest=True)
         if np.all(A.diagonal() > 0.0):
             with pytest.raises(ConvergenceError, match="not positive definite"):
-                lambda_min_sparse(A, tol=1e-13, max_outer=200)
+                lambda_min_sparse(A, tol=1e-13)
 
 
 def test_solve_below_the_rounding_floor_stops_as_stalled():
@@ -278,7 +271,7 @@ def test_solve_below_the_rounding_floor_stops_as_stalled():
     # (its eigenvalues span 1e-3..1e3), but the stall is the iteration's
     # stagnation, not rounding: the residual stops falling at about 1.17e-11,
     # far above the floor of 4.2e-14.  The solve stops after STALL_STEPS steps
-    # without a smaller residual, not at max_outer (median step 154, at most
+    # without a smaller residual, not at MAX_STEPS (median step 154, at most
     # 329, over seeds 0-99)
     A = random_symmetric(0)
     with pytest.raises(ConvergenceError, match="stalled \\(no smaller residual in 128 steps\\)") as info:
@@ -297,16 +290,17 @@ def test_solve_below_the_rounding_floor_stops_as_stalled():
     assert target < floor
 
 
-@pytest.mark.parametrize("max_outer", [150, 20000])
-def test_failure_reports_the_estimate_of_an_explicit_product(max_outer):
+@pytest.mark.parametrize("max_steps", [150, 20000])
+def test_failure_reports_the_estimate_of_an_explicit_product(max_steps, monkeypatch):
     # no Rayleigh quotient of a unit vector lies below lambda_min, but one read
     # from the implicitly updated A x can (on seed 4, 0.00227146821419 at the
     # cap of 150 and at the stall, step 165, against lambda_min 0.0024003674),
     # so every exit decides on an explicit product
+    monkeypatch.setattr(spectra, "MAX_STEPS", max_steps)
     for seed in range(8):
         A = random_symmetric(seed)
         with pytest.raises(ConvergenceError, match="did not converge|stalled") as info:
-            lambda_min_sparse(A, tol=1e-13, max_outer=max_outer)
+            lambda_min_sparse(A, tol=1e-13)
         assert failure_state(info.value)[1] >= lambda_min_dense(A) - 1e-12
 
 
@@ -345,8 +339,9 @@ def test_iterate_that_stops_moving_restarts_without_p(monkeypatch):
     norm = spectra._norm
     monkeypatch.setattr(spectra, "_norm", lambda v: norms.append(norm(v)) or norms[-1])
     calls = cholesky_calls(monkeypatch)
+    monkeypatch.setattr(spectra, "MAX_STEPS", 40)
     with pytest.raises(ConvergenceError, match="did not converge in 40 iterations at step 40"):
-        lambda_min_sparse(spd(np.diag([1.0, 2.0, 3.0, 1e9])), tol=2e-14, max_outer=40)
+        lambda_min_sparse(spd(np.diag([1.0, 2.0, 3.0, 1e9])), tol=2e-14)
     assert 0.0 in norms
     assert (3, True) in calls and (2, True) not in calls
 
@@ -713,15 +708,18 @@ def test_convergence_error_names_preconditioner(monkeypatch):
     A = assemble(build_mesh(2, BAKHVALOV_32))
     preconditioner = lambda_min_sparse(A).preconditioner
     step = switch_step(preconditioner, "961/234/60")
+    monkeypatch.setattr(spectra, "MAX_STEPS", step + 1)
     with pytest.raises(ConvergenceError, match=f"at step {step + 1} \\(preconditioner {preconditioner},"):
-        lambda_min_sparse(A, max_outer=step + 1)
+        lambda_min_sparse(A)
+    monkeypatch.setattr(spectra, "MAX_STEPS", step - 1)
     with pytest.raises(ConvergenceError, match="preconditioner Jacobi,"):
-        lambda_min_sparse(A, max_outer=step - 1)
+        lambda_min_sparse(A)
+    monkeypatch.setattr(spectra, "MAX_STEPS", step + 1)
     monkeypatch.setattr(spectra._Multigrid, "build", classmethod(lambda cls, M: None))
     with pytest.raises(
         ConvergenceError, match=f"Jacobi \\(multigrid coarsening stalled at step {step}\\)"
     ):
-        lambda_min_sparse(A, max_outer=step + 1)
+        lambda_min_sparse(A)
 
 
 def chain_with_hidden_negative_mode(n=100):
